@@ -4,7 +4,7 @@ Expected values marked "oracle" were computed beforehand with an
 independent 30-digit mpmath quadrature that integrates in the substituted
 variable t = sqrt(sqrt(2)/4 - y), under which the endpoint singularity
 cancels exactly; that code path shares nothing with the library's
-Gauss-Kronrod evaluator.
+Gauss-Legendre evaluator.
 """
 
 import math
@@ -243,14 +243,12 @@ class TestTabulate:
         with pytest.raises(ValueError):
             tabulate(PotentialKind.EXACT_BIC, 5.0, 5.0, 5)
 
-    def test_exact_values_cached_for_reuse(self):
-        z_of_rho.cache_clear()
-        tabulate(PotentialKind.EXACT_BIC, 0.5, 2.5, 6)
-        misses = z_of_rho.cache_info().misses
-        tabulate(PotentialKind.EXACT_BIC, 0.5, 2.5, 6)
-        info = z_of_rho.cache_info()
-        assert info.misses == misses
-        assert info.hits >= 6
+    def test_exact_values_repeatable_and_pointwise(self):
+        first = tabulate(PotentialKind.EXACT_BIC, 0.0, 40.0, 101)
+        second = tabulate(PotentialKind.EXACT_BIC, 0.0, 40.0, 101)
+        assert first.values.tobytes() == second.values.tobytes()
+        for rho, w in zip(first.rho_grid, first.values):
+            assert abs(w - w_of_rho(float(rho))) <= 1e-14
 
 
 class TestPotentialTable:

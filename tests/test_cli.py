@@ -8,6 +8,7 @@ single-line error contract.
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -98,6 +99,20 @@ def test_potential_rejects_single_point(capsys):
     assert out == ""
     assert err.startswith("error:invalid-input:")
     assert "\n" not in err.strip()
+
+
+def test_potential_rejects_huge_point_count_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, ["potential", "--points", str(10 ** 12)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:invalid-input:")
+    assert "\n" not in err.strip()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ W(rho) = -Z(rho)/rho at a few landmark radii, locates the maximum of Z,
 and shows the approach to the Coulomb limit Z -> 1 at large rho.
 
 Run:  python3 demos/tabulate_potential.py
+
+Needs scipy (the package's ``test`` extra) for minimize_scalar.
 """
 
 from scipy.optimize import minimize_scalar

@@ -33,10 +33,10 @@ target (by default the empirical hydrogen ground-state value -0.49973).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bic_potential import QUARTER_BETA
 from .morse_fit import REFERENCE_MORSE, MorseParams
@@ -56,6 +56,8 @@ _Z_CAP = 200.0
 _SCAN_STEP = 0.05
 _A_CAP = 50.0
 _FINE_STRUCTURE_ALPHA = 1.0 / 137.036
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -121,14 +123,115 @@ def quantization_residual(a: float, nu: float, morse: MorseParams) -> float:
     return whittaker_m(a, nu, _boundary_z(a, morse))
 
 
+def _brent(f: Callable[[float], float], lo: float, hi: float,
+           f_lo: float, f_hi: float, xtol: float) -> float:
+    """Root of f on [lo, hi] by Brent's zeroin, given f_lo = f(lo), f_hi = f(hi).
+
+    A line-for-line port of scipy.optimize.brentq (R. P. Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 4): the same relative
+    tolerance 4 eps, the same 100-iteration limit and the same
+    interpolate / extrapolate / bisect steps, so it returns the same bits.
+    The end values are passed in and never re-evaluated.  Raises
+    ValueError when f_lo and f_hi have the same sign and RuntimeError when
+    the iteration limit is reached.
+    """
+    x_pre, x_cur, f_pre, f_cur = lo, hi, f_lo, f_hi
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
+        raise ValueError("f(lo) and f(hi) must have different signs")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        if (f_pre != 0.0 and f_cur != 0.0
+                and math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + _BRENT_RTOL * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0.0 else -delta
+        f_cur = f(x_cur)
+    raise RuntimeError(
+        f"Brent did not converge in {_BRENT_MAX_ITER} iterations, value is {x_cur!r}")
+
+
+def _first_crossing(f: Callable[[float], float],
+                    samples: Iterable[Tuple[float, float]],
+                    xtol: float) -> Optional[float]:
+    """First root of f along samples, (x, f(x)) pairs at increasing x.
+
+    Returns the first sample where f is exactly 0, or the Brent-refined
+    root of the first bracketed sign change; None when f never changes
+    sign.  samples is consumed only up to the crossing.
+    """
+    x_prev = f_prev = None
+    for x, fx in samples:
+        if fx == 0.0:
+            return x
+        if f_prev is not None and (f_prev > 0.0) != (fx > 0.0):
+            return _brent(f, x_prev, x, f_prev, fx, xtol)
+        x_prev, f_prev = x, fx
+    return None
+
+
+def _m_samples(a: float, nu: float):
+    """(z, M_{a,nu}(z)) along the first_root scan, in increasing z.
+
+    When M < 0 at the scan start z = 0.05, the first root lies below it;
+    the scan is then preceded by the first of 0.025, 0.0125, ... at which
+    M >= 0 (M > 0 near z = 0+).
+    """
+    chunk = 256
+    v = whittaker_m(a, nu, _SCAN_STEP)
+    if v < 0.0:
+        z_lo = 0.5 * _SCAN_STEP
+        while (v_lo := whittaker_m(a, nu, z_lo)) < 0.0:
+            z_lo *= 0.5
+        yield z_lo, v_lo
+    yield _SCAN_STEP, v
+    start = _SCAN_STEP
+    while start < _Z_CAP:
+        stop = min(start + chunk * _SCAN_STEP, _Z_CAP)
+        n = max(2, int(round((stop - start) / _SCAN_STEP)) + 1)
+        zs = np.linspace(start, stop, n)
+        yield from zip(zs[1:].tolist(), whittaker_m(a, nu, zs)[1:].tolist())
+        start = stop
+
+
 def first_root(a: float, nu: float) -> float:
     """Smallest z > 0 with M_{a,nu}(z) = 0, by scan + Brent refinement.
 
-    Scans in steps of 0.05 up to z = 200 and refines the first bracketed
-    sign change to 1e-10.  M > 0 near z = 0+, so the first root flips the
-    sign.  When nu - a + 1/2 >= 0 every series coefficient of the rising
-    factor is positive and M has no positive roots at all; that case (and
-    any other scan without a sign change) raises RuntimeError.
+    Scans in steps of 0.05 from z = 0.05 up to z = 200 and refines the
+    first bracketed sign change to 1e-10.  M > 0 near z = 0+, so the first
+    root flips the sign; when M(0.05) < 0 the root below 0.05 is bracketed
+    by halving toward 0.  For a <= 50 at most one root lies below 0.05.
+    When nu - a + 1/2 >= 0 every series coefficient of the rising factor
+    is positive and M has no positive roots at all; that case (and any
+    other scan without a sign change) raises RuntimeError.
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"a must be a positive real, got {a!r}")
@@ -137,29 +240,12 @@ def first_root(a: float, nu: float) -> float:
     if nu - a + 0.5 >= 0.0:
         raise RuntimeError(
             f"M_({a!r},{nu!r}) has only positive series terms: no positive roots")
-
-    chunk = 256
-    f = lambda z: whittaker_m(a, nu, z)
-    z_prev = _SCAN_STEP
-    v_prev = f(z_prev)
-    if v_prev == 0.0:
-        return z_prev
-    start = z_prev
-    while start < _Z_CAP:
-        stop = min(start + chunk * _SCAN_STEP, _Z_CAP)
-        n = max(2, int(round((stop - start) / _SCAN_STEP)) + 1)
-        zs = np.linspace(start, stop, n)
-        vals = whittaker_m(a, nu, zs)
-        for i in range(1, n):
-            if vals[i] == 0.0:
-                return float(zs[i])
-            if (v_prev > 0.0) != (vals[i] > 0.0):
-                lo = z_prev if i == 1 else float(zs[i - 1])
-                return float(brentq(f, lo, float(zs[i]), xtol=1e-10))
-            z_prev, v_prev = float(zs[i]), float(vals[i])
-        start = stop
-    raise RuntimeError(
-        f"no root of M_({a!r},{nu!r}) found below z = {_Z_CAP:g}")
+    root = _first_crossing(lambda z: whittaker_m(a, nu, z),
+                           _m_samples(a, nu), 1e-10)
+    if root is None:
+        raise RuntimeError(
+            f"no root of M_({a!r},{nu!r}) found below z = {_Z_CAP:g}")
+    return root
 
 
 def solve_a(nu: float, morse: MorseParams) -> float:
@@ -177,24 +263,21 @@ def solve_a(nu: float, morse: MorseParams) -> float:
     def gap(a: float) -> float:
         return first_root(a, nu) - _boundary_z(a, morse)
 
-    a_prev = None
-    g_prev = None
-    a = 0.1
-    while a <= _A_CAP + 1e-12:
-        if nu - a + 0.5 < 0.0:
-            try:
-                g = gap(a)
-            except RuntimeError:
-                g = None
-            if g is not None:
-                if g == 0.0:
-                    return a
-                if g_prev is not None and (g_prev > 0.0) != (g > 0.0):
-                    return float(brentq(gap, a_prev, a, xtol=1e-10))
-                a_prev, g_prev = a, g
-        a = round(a + 0.1, 10)
-    raise RuntimeError(
-        f"no ground-state a in (0, {_A_CAP:g}] for nu = {nu!r}")
+    def samples():
+        a = 0.1
+        while a <= _A_CAP + 1e-12:
+            if nu - a + 0.5 < 0.0:
+                try:
+                    yield a, gap(a)
+                except RuntimeError:  # no first root below the z cap
+                    pass
+            a = round(a + 0.1, 10)
+
+    root = _first_crossing(gap, samples(), 1e-10)
+    if root is None:
+        raise RuntimeError(
+            f"no ground-state a in (0, {_A_CAP:g}] for nu = {nu!r}")
+    return root
 
 
 def observables(nu: float, a: float, c: ModelConstants) -> AnalyticSolution:
@@ -250,5 +333,5 @@ def calibrate_nu(target_eps: float, c: ModelConstants) -> AnalyticSolution:
         if not widened:
             raise RuntimeError(
                 f"target eps/alpha^2 = {target_eps!r} not attainable for nu in (0.5, 10]")
-    nu_star = float(brentq(lambda nu: eps_of(nu) - target_eps, lo, hi, xtol=1e-9))
+    nu_star = _brent(lambda nu: eps_of(nu) - target_eps, lo, hi, f_lo, f_hi, 1e-9)
     return observables(nu_star, solve_a(nu_star, c.morse), c)

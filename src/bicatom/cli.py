@@ -42,15 +42,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .analytic_solver import ModelConstants, calibrate_nu, observables, solve_a
-from .bic_potential import (PotentialKind, QUARTER_BETA, UnitsNote, tabulate,
-                            w_of_rho)
+from .bic_potential import PotentialKind, UnitsNote, tabulate
 from .morse_fit import FitConfig, MorseParams, REFERENCE_MORSE, fit, morse_w
 from .numerov_oracle import RadialProblem, bic_interpolator, ground_state
 
@@ -125,48 +125,54 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(header)]
+def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    yield ",".join(header) + "\n"
     for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+        yield ",".join(_cell(v) for v in row) + "\n"
 
 
-def _json_value(v, indent: int) -> str:
+def _json_chunks(v, indent: int) -> Iterator[str]:
+    """JSON text of v in pieces; a list may also be given as an iterator."""
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(v, dict):
-        if not v:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {_json_value(u, indent + 2)}'
-                 for k, u in v.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        items = [f"{inner}{_json_value(u, indent + 2)}" for u in v]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(v)
-    return json.dumps(str(v))
+        empty = True
+        for k, u in v.items():
+            yield ("{\n" if empty else ",\n") + f"{inner}{json.dumps(str(k))}: "
+            yield from _json_chunks(u, indent + 2)
+            empty = False
+        yield "{}" if empty else "\n" + pad + "}"
+    elif isinstance(v, (list, tuple, Iterator)):
+        empty = True
+        for u in v:
+            yield ("[\n" if empty else ",\n") + inner
+            yield from _json_chunks(u, indent + 2)
+            empty = False
+        yield "[]" if empty else "\n" + pad + "]"
+    elif isinstance(v, bool):
+        yield "true" if v else "false"
+    elif v is None:
+        yield "null"
+    elif isinstance(v, (int, np.integer)):
+        yield str(int(v))
+    elif isinstance(v, (float, np.floating)):
+        yield _fmt_float(v)
+    else:
+        yield json.dumps(str(v))
 
 
-def _json_text(obj: dict) -> str:
-    return _json_value(obj, 0) + "\n"
+def _json_doc(obj: dict) -> Iterator[str]:
+    yield from _json_chunks(obj, 0)
+    yield "\n"
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], path: Optional[str]) -> None:
+    """Write text pieces as they are produced, to stdout or to path."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _error_line(code: str, detail) -> None:
@@ -194,20 +200,20 @@ def _run_potential(cfg: RunConfig) -> int:
     w = table.values
     z = np.where(rho == 0.0, 0.0, -w * rho)
     if cfg.fmt == "csv":
-        text = _csv_text(("rho", "Z", "W"), list(zip(rho, z, w)))
+        chunks = _csv_lines(("rho", "Z", "W"), zip(rho, z, w))
     else:
         units = UnitsNote()
-        text = _json_text({
+        chunks = _json_doc({
             "schema": 1,
             "command": "potential",
             "rho_min": rho_min,
             "rho_max": rho_max,
             "points": points,
             "units": {"alpha": units.alpha, "conventions": units.conventions},
-            "rows": [{"rho": r, "Z": zz, "W": ww}
-                     for r, zz, ww in zip(rho, z, w)],
+            "rows": ({"rho": r, "Z": zz, "W": ww}
+                     for r, zz, ww in zip(rho, z, w)),
         })
-    _emit(text, cfg.output)
+    _emit(chunks, cfg.output)
     return 0
 
 
@@ -224,7 +230,7 @@ def _run_fit(cfg: RunConfig) -> int:
     report = fit(table, fit_cfg)
     p = report.params
     if cfg.fmt == "json":
-        text = _json_text({
+        chunks = _json_doc({
             "schema": 1,
             "command": "fit",
             "params": {"G": p.G, "V0": p.V0, "kappa": p.kappa, "b": p.b},
@@ -236,20 +242,20 @@ def _run_fit(cfg: RunConfig) -> int:
                        "samples": samples},
         })
     else:
-        text = _csv_text(
+        chunks = _csv_lines(
             ("G", "V0", "kappa", "b", "rms_residual", "max_abs_residual",
              "iterations", "converged"),
             [(p.G, p.V0, p.kappa, p.b, report.rms_residual,
               report.max_abs_residual, report.iterations, report.converged)])
-    _emit(text, cfg.output)
+    _emit(chunks, cfg.output)
     residuals_out = opt.get("residuals_out")
     if residuals_out is not None:
         rho = table.rho_grid
         w_exact = table.values
         w_surrogate = morse_w(p, rho)
         resid = w_exact - w_surrogate
-        _emit(_csv_text(("rho", "W_exact", "W_morse", "residual"),
-                        list(zip(rho, w_exact, w_surrogate, resid))),
+        _emit(_csv_lines(("rho", "W_exact", "W_morse", "residual"),
+                         zip(rho, w_exact, w_surrogate, resid)),
               str(residuals_out))
     if not report.converged:
         _error_line("fit-not-converged",
@@ -271,16 +277,13 @@ def _solution_fields(sol) -> dict:
     }
 
 
-def _emit_solution(cfg: RunConfig, command: str, sol, extra: dict) -> None:
-    fields = dict(extra)
-    fields.update(_solution_fields(sol))
+def _emit_record(cfg: RunConfig, command: str, fields: dict) -> None:
+    """One flat record: a JSON object, or a CSV header plus one row."""
     if cfg.fmt == "json":
-        payload = {"schema": 1, "command": command}
-        payload.update(fields)
-        text = _json_text(payload)
+        chunks = _json_doc({"schema": 1, "command": command, **fields})
     else:
-        text = _csv_text(tuple(fields), [tuple(fields.values())])
-    _emit(text, cfg.output)
+        chunks = _csv_lines(tuple(fields), [tuple(fields.values())])
+    _emit(chunks, cfg.output)
 
 
 def _run_solve(cfg: RunConfig) -> int:
@@ -289,7 +292,7 @@ def _run_solve(cfg: RunConfig) -> int:
     constants = ModelConstants(morse=morse)
     a = solve_a(nu, morse)
     sol = observables(nu, a, constants)
-    _emit_solution(cfg, "solve", sol, {})
+    _emit_record(cfg, "solve", _solution_fields(sol))
     return 0
 
 
@@ -298,7 +301,7 @@ def _run_calibrate(cfg: RunConfig) -> int:
     morse = _morse_from(cfg)
     constants = ModelConstants(morse=morse)
     sol = calibrate_nu(target, constants)
-    _emit_solution(cfg, "calibrate", sol, {"target": target})
+    _emit_record(cfg, "calibrate", {"target": target, **_solution_fields(sol)})
     return 0
 
 
@@ -322,7 +325,7 @@ def _run_oracle(cfg: RunConfig) -> int:
     problem = RadialProblem(potential=_oracle_potential(name, morse, rho_max),
                             alpha_beta=alpha_beta, rho_max=rho_max, h=h)
     result = ground_state(problem)
-    fields = {
+    _emit_record(cfg, "oracle", {
         "potential": name,
         "alpha_beta": alpha_beta,
         "rho_max": rho_max,
@@ -332,14 +335,7 @@ def _run_oracle(cfg: RunConfig) -> int:
         "node_count": result.node_count,
         "iterations": result.iterations,
         "grid_points": result.grid_points,
-    }
-    if cfg.fmt == "json":
-        payload = {"schema": 1, "command": "oracle"}
-        payload.update(fields)
-        text = _json_text(payload)
-    else:
-        text = _csv_text(tuple(fields), [tuple(fields.values())])
-    _emit(text, cfg.output)
+    })
     return 0
 
 
@@ -371,14 +367,14 @@ def _run_table1(cfg: RunConfig) -> int:
     header = ("row", "minus_eps_over_alpha2", "alpha_beta",
               "ref_minus_eps_over_alpha2", "ref_alpha_beta", "pass")
     if cfg.fmt == "json":
-        text = _json_text({
+        chunks = _json_doc({
             "schema": 1,
             "command": "table1",
             "rows": [dict(zip(header, row)) for row in rows],
         })
     else:
-        text = _csv_text(header, rows)
-    _emit(text, cfg.output)
+        chunks = _csv_lines(header, rows)
+    _emit(chunks, cfg.output)
     failed = [row[0] for row in rows if not row[-1]]
     if failed:
         _error_line("table1-row-failed", ",".join(failed))

@@ -11,6 +11,9 @@ linearly at the origin; W(0) itself is never used, which also admits the
 singular pure-Coulomb test potential).  The eigenvalue is bisected on the
 predicate "interior nodes appeared or the endpoint sign flipped", which
 finds the lowest eigenvalue regardless of how many bound states exist.
+
+The exact screened potential enters through bic_interpolator, an
+in-house not-a-knot cubic spline of its tabulated values (numpy only).
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .bic_potential import PotentialKind, tabulate
+from .bic_potential import _MAX_POINTS, PotentialKind, tabulate
 
 __all__ = [
     "RadialProblem",
@@ -44,7 +46,8 @@ class RadialProblem:
     ``potential`` maps rho to W(rho) and may be vectorized over numpy
     arrays (scalar-only callables are accepted too).  Its value at
     rho = 0 is never evaluated, so an integrable origin singularity
-    (e.g. pure Coulomb) is fine.
+    (e.g. pure Coulomb) is fine.  The grid rho_max/h is capped at 1e6
+    points, checked before anything is allocated.
     """
 
     potential: Callable[[float], float]
@@ -61,6 +64,9 @@ class RadialProblem:
             raise ValueError(f"rho_max must be >= 20, got {self.rho_max!r}")
         if not (0.0 < self.h <= 1e-2):
             raise ValueError(f"h must be in (0, 1e-2], got {self.h!r}")
+        if self.rho_max / self.h > _MAX_POINTS:
+            raise ValueError(
+                f"grid rho_max/h = {self.rho_max / self.h:.3g} points exceeds {_MAX_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -179,13 +185,80 @@ def ground_state(p: RadialProblem, tol: float = 1e-10) -> OracleResult:
     )
 
 
+class _NotAKnotSpline:
+    """Not-a-knot cubic spline through (x, y), x strictly increasing.
+
+    The end conditions of scipy's CubicSpline default (C. de Boor, A
+    Practical Guide to Splines, 1978, ch. IV): the knot slopes come from
+    one O(n) tridiagonal solve, and each interval stores its cubic in
+    powers of (t - x_k).  Calls take a scalar or an array; points
+    outside [x_0, x_{n-1}] are extrapolated with the end cubics.
+    """
+
+    def __init__(self, x, y) -> None:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = len(x)
+        if n < 4:
+            raise ValueError(f"a not-a-knot spline needs n >= 4 points, got {n}")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+        lower = np.zeros(n)
+        diag = np.zeros(n)
+        upper = np.zeros(n)
+        rhs = np.zeros(n)
+        lower[1:-1] = dx[1:]
+        diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+        upper[1:-1] = dx[:-1]
+        rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        # not-a-knot: the third derivative is continuous at x_1 and x_{n-2}
+        d = x[2] - x[0]
+        diag[0], upper[0] = dx[1], d
+        rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        diag[-1], lower[-1] = dx[-2], d
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = _solve_tridiagonal(lower, diag, upper, rhs)
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        self._x = x
+        self._coef = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
+
+    def __call__(self, rho):
+        rho = np.asarray(rho, dtype=float)
+        k = np.clip(np.searchsorted(self._x, rho, side="right") - 1, 0, len(self._x) - 2)
+        u = rho - self._x[k]
+        c3, c2, c1, c0 = (c[k] for c in self._coef)
+        return ((c3 * u + c2) * u + c1) * u + c0
+
+
+def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
+    """Thomas algorithm: row i reads lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1]."""
+    b = diag.tolist()
+    d = rhs.tolist()
+    a = lower.tolist()
+    c = upper.tolist()
+    n = len(b)
+    for i in range(1, n):
+        w = a[i] / b[i - 1]
+        b[i] -= w * c[i - 1]
+        d[i] -= w * d[i - 1]
+    x = [0.0] * n
+    x[-1] = d[-1] / b[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (d[i] - c[i] * x[i + 1]) / b[i]
+    return np.array(x)
+
+
 @lru_cache(maxsize=None)
 def bic_interpolator(rho_max: float = 40.0, n: int = 2000):
-    """Cached cubic-spline interpolant of the exact screened potential.
+    """Cached not-a-knot cubic spline of the exact screened potential.
 
     Shooting grids need ~10^4 potential values per propagation; a
     2000-point spline of the quadrature-grade table is accurate to well
     below the eigenvalue tolerances and costs the quadrature only once.
+    The spline is in-house (same end conditions as scipy's CubicSpline
+    default) and takes a scalar or an array of rho.
     """
     table = tabulate(PotentialKind.EXACT_BIC, 0.0, rho_max, n)
-    return CubicSpline(table.rho_grid, table.values)
+    return _NotAKnotSpline(table.rho_grid, table.values)

@@ -111,10 +111,11 @@ def _kummer_scalar(alpha: float, gamma: float, z: float,
     magnitude = 1.0  # running sum of |term|: the cancellation-safe scale
     streak = 0
     for n in range(max_terms):
-        term *= (alpha + n) * z / ((gamma + n) * (n + 1))
+        ratio = (alpha + n) * z / ((gamma + n) * (n + 1))
+        term *= ratio
         total += term
         magnitude += abs(term)
-        if abs(term) <= rel_tol * magnitude:
+        if abs(term) <= rel_tol * magnitude and (term == 0.0 or abs(ratio) < 1.0):
             streak += 1
             if streak >= 2:
                 return total
@@ -130,12 +131,14 @@ def _kummer_array(alpha: float, gamma: float, z: np.ndarray,
     total = np.ones_like(z)
     magnitude = np.ones_like(z)
     streak = np.zeros(z.shape, dtype=np.int64)
+    abs_z = np.abs(z)
     for n in range(max_terms):
-        term = term * ((alpha + n) / ((gamma + n) * (n + 1))) * z
+        c = (alpha + n) / ((gamma + n) * (n + 1))
+        term = term * c * z
         total = total + term
         at = np.abs(term)
         magnitude += at
-        small = at <= rel_tol * magnitude
+        small = (at <= rel_tol * magnitude) & ((term == 0.0) | (abs(c) * abs_z < 1.0))
         streak = np.where(small, streak + 1, 0)
         if int(streak.min()) >= 2:
             return total
@@ -148,7 +151,9 @@ def kummer_m(alpha: float, gamma: float, z, ctl: SeriesControl | None = None):
 
     Forward term recurrence t_{n+1} = t_n (alpha+n) z / ((gamma+n)(n+1)),
     stopped once |t_n| is below ctl.rel_tol times the accumulated term
-    magnitude for two consecutive terms.  z may be a scalar or ndarray;
+    magnitude for two consecutive terms that are zero or shrinking (tiny
+    but growing leading terms, as for alpha near 0 or a negative integer,
+    do not end the sum).  z may be a scalar or ndarray;
     |z| <= 200 (supported range).
 
     Raises ValueError for gamma in {0, -1, -2, ...} or |z| > 200, and

@@ -115,6 +115,30 @@ def test_potential_rejects_huge_point_count_before_allocating(capsys):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_potential_streams_rows_to_file(capsys, tmp_path, fmt):
+    # rows are written as they are formatted, so the traced peak stays near
+    # the table's own arrays (~2.5 MB here).  The bound is 16 MB at 200 000
+    # points scaled to this grid, since every term of the peak grows with
+    # the points; building the whole text first peaks at 10-36 MB here
+    points = 60000
+    path = tmp_path / f"potential.{fmt}"
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, ["potential", "--points", str(points),
+                                          "--format", fmt, "--output", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (0, "", "")
+    text = path.read_text(encoding="utf-8")
+    if fmt == "csv":
+        assert len(text.splitlines()) == points + 1
+    else:
+        assert len(json.loads(text)["rows"]) == points
+    assert peak < (16 << 20) * points // 200_000
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -319,6 +343,21 @@ def test_oracle_rejects_zero_coupling(capsys):
                                     "--alpha-beta", "0"])
     assert code == 2
     assert err.startswith("error:invalid-input:")
+
+
+def test_oracle_rejects_huge_grid_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, ["oracle", "--potential", "coulomb",
+                                          "--alpha-beta", "1.0", "--h", "1e-9"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:invalid-input:")
+    assert "\n" not in err.strip()
+    assert peak < 1 << 20
 
 
 def test_oracle_repulsive_fails_cleanly(capsys):

@@ -17,8 +17,8 @@ from .analytic_solver import (AnalyticSolution, ModelConstants, calibrate_nu,
                               first_root, observables, quantization_residual,
                               solve_a)
 from .bic_potential import (PotentialKind, PotentialTable, QUARTER_BETA,
-                            UnitsNote, born_phi, tabulate, w_of_rho,
-                            z_integrand, z_of_rho)
+                            born_phi, tabulate, w_of_rho, z_integrand,
+                            z_of_rho)
 from .morse_fit import (FitConfig, FitReport, MorseParams, REFERENCE_MORSE,
                         fit, morse_w)
 from .numerov_oracle import (OracleResult, RadialProblem, bic_interpolator,
@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticSolution", "ModelConstants", "calibrate_nu", "first_root",
     "observables", "quantization_residual", "solve_a",
-    "PotentialKind", "PotentialTable", "QUARTER_BETA", "UnitsNote",
-    "born_phi", "tabulate", "w_of_rho", "z_integrand", "z_of_rho",
+    "PotentialKind", "PotentialTable", "QUARTER_BETA", "born_phi",
+    "tabulate", "w_of_rho", "z_integrand", "z_of_rho",
     "FitConfig", "FitReport", "MorseParams", "REFERENCE_MORSE", "fit",
     "morse_w",
     "OracleResult", "RadialProblem", "bic_interpolator", "ground_state",

@@ -40,7 +40,7 @@ import numpy as np
 
 from .bic_potential import QUARTER_BETA
 from .morse_fit import REFERENCE_MORSE, MorseParams
-from .specfun import whittaker_m
+from .specfun import _Z_CAP, whittaker_m
 
 __all__ = [
     "AnalyticSolution",
@@ -52,10 +52,8 @@ __all__ = [
     "calibrate_nu",
 ]
 
-_Z_CAP = 200.0
 _SCAN_STEP = 0.05
 _A_CAP = 50.0
-_FINE_STRUCTURE_ALPHA = 1.0 / 137.036
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 _BRENT_MAX_ITER = 100
 
@@ -64,46 +62,41 @@ _BRENT_MAX_ITER = 100
 class AnalyticSolution:
     """Ground-state solution bundle.
 
-    The degenerate a = 0 case (no well) is representable: every derived
-    field collapses to 0 and eps_over_alpha2 to -infinity.
+    |A| = a^2/2 and E = -nu^2/2 are derived from a and nu on access.  The
+    degenerate a = 0 case (no well) is representable: every derived field
+    collapses to 0 and eps_over_alpha2 to -infinity.
     """
 
     nu: float
     a: float
     X: float
-    A_abs: float
-    E: float
     alpha_beta: float
     eps_over_alpha2: float
 
     def __post_init__(self) -> None:
         if not (self.nu > 0.0 and math.isfinite(self.nu)):
             raise ValueError("nu must be a positive real")
-        for name in ("a", "X", "A_abs", "alpha_beta"):
+        for name in ("a", "X", "alpha_beta"):
             v = getattr(self, name)
             if not (v >= 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite non-negative real")
-        if abs(self.a - math.sqrt(2.0 * self.A_abs)) > 1e-12 * max(1.0, self.a):
-            raise ValueError("inconsistent a vs A_abs: need a = sqrt(2 |A|)")
-        if abs(self.E + 0.5 * self.nu ** 2) > 1e-12 * max(1.0, abs(self.E)):
-            raise ValueError("inconsistent E vs nu: need E = -nu^2/2")
         if not self.eps_over_alpha2 < 0.0:
             raise ValueError("eps_over_alpha2 must be negative")
+
+    @property
+    def A_abs(self) -> float:
+        return 0.5 * self.a ** 2
+
+    @property
+    def E(self) -> float:
+        return -0.5 * self.nu ** 2
 
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """Surrogate parameters plus the fixed physical constants."""
+    """Surrogate parameters (B(1/4,1/4)/4 and alpha are bic_potential constants)."""
 
     morse: MorseParams = REFERENCE_MORSE
-    quarter_beta: float = QUARTER_BETA
-    alpha: float = _FINE_STRUCTURE_ALPHA
-
-    def __post_init__(self) -> None:
-        if abs(self.quarter_beta - 1.8540746773) > 1e-9:
-            raise ValueError("quarter_beta must equal B(1/4,1/4)/4 ~ 1.8540746773")
-        if self.alpha != _FINE_STRUCTURE_ALPHA:
-            raise ValueError("alpha is fixed to 1/137.036")
 
 
 def _boundary_z(a: float, morse: MorseParams) -> float:
@@ -290,15 +283,13 @@ def observables(nu: float, a: float, c: ModelConstants) -> AnalyticSolution:
     alpha_beta = m.kappa ** 2 * a ** 2 / (2.0 * abs(m.G))
     if alpha_beta > 0.0:
         eps = -(0.5 * m.kappa ** 2 * nu ** 2
-                + alpha_beta * (m.V0 + c.quarter_beta - abs(m.G))) / alpha_beta ** 2
+                + alpha_beta * (m.V0 + QUARTER_BETA - abs(m.G))) / alpha_beta ** 2
     else:
         eps = -math.inf
     return AnalyticSolution(
         nu=nu,
         a=a,
         X=_boundary_z(a, m),
-        A_abs=0.5 * a ** 2,
-        E=-0.5 * nu ** 2,
         alpha_beta=alpha_beta,
         eps_over_alpha2=eps,
     )

@@ -49,9 +49,10 @@ from .specfun import beta
 __all__ = [
     "QUARTER_BETA",
     "Y_STAR",
+    "FINE_STRUCTURE_ALPHA",
+    "UNIT_CONVENTIONS",
     "PotentialKind",
     "PotentialTable",
-    "UnitsNote",
     "z_integrand",
     "z_of_rho",
     "w_of_rho",
@@ -68,7 +69,12 @@ Y_STAR = math.sqrt(2.0) / 4.0
 _RHO_CAP = 1e6
 # most grid points one tabulate call accepts (checked before allocating)
 _MAX_POINTS = 1_000_000
-_FINE_STRUCTURE_ALPHA = 1.0 / 137.036
+
+# unit conventions carried alongside emitted tables
+FINE_STRUCTURE_ALPHA = 1.0 / 137.036
+UNIT_CONVENTIONS = ("hbar = m_e = c = 1; lengths in Compton wavelengths "
+                    "lambda_C = hbar/(m_e c); energies in units of m_e c^2; "
+                    "rho = r/beta with beta Born's length parameter")
 
 
 class PotentialKind(enum.Enum):
@@ -98,20 +104,6 @@ class PotentialTable:
         if self.kind is PotentialKind.EXACT_BIC and grid[0] == 0.0:
             if abs(vals[0] + QUARTER_BETA) > 1e-9:
                 raise ValueError("exact table must start at W(0) = -B(1/4,1/4)/4")
-
-
-@dataclass(frozen=True)
-class UnitsNote:
-    """Unit conventions carried alongside emitted tables."""
-
-    alpha: float = _FINE_STRUCTURE_ALPHA
-    conventions: str = ("hbar = m_e = c = 1; lengths in Compton wavelengths "
-                        "lambda_C = hbar/(m_e c); energies in units of m_e c^2; "
-                        "rho = r/beta with beta Born's length parameter")
-
-    def __post_init__(self) -> None:
-        if self.alpha != _FINE_STRUCTURE_ALPHA:
-            raise ValueError("alpha is fixed to 1/137.036")
 
 
 def _screen(y):

@@ -43,18 +43,16 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .analytic_solver import ModelConstants, calibrate_nu, observables, solve_a
-from .bic_potential import PotentialKind, UnitsNote, tabulate
+from .bic_potential import (FINE_STRUCTURE_ALPHA, UNIT_CONVENTIONS,
+                            PotentialKind, tabulate)
 from .morse_fit import FitConfig, MorseParams, REFERENCE_MORSE, fit, morse_w
 from .numerov_oracle import RadialProblem, bic_interpolator, ground_state
 
-_COMMANDS = ("potential", "fit", "solve", "calibrate", "oracle", "table1")
 _FORMATS = ("csv", "json")
 
 # Reference values for the table1 comparison rows.
@@ -76,33 +74,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: A003 - argparse API
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed CLI invocation.
-
-    ``options`` holds the per-command numeric settings (grid bounds,
-    tolerances, nu, alpha*beta, target energy, ...) as a read-only
-    mapping; ``output`` of ``None`` means stdout.
-    """
-
-    command: str
-    fmt: str
-    output: Optional[str]
-    options: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.fmt not in _FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}")
-        object.__setattr__(self, "options",
-                           MappingProxyType(dict(self.options)))
-        for key, value in self.options.items():
-            if key.endswith(("_tol", "tol")) and isinstance(value, float):
-                if not value > 0.0:
-                    raise ValueError(f"option {key} must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -184,52 +155,51 @@ def _error_line(code: str, detail) -> None:
 # subcommand implementations
 
 
-def _morse_from(cfg: RunConfig) -> MorseParams:
-    opt = cfg.options
-    return MorseParams(G=float(opt["G"]), V0=float(opt["V0"]),
-                       kappa=float(opt["kappa"]), b=float(opt["b"]))
+def _morse_from(args: argparse.Namespace) -> MorseParams:
+    return MorseParams(G=args.G, V0=args.V0, kappa=args.kappa, b=args.b)
 
 
-def _run_potential(cfg: RunConfig) -> int:
-    opt = cfg.options
-    rho_min = float(opt["rho_min"])
-    rho_max = float(opt["rho_max"])
-    points = int(opt["points"])
-    table = tabulate(PotentialKind.EXACT_BIC, rho_min, rho_max, points)
+def _run_potential(args: argparse.Namespace) -> int:
+    table = tabulate(PotentialKind.EXACT_BIC, args.rho_min, args.rho_max,
+                     args.points)
     rho = table.rho_grid
     w = table.values
     z = np.where(rho == 0.0, 0.0, -w * rho)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         chunks = _csv_lines(("rho", "Z", "W"), zip(rho, z, w))
     else:
-        units = UnitsNote()
         chunks = _json_doc({
             "schema": 1,
             "command": "potential",
-            "rho_min": rho_min,
-            "rho_max": rho_max,
-            "points": points,
-            "units": {"alpha": units.alpha, "conventions": units.conventions},
+            "rho_min": args.rho_min,
+            "rho_max": args.rho_max,
+            "points": args.points,
+            "units": {"alpha": FINE_STRUCTURE_ALPHA,
+                      "conventions": UNIT_CONVENTIONS},
             "rows": ({"rho": r, "Z": zz, "W": ww}
                      for r, zz, ww in zip(rho, z, w)),
         })
-    _emit(chunks, cfg.output)
+    _emit(chunks, args.output)
     return 0
 
 
-def _run_fit(cfg: RunConfig) -> int:
-    opt = cfg.options
-    rho_min = float(opt["rho_min"])
-    rho_max = float(opt["rho_max"])
-    samples = int(opt["samples"])
-    fit_cfg = FitConfig(rho_min=rho_min, rho_max=rho_max, n_samples=samples,
-                        max_iters=int(opt["max_iters"]),
-                        step_tol=float(opt["step_tol"]),
-                        init=opt["init"])
-    table = tabulate(PotentialKind.EXACT_BIC, rho_min, rho_max, samples)
+def _run_fit(args: argparse.Namespace) -> int:
+    if args.init is not None:
+        init = MorseParams(*args.init)
+    elif args.init_reference:
+        r = REFERENCE_MORSE
+        init = MorseParams(G=1.2 * r.G, V0=0.8 * r.V0,
+                           kappa=1.2 * r.kappa, b=0.8 * r.b)
+    else:
+        init = FitConfig().init
+    fit_cfg = FitConfig(rho_min=args.rho_min, rho_max=args.rho_max,
+                        max_iters=args.max_iters, step_tol=args.step_tol,
+                        init=init)
+    table = tabulate(PotentialKind.EXACT_BIC, args.rho_min, args.rho_max,
+                     args.samples)
     report = fit(table, fit_cfg)
     p = report.params
-    if cfg.fmt == "json":
+    if args.format == "json":
         chunks = _json_doc({
             "schema": 1,
             "command": "fit",
@@ -238,8 +208,8 @@ def _run_fit(cfg: RunConfig) -> int:
             "max_abs_residual": report.max_abs_residual,
             "iterations": report.iterations,
             "converged": report.converged,
-            "window": {"rho_min": rho_min, "rho_max": rho_max,
-                       "samples": samples},
+            "window": {"rho_min": args.rho_min, "rho_max": args.rho_max,
+                       "samples": args.samples},
         })
     else:
         chunks = _csv_lines(
@@ -247,16 +217,15 @@ def _run_fit(cfg: RunConfig) -> int:
              "iterations", "converged"),
             [(p.G, p.V0, p.kappa, p.b, report.rms_residual,
               report.max_abs_residual, report.iterations, report.converged)])
-    _emit(chunks, cfg.output)
-    residuals_out = opt.get("residuals_out")
-    if residuals_out is not None:
+    _emit(chunks, args.output)
+    if args.residuals_out is not None:
         rho = table.rho_grid
         w_exact = table.values
         w_surrogate = morse_w(p, rho)
         resid = w_exact - w_surrogate
         _emit(_csv_lines(("rho", "W_exact", "W_morse", "residual"),
                          zip(rho, w_exact, w_surrogate, resid)),
-              str(residuals_out))
+              args.residuals_out)
     if not report.converged:
         _error_line("fit-not-converged",
                     f"no convergence in {report.iterations} rounds "
@@ -277,31 +246,27 @@ def _solution_fields(sol) -> dict:
     }
 
 
-def _emit_record(cfg: RunConfig, command: str, fields: dict) -> None:
+def _emit_record(args: argparse.Namespace, command: str, fields: dict) -> None:
     """One flat record: a JSON object, or a CSV header plus one row."""
-    if cfg.fmt == "json":
+    if args.format == "json":
         chunks = _json_doc({"schema": 1, "command": command, **fields})
     else:
         chunks = _csv_lines(tuple(fields), [tuple(fields.values())])
-    _emit(chunks, cfg.output)
+    _emit(chunks, args.output)
 
 
-def _run_solve(cfg: RunConfig) -> int:
-    nu = float(cfg.options["nu"])
-    morse = _morse_from(cfg)
-    constants = ModelConstants(morse=morse)
-    a = solve_a(nu, morse)
-    sol = observables(nu, a, constants)
-    _emit_record(cfg, "solve", _solution_fields(sol))
+def _run_solve(args: argparse.Namespace) -> int:
+    morse = _morse_from(args)
+    sol = observables(args.nu, solve_a(args.nu, morse),
+                      ModelConstants(morse=morse))
+    _emit_record(args, "solve", _solution_fields(sol))
     return 0
 
 
-def _run_calibrate(cfg: RunConfig) -> int:
-    target = float(cfg.options["target"])
-    morse = _morse_from(cfg)
-    constants = ModelConstants(morse=morse)
-    sol = calibrate_nu(target, constants)
-    _emit_record(cfg, "calibrate", {"target": target, **_solution_fields(sol)})
+def _run_calibrate(args: argparse.Namespace) -> int:
+    sol = calibrate_nu(args.target, ModelConstants(morse=_morse_from(args)))
+    _emit_record(args, "calibrate",
+                 {"target": args.target, **_solution_fields(sol)})
     return 0
 
 
@@ -310,26 +275,23 @@ def _oracle_potential(name: str, morse: MorseParams, rho_max: float) -> Callable
         return lambda rho: -1.0 / rho
     if name == "morse":
         return lambda rho: morse_w(morse, rho)
-    # exact screened potential, via the cached cubic-spline table
+    # exact screened potential, via the cached cubic-spline table; built on
+    # first evaluation, after RadialProblem has checked the grid
     n = max(2000, int(round(50.0 * rho_max)))
-    return bic_interpolator(rho_max=rho_max, n=n)
+    return lambda rho: bic_interpolator(rho_max=rho_max, n=n)(rho)
 
 
-def _run_oracle(cfg: RunConfig) -> int:
-    opt = cfg.options
-    name = str(opt["potential"])
-    alpha_beta = float(opt["alpha_beta"])
-    rho_max = float(opt["rho_max"])
-    h = float(opt["h"])
-    morse = _morse_from(cfg)
-    problem = RadialProblem(potential=_oracle_potential(name, morse, rho_max),
-                            alpha_beta=alpha_beta, rho_max=rho_max, h=h)
+def _run_oracle(args: argparse.Namespace) -> int:
+    problem = RadialProblem(
+        potential=_oracle_potential(args.potential, _morse_from(args),
+                                    args.rho_max),
+        alpha_beta=args.alpha_beta, rho_max=args.rho_max, h=args.h)
     result = ground_state(problem)
-    _emit_record(cfg, "oracle", {
-        "potential": name,
-        "alpha_beta": alpha_beta,
-        "rho_max": rho_max,
-        "h": h,
+    _emit_record(args, "oracle", {
+        "potential": args.potential,
+        "alpha_beta": args.alpha_beta,
+        "rho_max": args.rho_max,
+        "h": args.h,
         "lambda": result.lam,
         "eps_over_alpha2": result.eps_over_alpha2,
         "node_count": result.node_count,
@@ -339,7 +301,7 @@ def _run_oracle(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_table1(cfg: RunConfig) -> int:
+def _run_table1(args: argparse.Namespace) -> int:
     constants = ModelConstants()
     nu = 2.89873
     sol = observables(nu, solve_a(nu, constants.morse), constants)
@@ -366,7 +328,7 @@ def _run_table1(cfg: RunConfig) -> int:
     ]
     header = ("row", "minus_eps_over_alpha2", "alpha_beta",
               "ref_minus_eps_over_alpha2", "ref_alpha_beta", "pass")
-    if cfg.fmt == "json":
+    if args.format == "json":
         chunks = _json_doc({
             "schema": 1,
             "command": "table1",
@@ -374,22 +336,12 @@ def _run_table1(cfg: RunConfig) -> int:
         })
     else:
         chunks = _csv_lines(header, rows)
-    _emit(chunks, cfg.output)
+    _emit(chunks, args.output)
     failed = [row[0] for row in rows if not row[-1]]
     if failed:
         _error_line("table1-row-failed", ",".join(failed))
         return 1
     return 0
-
-
-_HANDLERS = {
-    "potential": _run_potential,
-    "fit": _run_fit,
-    "solve": _run_solve,
-    "calibrate": _run_calibrate,
-    "oracle": _run_oracle,
-    "table1": _run_table1,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-min", type=float, default=0.0)
     p.add_argument("--rho-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=1001)
+    p.set_defaults(run=_run_potential)
     _add_output_args(p, "csv")
 
     p = subs.add_parser("fit", help="fit the Morse surrogate")
@@ -442,17 +395,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="explicit starting parameters")
     p.add_argument("--residuals-out", default=None, metavar="PATH",
                    help="also write per-sample residuals as CSV to PATH")
+    p.set_defaults(run=_run_fit)
     _add_output_args(p, "json")
 
     p = subs.add_parser("solve", help="solve the surrogate model at fixed nu")
     p.add_argument("--nu", type=float, required=True,
                    help="shape parameter nu > 0")
+    p.set_defaults(run=_run_solve)
     _add_morse_args(p)
     _add_output_args(p, "json")
 
     p = subs.add_parser("calibrate", help="find nu matching a target energy")
     p.add_argument("--target", type=float, default=-0.49973,
                    help="target eps/alpha^2 (default: -0.49973)")
+    p.set_defaults(run=_run_calibrate)
     _add_morse_args(p)
     _add_output_args(p, "json")
 
@@ -463,66 +419,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coupling alpha*beta > 0")
     p.add_argument("--rho-max", type=float, default=40.0)
     p.add_argument("--h", type=float, default=1e-3)
+    p.set_defaults(run=_run_oracle)
     _add_morse_args(p)
     _add_output_args(p, "json")
 
     p = subs.add_parser("table1", help="three-row summary with pass/fail")
+    p.set_defaults(run=_run_table1)
     _add_output_args(p, "csv")
 
     return parser
-
-
-def _fit_init(args: argparse.Namespace) -> MorseParams:
-    if args.init is not None:
-        g, v0, kappa, b = args.init
-        return MorseParams(G=g, V0=v0, kappa=kappa, b=b)
-    if args.init_reference:
-        r = REFERENCE_MORSE
-        return MorseParams(G=1.2 * r.G, V0=0.8 * r.V0,
-                           kappa=1.2 * r.kappa, b=0.8 * r.b)
-    return FitConfig().init
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    if command == "potential":
-        options = {"rho_min": args.rho_min, "rho_max": args.rho_max,
-                   "points": args.points}
-    elif command == "fit":
-        options = {"rho_min": args.rho_min, "rho_max": args.rho_max,
-                   "samples": args.samples, "max_iters": args.max_iters,
-                   "step_tol": args.step_tol, "init": _fit_init(args),
-                   "residuals_out": args.residuals_out}
-    elif command == "solve":
-        options = {"nu": args.nu, "G": args.G, "V0": args.V0,
-                   "kappa": args.kappa, "b": args.b}
-    elif command == "calibrate":
-        options = {"target": args.target, "G": args.G, "V0": args.V0,
-                   "kappa": args.kappa, "b": args.b}
-    elif command == "oracle":
-        options = {"potential": args.potential,
-                   "alpha_beta": args.alpha_beta, "rho_max": args.rho_max,
-                   "h": args.h, "G": args.G, "V0": args.V0,
-                   "kappa": args.kappa, "b": args.b}
-    else:
-        options = {}
-    return RunConfig(command=command, fmt=args.format, output=args.output,
-                     options=options)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = config_from_args(args)
     except _UsageError as exc:
         _error_line("usage", exc)
         return 2
-    except ValueError as exc:
-        _error_line("invalid-input", exc)
-        return 2
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return args.run(args)
     except ValueError as exc:
         _error_line("invalid-input", exc)
         return 2

@@ -72,18 +72,15 @@ REFERENCE_MORSE = MorseParams(G=-1.8300, V0=0.09805, kappa=0.58520, b=-0.45720)
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fit window, sampling, and iteration controls.
+    """Fit window and iteration controls.
 
-    ``n_samples`` documents the intended table resolution for builders of
-    the data table; ``fit`` itself consumes whatever samples the supplied
-    table holds inside the window.  ``max_iters`` caps the reweighting
-    rounds and ``step_tol`` is the parameter-step norm below which the fit
-    is declared converged.
+    ``fit`` consumes whatever samples the supplied table holds inside the
+    window.  ``max_iters`` caps the reweighting rounds and ``step_tol`` is
+    the parameter-step norm below which the fit is declared converged.
     """
 
     rho_min: float = 0.0
     rho_max: float = 10.0
-    n_samples: int = 200
     max_iters: int = 120
     step_tol: float = 5e-5
     init: MorseParams = field(default_factory=lambda: MorseParams(-2.0, 0.0, 0.5, -0.5))
@@ -91,11 +88,9 @@ class FitConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.rho_min < self.rho_max):
             raise ValueError("need 0 <= rho_min < rho_max")
-        if self.n_samples < 8:
-            raise ValueError("need n_samples >= 8")
         if self.max_iters < 1:
             raise ValueError("need max_iters >= 1")
-        if self.step_tol <= 0.0:
+        if not self.step_tol > 0.0:  # also rejects NaN
             raise ValueError("need step_tol > 0")
 
 

@@ -8,8 +8,9 @@ Whittaker function of the first kind,
 
 which carries the bound-state quantization condition downstream.  All
 routines work in double precision; the 1F1 series is summed by forward
-term recurrence, which is adequate for the moderate arguments used here
-(|z| <= 200 is enforced rather than switching to asymptotic expansions).
+term recurrence (at -z for negative z, through Kummer's transformation),
+which is adequate for the moderate arguments used here (|z| <= 200 is
+enforced rather than switching to asymptotic expansions).
 """
 
 from __future__ import annotations
@@ -153,8 +154,11 @@ def kummer_m(alpha: float, gamma: float, z, ctl: SeriesControl | None = None):
     stopped once |t_n| is below ctl.rel_tol times the accumulated term
     magnitude for two consecutive terms that are zero or shrinking (tiny
     but growing leading terms, as for alpha near 0 or a negative integer,
-    do not end the sum).  z may be a scalar or ndarray;
-    |z| <= 200 (supported range).
+    do not end the sum).  For z < 0 the series is summed at -z through
+    Kummer's transformation M(alpha, gamma, z) = e^z M(gamma - alpha,
+    gamma, -z) (DLMF 13.2.39), which avoids the alternating terms whose
+    cancellation ruins the direct sum.  z may be a scalar or ndarray, of
+    either sign; |z| <= 200 (supported range).
 
     Raises ValueError for gamma in {0, -1, -2, ...} or |z| > 200, and
     SeriesNonConvergence when ctl.max_terms is exhausted.
@@ -168,11 +172,22 @@ def kummer_m(alpha: float, gamma: float, z, ctl: SeriesControl | None = None):
         zf = float(z)
         if abs(zf) > _Z_CAP:
             raise ValueError(f"kummer_m supports |z| <= {_Z_CAP:g}, got {zf!r}")
+        if zf < 0.0:
+            return math.exp(zf) * _kummer_scalar(gamma - alpha, gamma, -zf,
+                                                 ctl.rel_tol, ctl.max_terms)
         return _kummer_scalar(alpha, gamma, zf, ctl.rel_tol, ctl.max_terms)
     za = np.asarray(z, dtype=float)
     if za.size and float(np.max(np.abs(za))) > _Z_CAP:
         raise ValueError(f"kummer_m supports |z| <= {_Z_CAP:g}")
-    return _kummer_array(alpha, gamma, za, ctl.rel_tol, ctl.max_terms)
+    neg = za < 0.0
+    if not neg.any():
+        return _kummer_array(alpha, gamma, za, ctl.rel_tol, ctl.max_terms)
+    out = np.empty(za.shape)
+    out[neg] = np.exp(za[neg]) * _kummer_array(gamma - alpha, gamma, -za[neg],
+                                               ctl.rel_tol, ctl.max_terms)
+    if not neg.all():
+        out[~neg] = _kummer_array(alpha, gamma, za[~neg], ctl.rel_tol, ctl.max_terms)
+    return out
 
 
 def whittaker_m(a: float, nu: float, z, ctl: SeriesControl | None = None):

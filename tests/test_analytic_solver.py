@@ -20,6 +20,7 @@ from bicatom.analytic_solver import (
     quantization_residual,
     solve_a,
 )
+from bicatom.bic_potential import QUARTER_BETA
 from bicatom.morse_fit import REFERENCE_MORSE, MorseParams
 from bicatom.specfun import whittaker_m
 
@@ -161,30 +162,16 @@ class TestObservables:
 class TestAnalyticSolutionType:
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(ValueError):
-            AnalyticSolution(nu=2.0, a=1.0, X=1.5, A_abs=3.0, E=-2.0,
-                             alpha_beta=0.1, eps_over_alpha2=-0.5)
-        with pytest.raises(ValueError):
-            AnalyticSolution(nu=2.0, a=1.0, X=1.5, A_abs=0.5, E=-1.0,
-                             alpha_beta=0.1, eps_over_alpha2=-0.5)
-        with pytest.raises(ValueError):
-            AnalyticSolution(nu=2.0, a=1.0, X=1.5, A_abs=0.5, E=-2.0,
+            AnalyticSolution(nu=2.0, a=1.0, X=1.5,
                              alpha_beta=0.1, eps_over_alpha2=0.5)
         with pytest.raises(ValueError):
-            AnalyticSolution(nu=-2.0, a=1.0, X=1.5, A_abs=0.5, E=-2.0,
+            AnalyticSolution(nu=-2.0, a=1.0, X=1.5,
                              alpha_beta=0.1, eps_over_alpha2=-0.5)
 
 
 class TestModelConstants:
     def test_defaults(self):
         assert C.morse == REFERENCE_MORSE
-        assert C.alpha == pytest.approx(1.0 / 137.036, rel=0.0)
-        assert C.quarter_beta == pytest.approx(1.8540746773, abs=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ModelConstants(quarter_beta=1.85407468)
-        with pytest.raises(ValueError):
-            ModelConstants(alpha=1.0 / 137.0)
 
 
 class TestEnergyRelationSign:
@@ -193,7 +180,7 @@ class TestEnergyRelationSign:
         sol = observables(NU_REF, solve_a(NU_REF, m), C)
         ab = sol.alpha_beta
         eps_printed = (0.5 * m.kappa ** 2 * NU_REF ** 2
-                       - ab * (m.V0 + C.quarter_beta - abs(m.G))) / ab ** 2
+                       - ab * (m.V0 + QUARTER_BETA - abs(m.G))) / ab ** 2
         assert eps_printed == pytest.approx(EPS_PRINTED_ORACLE, abs=1e-6)
         assert abs(eps_printed - EPS_REF) > 0.1
         assert sol.eps_over_alpha2 == pytest.approx(EPS_REF, abs=1e-4)

@@ -14,11 +14,12 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from bicatom.bic_potential import (
+    FINE_STRUCTURE_ALPHA,
     QUARTER_BETA,
+    UNIT_CONVENTIONS,
     Y_STAR,
     PotentialKind,
     PotentialTable,
-    UnitsNote,
     born_phi,
     tabulate,
     w_of_rho,
@@ -286,13 +287,8 @@ class TestPotentialTable:
 
 class TestUnitsNote:
     def test_default_alpha(self):
-        note = UnitsNote()
-        assert note.alpha == pytest.approx(1.0 / 137.036, rel=0.0)
-        assert "Compton" in note.conventions
-
-    def test_alpha_is_fixed(self):
-        with pytest.raises(ValueError):
-            UnitsNote(alpha=0.007)
+        assert FINE_STRUCTURE_ALPHA == pytest.approx(1.0 / 137.036, rel=0.0)
+        assert "Compton" in UNIT_CONVENTIONS
 
 
 def test_quarter_beta_constant_matches_oracle():

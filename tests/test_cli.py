@@ -12,7 +12,8 @@ import tracemalloc
 
 import pytest
 
-from bicatom.cli import RunConfig, main
+from bicatom import cli
+from bicatom.cli import main
 
 QUARTER_BETA_REF = 1.8540746773013712
 AB_REF = 1.823373498
@@ -216,6 +217,12 @@ def test_fit_nonconvergence_exits_nonzero(capsys):
 
 def test_fit_rejects_bad_step_tol(capsys):
     code, _, err = run_cli(capsys, ["fit", "--step-tol=-1e-5"])
+    assert code == 2
+    assert err.startswith("error:invalid-input:")
+
+
+def test_fit_rejects_nan_step_tol(capsys):
+    code, _, err = run_cli(capsys, ["fit", "--step-tol", "nan"])
     assert code == 2
     assert err.startswith("error:invalid-input:")
 
@@ -443,15 +450,95 @@ def test_ten_significant_digits(capsys):
     assert "-0.4997329681" in doc_text
 
 
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig(command="frobnicate", fmt="csv", output=None)
-    with pytest.raises(ValueError):
-        RunConfig(command="solve", fmt="yaml", output=None)
-    with pytest.raises(ValueError):
-        RunConfig(command="fit", fmt="csv", output=None,
-                  options={"step_tol": -1.0})
-    cfg = RunConfig(command="solve", fmt="json", output=None,
-                    options={"nu": 2.9})
-    with pytest.raises(TypeError):
-        cfg.options["nu"] = 3.0  # read-only mapping
+def test_unknown_format_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["solve", "--nu", "2.9", "--format", "yaml"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:usage:")
+
+
+def test_oracle_checks_grid_before_building_spline(capsys, monkeypatch):
+    def no_spline(*args, **kwargs):
+        raise AssertionError("bic_interpolator called before the grid check")
+
+    monkeypatch.setattr(cli, "bic_interpolator", no_spline)
+    code, out, err = run_cli(capsys, ["oracle", "--potential", "bic",
+                                      "--alpha-beta", "1.8", "--rho-max", "1000",
+                                      "--h", "1e-9"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:invalid-input:")
+
+
+# Full stdout of three commands, recorded before the CLI's argument layer
+# and the units record were simplified; any change to a printed digit or
+# to the layout shows here.
+GOLDEN = {
+    ("solve", "--nu", "2.89873"): """\
+{
+  "schema": 1,
+  "command": "solve",
+  "nu": 2.89873,
+  "a": 4.41442436,
+  "X": 6.756271491,
+  "A_abs": 9.743571215,
+  "E": -4.201317806,
+  "alpha_beta": 1.823373795,
+  "eps_over_alpha2": -0.4997329681
+}
+""",
+    ("calibrate", "--target", "-0.4997", "--format", "csv"): """\
+target,nu,a,X,A_abs,E,alpha_beta,eps_over_alpha2
+-0.4997,2.898922674,4.414638572,6.756599342,9.744516859,-4.201876335,1.823550759,-0.4997
+""",
+    ("potential", "--points", "5", "--format", "json"): """\
+{
+  "schema": 1,
+  "command": "potential",
+  "rho_min": 0,
+  "rho_max": 10,
+  "points": 5,
+  "units": {
+    "alpha": 0.007297352521,
+    "conventions": "hbar = m_e = c = 1; lengths in Compton wavelengths \
+lambda_C = hbar/(m_e c); energies in units of m_e c^2; rho = r/beta with \
+beta Born's length parameter"
+  },
+  "rows": [
+    {
+      "rho": 0,
+      "Z": 0,
+      "W": -1.854074677
+    },
+    {
+      "rho": 2.5,
+      "Z": 1.765859664,
+      "W": -0.7063438657
+    },
+    {
+      "rho": 5,
+      "Z": 1.378548301,
+      "W": -0.2757096602
+    },
+    {
+      "rho": 7.5,
+      "Z": 1.221227354,
+      "W": -0.1628303138
+    },
+    {
+      "rho": 10,
+      "Z": 1.154192179,
+      "W": -0.1154192179
+    }
+  ]
+}
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])
+def test_golden_output(capsys, argv):
+    code, out, err = run_cli(capsys, list(argv))
+    assert code == 0
+    assert err == ""
+    assert out == GOLDEN[argv]

@@ -81,7 +81,6 @@ class TestConfigAndReport:
     def test_config_defaults(self):
         cfg = FitConfig()
         assert cfg.rho_min == 0.0 and cfg.rho_max == 10.0
-        assert cfg.n_samples == 200
         assert cfg.init.kappa > 0
 
     def test_config_validation(self):
@@ -89,8 +88,6 @@ class TestConfigAndReport:
             FitConfig(rho_min=-1.0)
         with pytest.raises(ValueError):
             FitConfig(rho_min=5.0, rho_max=5.0)
-        with pytest.raises(ValueError):
-            FitConfig(n_samples=7)
         with pytest.raises(ValueError):
             FitConfig(max_iters=0)
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 Library layout:
 
 - specfun: log-Gamma, Beta, Kummer 1F1, Whittaker M (from scratch)
-- quadrature: adaptive Gauss-Kronrod with singular-endpoint handling
+- quadrature: adaptive Gauss-Kronrod, finite or semi-infinite (Born's phi)
 - bic_potential: Born's potential, the screening function Z, and W = -Z/rho
 - morse_fit: Morse-type surrogate W_s and its four-parameter fit
 - analytic_solver: Whittaker quantization, alpha*beta and energy closed forms
@@ -24,8 +24,8 @@ from .morse_fit import (FitConfig, FitReport, MorseParams, REFERENCE_MORSE,
 from .numerov_oracle import (OracleResult, RadialProblem, bic_interpolator,
                              ground_state, shoot)
 from .quadrature import QuadratureError, QuadResult, QuadSpec, integrate
-from .specfun import (SeriesControl, SeriesNonConvergence, beta, kummer_m,
-                      ln_gamma, whittaker_m)
+from .specfun import (SeriesNonConvergence, beta, kummer_m, ln_gamma,
+                      whittaker_m)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "OracleResult", "RadialProblem", "bic_interpolator", "ground_state",
     "shoot",
     "QuadratureError", "QuadResult", "QuadSpec", "integrate",
-    "SeriesControl", "SeriesNonConvergence", "beta", "kummer_m", "ln_gamma",
-    "whittaker_m",
+    "SeriesNonConvergence", "beta", "kummer_m", "ln_gamma", "whittaker_m",
     "__version__",
 ]

@@ -154,8 +154,10 @@ def _brent(f: Callable[[float], float], lo: float, hi: float,
             else:  # inverse quadratic
                 d_pre = (f_pre - f_cur) / (x_pre - x_cur)
                 d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
-                         / (d_blk * d_pre * (f_blk - f_pre)))
+                den = d_blk * d_pre * (f_blk - f_pre)
+                # where den underflows to 0, brentq's C code takes an inf
+                # or NaN step, which the test below rejects for bisection
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / den if den else math.inf
             if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
                 s_pre, s_cur = s_cur, s_try
             else:

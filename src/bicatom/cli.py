@@ -277,8 +277,7 @@ def _oracle_potential(name: str, morse: MorseParams, rho_max: float) -> Callable
         return lambda rho: morse_w(morse, rho)
     # exact screened potential, via the cached cubic-spline table; built on
     # first evaluation, after RadialProblem has checked the grid
-    n = max(2000, int(round(50.0 * rho_max)))
-    return lambda rho: bic_interpolator(rho_max=rho_max, n=n)(rho)
+    return lambda rho: bic_interpolator(rho_max)(rho)
 
 
 def _run_oracle(args: argparse.Namespace) -> int:

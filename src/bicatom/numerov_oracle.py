@@ -43,14 +43,15 @@ _RENORM_SCALE = 1e-100
 class RadialProblem:
     """Potential shape, coupling, and grid for one radial eigenproblem.
 
-    ``potential`` maps rho to W(rho) and may be vectorized over numpy
-    arrays (scalar-only callables are accepted too).  Its value at
-    rho = 0 is never evaluated, so an integrable origin singularity
-    (e.g. pure Coulomb) is fine.  The grid rho_max/h is capped at 1e6
-    points, checked before anything is allocated.
+    ``potential`` maps an array of rho to the array of W(rho); a callable
+    that does not return an array of the grid's shape raises ValueError
+    when the grid is tabulated.  Its value at rho = 0 is never evaluated,
+    so an integrable origin singularity (e.g. pure Coulomb) is fine.  The
+    grid rho_max/h is capped at 1e6 points, checked before anything is
+    allocated.
     """
 
-    potential: Callable[[float], float]
+    potential: Callable[[np.ndarray], np.ndarray]
     alpha_beta: float
     rho_max: float = 40.0
     h: float = 1e-3
@@ -88,12 +89,10 @@ def _w_grid(p: RadialProblem) -> np.ndarray:
     """Tabulate W on the shooting grid; index 0 is a never-used placeholder."""
     n = int(round(p.rho_max / p.h))
     rho = np.arange(1, n + 1) * p.h
-    try:
-        w = np.asarray(p.potential(rho), dtype=float)
-        if w.shape != rho.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        w = np.array([float(p.potential(float(r))) for r in rho])
+    w = np.asarray(p.potential(rho), dtype=float)
+    if w.shape != rho.shape:
+        raise ValueError(
+            f"potential must return an array of shape {rho.shape}, got {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("potential must be finite on (0, rho_max]")
     return np.concatenate(([0.0], w))
@@ -250,15 +249,18 @@ def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     return np.array(x)
 
 
-@lru_cache(maxsize=None)
-def bic_interpolator(rho_max: float = 40.0, n: int = 2000):
+@lru_cache(maxsize=4)
+def bic_interpolator(rho_max: float = 40.0):
     """Cached not-a-knot cubic spline of the exact screened potential.
 
-    Shooting grids need ~10^4 potential values per propagation; a
-    2000-point spline of the quadrature-grade table is accurate to well
-    below the eigenvalue tolerances and costs the quadrature only once.
-    The spline is in-house (same end conditions as scipy's CubicSpline
-    default) and takes a scalar or an array of rho.
+    Shooting grids need ~10^4 potential values per propagation; a spline
+    of the exact table on max(2000, round(50 rho_max)) points (a knot
+    spacing of at most 0.02) is accurate to well below the eigenvalue
+    tolerances and tabulates Z only once per rho_max.  The cache keeps
+    the four most recent rho_max.  The spline is in-house (same end
+    conditions as scipy's CubicSpline default) and takes a scalar or an
+    array of rho.
     """
+    n = max(2000, int(round(50.0 * rho_max)))
     table = tabulate(PotentialKind.EXACT_BIC, 0.0, rho_max, n)
     return _NotAKnotSpline(table.rho_grid, table.values)

@@ -1,13 +1,9 @@
-"""Adaptive one-dimensional quadrature.
+"""Adaptive one-dimensional quadrature for Born's potential.
 
-Gauss-Kronrod 7/15 pairs with greedy interval bisection.  Two transforms
-are applied before adaptive refinement begins:
-
-- flagged inverse-square-root endpoint singularities are removed by the
-  substitution t = sqrt(endpoint - y) (or its mirror), after which the
-  transformed integrand is bounded;
-- a semi-infinite upper limit is mapped onto a finite interval by
-  r = t/(1-t).
+Gauss-Kronrod 7/15 pairs with greedy interval bisection.  A
+semi-infinite upper limit is mapped onto a finite interval by
+r = t/(1-t) before adaptive refinement begins.  The only library caller
+is bic_potential.born_phi; Z(rho) has its own fixed-node kernel.
 
 The error estimator is the QUADPACK rescaling of |K15 - G7|, so the
 reported abs_err_estimate is conservative for non-smooth panels.
@@ -59,27 +55,21 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Integration request: bounds, tolerances, and endpoint singularity flags.
+    """Integration request: bounds and tolerances.
 
-    upper may be math.inf for a semi-infinite range (singularity flags must
-    then be off).  Flags declare integrable inverse-square-root behavior at
-    the respective finite endpoint.
+    upper may be math.inf for a semi-infinite range; lower must be finite.
     """
 
     lower: float
     upper: float
     abs_tol: float = 1e-13
     rel_tol: float = 1e-12
-    singular_lower: bool = False
-    singular_upper: bool = False
 
     def __post_init__(self) -> None:
         if not self.lower < self.upper:
             raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if math.isinf(self.upper) and (self.singular_lower or self.singular_upper):
-            raise ValueError("singularity flags are for finite endpoints only")
         if math.isinf(self.lower):
             raise ValueError("lower bound must be finite")
 
@@ -163,27 +153,5 @@ def integrate(f, spec: QuadSpec) -> QuadResult:
             return f(t / om) / (om * om)
 
         return _adaptive(g, t0, 1.0, spec.abs_tol, spec.rel_tol)
-
-    if spec.singular_lower and spec.singular_upper:
-        mid = 0.5 * (a + b)
-        left = integrate(f, QuadSpec(a, mid, 0.5 * spec.abs_tol, spec.rel_tol,
-                                     singular_lower=True))
-        right = integrate(f, QuadSpec(mid, b, 0.5 * spec.abs_tol, spec.rel_tol,
-                                      singular_upper=True))
-        return QuadResult(left.value + right.value,
-                          left.abs_err_estimate + right.abs_err_estimate,
-                          left.subdivisions + right.subdivisions)
-
-    if spec.singular_upper:
-        def g(t):
-            return 2.0 * t * f(b - t * t)
-
-        return _adaptive(g, 0.0, math.sqrt(b - a), spec.abs_tol, spec.rel_tol)
-
-    if spec.singular_lower:
-        def g(t):
-            return 2.0 * t * f(a + t * t)
-
-        return _adaptive(g, 0.0, math.sqrt(b - a), spec.abs_tol, spec.rel_tol)
 
     return _adaptive(f, a, b, spec.abs_tol, spec.rel_tol)

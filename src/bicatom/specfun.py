@@ -16,12 +16,10 @@ enforced rather than switching to asymptotic expansions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SeriesControl",
     "SeriesNonConvergence",
     "ln_gamma",
     "beta",
@@ -30,33 +28,13 @@ __all__ = [
 ]
 
 _Z_CAP = 200.0
+# 1F1 series truncation: relative tolerance and term budget
+_REL_TOL = 1e-14
+_MAX_TERMS = 5000
 
 
 class SeriesNonConvergence(RuntimeError):
-    """Raised when the 1F1 series does not converge within max_terms."""
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for the 1F1 power series.
-
-    rel_tol is relative to the accumulated magnitude of the summed terms,
-    not to the current partial sum; near a zero of the function the sum
-    itself is small through cancellation and a sum-relative test would
-    never trigger.
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 5000
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-_DEFAULT_CTL = SeriesControl()
+    """Raised when the 1F1 series does not converge within _MAX_TERMS terms."""
 
 # Lanczos approximation, g = 7, 9 coefficients.  Empirical relative error
 # of the resulting Gamma is a few 1e-15 over the positive axis, well inside
@@ -105,8 +83,8 @@ def beta(p: float, q: float) -> float:
     return math.exp(ln_gamma(p) + ln_gamma(q) - ln_gamma(p + q))
 
 
-def _kummer_scalar(alpha: float, gamma: float, z: float,
-                   rel_tol: float, max_terms: int) -> float:
+def _kummer_scalar(alpha: float, gamma: float, z: float) -> float:
+    rel_tol, max_terms = _REL_TOL, _MAX_TERMS
     term = 1.0
     total = 1.0
     magnitude = 1.0  # running sum of |term|: the cancellation-safe scale
@@ -126,8 +104,8 @@ def _kummer_scalar(alpha: float, gamma: float, z: float,
         f"1F1({alpha}, {gamma}, {z}) did not converge in {max_terms} terms")
 
 
-def _kummer_array(alpha: float, gamma: float, z: np.ndarray,
-                  rel_tol: float, max_terms: int) -> np.ndarray:
+def _kummer_array(alpha: float, gamma: float, z: np.ndarray) -> np.ndarray:
+    rel_tol, max_terms = _REL_TOL, _MAX_TERMS
     term = np.ones_like(z)
     total = np.ones_like(z)
     magnitude = np.ones_like(z)
@@ -141,29 +119,32 @@ def _kummer_array(alpha: float, gamma: float, z: np.ndarray,
         magnitude += at
         small = (at <= rel_tol * magnitude) & ((term == 0.0) | (abs(c) * abs_z < 1.0))
         streak = np.where(small, streak + 1, 0)
-        if int(streak.min()) >= 2:
+        if int(streak.min(initial=2)) >= 2:  # an empty z is done at once
             return total
     raise SeriesNonConvergence(
         f"1F1({alpha}, {gamma}, <array>) did not converge in {max_terms} terms")
 
 
-def kummer_m(alpha: float, gamma: float, z, ctl: SeriesControl | None = None):
+def kummer_m(alpha: float, gamma: float, z):
     """Kummer's confluent hypergeometric 1F1(alpha; gamma; z).
 
     Forward term recurrence t_{n+1} = t_n (alpha+n) z / ((gamma+n)(n+1)),
-    stopped once |t_n| is below ctl.rel_tol times the accumulated term
-    magnitude for two consecutive terms that are zero or shrinking (tiny
-    but growing leading terms, as for alpha near 0 or a negative integer,
-    do not end the sum).  For z < 0 the series is summed at -z through
+    stopped once |t_n| is below 1e-14 times the accumulated term
+    magnitude sum |t_k| for two consecutive terms that are zero or
+    shrinking (tiny but growing leading terms, as for alpha near 0 or a
+    negative integer, do not end the sum).  The stop is relative to that
+    magnitude, not to the partial sum: near a zero of the function the
+    sum itself is small through cancellation and a sum-relative test
+    would never trigger.  For z < 0 the series is summed at -z through
     Kummer's transformation M(alpha, gamma, z) = e^z M(gamma - alpha,
     gamma, -z) (DLMF 13.2.39), which avoids the alternating terms whose
     cancellation ruins the direct sum.  z may be a scalar or ndarray, of
-    either sign; |z| <= 200 (supported range).
+    either sign; |z| <= 200 (supported range).  An empty array gives an
+    empty array.
 
     Raises ValueError for gamma in {0, -1, -2, ...} or |z| > 200, and
-    SeriesNonConvergence when ctl.max_terms is exhausted.
+    SeriesNonConvergence when 5000 terms do not converge.
     """
-    ctl = ctl or _DEFAULT_CTL
     alpha = float(alpha)
     gamma = float(gamma)
     if gamma <= 0.0 and gamma == math.floor(gamma):
@@ -173,28 +154,26 @@ def kummer_m(alpha: float, gamma: float, z, ctl: SeriesControl | None = None):
         if abs(zf) > _Z_CAP:
             raise ValueError(f"kummer_m supports |z| <= {_Z_CAP:g}, got {zf!r}")
         if zf < 0.0:
-            return math.exp(zf) * _kummer_scalar(gamma - alpha, gamma, -zf,
-                                                 ctl.rel_tol, ctl.max_terms)
-        return _kummer_scalar(alpha, gamma, zf, ctl.rel_tol, ctl.max_terms)
+            return math.exp(zf) * _kummer_scalar(gamma - alpha, gamma, -zf)
+        return _kummer_scalar(alpha, gamma, zf)
     za = np.asarray(z, dtype=float)
     if za.size and float(np.max(np.abs(za))) > _Z_CAP:
         raise ValueError(f"kummer_m supports |z| <= {_Z_CAP:g}")
     neg = za < 0.0
     if not neg.any():
-        return _kummer_array(alpha, gamma, za, ctl.rel_tol, ctl.max_terms)
+        return _kummer_array(alpha, gamma, za)
     out = np.empty(za.shape)
-    out[neg] = np.exp(za[neg]) * _kummer_array(gamma - alpha, gamma, -za[neg],
-                                               ctl.rel_tol, ctl.max_terms)
+    out[neg] = np.exp(za[neg]) * _kummer_array(gamma - alpha, gamma, -za[neg])
     if not neg.all():
-        out[~neg] = _kummer_array(alpha, gamma, za[~neg], ctl.rel_tol, ctl.max_terms)
+        out[~neg] = _kummer_array(alpha, gamma, za[~neg])
     return out
 
 
-def whittaker_m(a: float, nu: float, z, ctl: SeriesControl | None = None):
+def whittaker_m(a: float, nu: float, z):
     """Whittaker function of the first kind M_{a,nu}(z), z > 0, nu > 0.
 
     Computed through the Kummer representation (single code path); z may
-    be a scalar or ndarray.
+    be a scalar or ndarray (an empty array gives an empty array).
     """
     a = float(a)
     nu = float(nu)
@@ -205,9 +184,9 @@ def whittaker_m(a: float, nu: float, z, ctl: SeriesControl | None = None):
         if not zf > 0.0:
             raise ValueError(f"whittaker_m requires z > 0, got {zf!r}")
         pref = math.exp(-0.5 * zf) * zf ** (nu + 0.5)
-        return pref * kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, zf, ctl)
+        return pref * kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, zf)
     za = np.asarray(z, dtype=float)
     if za.size and not float(za.min()) > 0.0:
         raise ValueError("whittaker_m requires z > 0")
     pref = np.exp(-0.5 * za) * za ** (nu + 0.5)
-    return pref * kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, za, ctl)
+    return pref * kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, za)

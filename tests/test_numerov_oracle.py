@@ -165,17 +165,19 @@ class TestGroundState:
         with pytest.raises(RuntimeError):
             ground_state(p)
 
-    def test_scalar_only_potential_fallback(self):
+    def test_scalar_only_potential_rejected(self):
+        # the potential is called once, on the whole grid array
         def scalar_only(r):
             if np.ndim(r) != 0:
                 raise TypeError("scalar only")
             return morse_w(REFERENCE_MORSE, r)
 
-        fast = ground_state(RadialProblem(potential=morse_pot,
-                                          alpha_beta=AB_CHAIN, h=0.01))
-        slow = ground_state(RadialProblem(potential=scalar_only,
-                                          alpha_beta=AB_CHAIN, h=0.01))
-        assert slow.lam == fast.lam
+        with pytest.raises(TypeError, match="scalar only"):
+            ground_state(RadialProblem(potential=scalar_only, alpha_beta=AB_CHAIN, h=0.01))
+        for pot in (lambda r: -1.0, lambda r: -1.0 / r[:-1]):
+            p = RadialProblem(potential=pot, alpha_beta=AB_CHAIN, h=0.01)
+            with pytest.raises(ValueError, match="shape"):
+                shoot(p, -0.5)
 
 
 class TestBicInterpolator:
@@ -187,3 +189,10 @@ class TestBicInterpolator:
 
     def test_cached_instance_reused(self):
         assert bic_interpolator() is bic_interpolator()
+
+    def test_cache_is_bounded(self):
+        maxsize = bic_interpolator.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 8
+        for k in range(maxsize + 2):
+            bic_interpolator(20.0 + k)
+        assert bic_interpolator.cache_info().currsize == maxsize

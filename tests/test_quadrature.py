@@ -23,25 +23,6 @@ def test_smooth_transcendental():
     assert res.abs_err_estimate <= max(1e-13, 1e-12 * abs(res.value))
 
 
-def test_singular_upper():
-    res = integrate(lambda x: 1.0 / np.sqrt(1.0 - x),
-                    QuadSpec(0.0, 1.0, singular_upper=True))
-    assert res.value == pytest.approx(2.0, abs=1e-10)
-
-
-def test_singular_lower():
-    res = integrate(lambda x: 1.0 / np.sqrt(x),
-                    QuadSpec(0.0, 1.0, singular_lower=True))
-    assert res.value == pytest.approx(2.0, abs=1e-10)
-
-
-def test_both_singular():
-    # int_0^1 dx / sqrt(x(1-x)) = pi
-    res = integrate(lambda x: 1.0 / np.sqrt(x * (1.0 - x)),
-                    QuadSpec(0.0, 1.0, singular_lower=True, singular_upper=True))
-    assert res.value == pytest.approx(math.pi, rel=1e-10)
-
-
 def test_semi_infinite_quartic():
     # int_0^inf (1+r^4)^{-1/2} dr = B(1/4,1/4)/4, with beta() as the oracle
     res = integrate(lambda r: 1.0 / np.sqrt(1.0 + r ** 4),
@@ -66,8 +47,6 @@ def test_semi_infinite_shifted_lower():
 _CORPUS = [
     (lambda x: np.cos(3.0 * x), dict(lower=0.0, upper=2.0), math.sin(6.0) / 3.0),
     (lambda x: np.exp(x), dict(lower=-1.0, upper=1.0), math.e - 1.0 / math.e),
-    (lambda x: 1.0 / np.sqrt(1.0 - x), dict(lower=0.0, upper=1.0, singular_upper=True), 2.0),
-    (lambda x: 1.0 / np.sqrt(x), dict(lower=0.0, upper=1.0, singular_lower=True), 2.0),
     (lambda r: np.exp(-r), dict(lower=0.0, upper=math.inf), 1.0),
 ]
 
@@ -85,7 +64,7 @@ def test_halving_rel_tol_never_hurts():
 
 def test_split_invariance():
     for f, kw, exact in _CORPUS:
-        if math.isinf(kw["upper"]) or kw.get("singular_lower") or kw.get("singular_upper"):
+        if math.isinf(kw["upper"]):
             continue
         whole = integrate(f, QuadSpec(**kw)).value
         for frac in (0.25, 0.5, 0.9):
@@ -137,7 +116,8 @@ class TestSpecValidation:
             QuadSpec(0.0, 1.0, rel_tol=-1.0)
 
     def test_infinite_with_flags(self):
-        with pytest.raises(ValueError):
+        # QuadSpec takes no endpoint-singularity flags, for any range
+        with pytest.raises(TypeError):
             QuadSpec(0.0, math.inf, singular_upper=True)
         with pytest.raises(ValueError):
             QuadSpec(-math.inf, 0.0)

@@ -76,11 +76,23 @@ def test_brent_raises_when_the_iteration_limit_is_reached():
     assert want is RuntimeError and got is RuntimeError
 
 
+@pytest.mark.parametrize("scale", [1e-120, 1e-200])
+def test_brent_bisects_where_the_extrapolation_divides_by_zero(scale):
+    # tiny values underflow the inverse-quadratic denominator to 0; brentq's
+    # C step is then inf or NaN and it bisects, so the port must not raise
+    def f(x):
+        return scale * (x ** 3 - 0.1)
+
+    want = optimize.brentq(f, 0.0, 1.0, xtol=1e-12)
+    assert _brent(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12) == want
+
+
+# n is the table size bic_interpolator derives, max(2000, round(50 rho_max))
 @pytest.mark.parametrize("rho_max, n", [(40.0, 2000), (38.5, 2000), (120.0, 6000)])
 def test_spline_matches_cubic_spline_on_shooting_grids(rho_max, n):
     table = tabulate(PotentialKind.EXACT_BIC, 0.0, rho_max, n)
     want = interpolate.CubicSpline(table.rho_grid, table.values)
-    got = bic_interpolator(rho_max, n)
+    got = bic_interpolator(rho_max)
     for h in (1e-3, 5e-4):
         rho = np.arange(1, int(round(rho_max / h)) + 1) * h
         assert np.max(np.abs(got(rho) - want(rho))) <= 1e-15

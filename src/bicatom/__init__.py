@@ -2,7 +2,7 @@
 
 Library layout:
 
-- specfun: log-Gamma, Beta, Kummer 1F1, Whittaker M (from scratch)
+- specfun: Kummer 1F1 and Whittaker M for z > 0 (from scratch)
 - quadrature: adaptive Gauss-Kronrod, finite or semi-infinite (Born's phi)
 - bic_potential: Born's potential, the screening function Z, and W = -Z/rho
 - morse_fit: Morse-type surrogate W_s and its four-parameter fit
@@ -24,8 +24,7 @@ from .morse_fit import (FitConfig, FitReport, MorseParams, REFERENCE_MORSE,
 from .numerov_oracle import (OracleResult, RadialProblem, bic_interpolator,
                              ground_state, shoot)
 from .quadrature import QuadratureError, QuadResult, QuadSpec, integrate
-from .specfun import (SeriesNonConvergence, beta, kummer_m, ln_gamma,
-                      whittaker_m)
+from .specfun import SeriesNonConvergence, kummer_m, whittaker_m
 
 __version__ = "0.1.0"
 
@@ -39,6 +38,6 @@ __all__ = [
     "OracleResult", "RadialProblem", "bic_interpolator", "ground_state",
     "shoot",
     "QuadratureError", "QuadResult", "QuadSpec", "integrate",
-    "SeriesNonConvergence", "beta", "kummer_m", "ln_gamma", "whittaker_m",
+    "SeriesNonConvergence", "kummer_m", "whittaker_m",
     "__version__",
 ]

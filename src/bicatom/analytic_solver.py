@@ -62,9 +62,8 @@ _BRENT_MAX_ITER = 100
 class AnalyticSolution:
     """Ground-state solution bundle.
 
-    |A| = a^2/2 and E = -nu^2/2 are derived from a and nu on access.  The
-    degenerate a = 0 case (no well) is representable: every derived field
-    collapses to 0 and eps_over_alpha2 to -infinity.
+    |A| = a^2/2 and E = -nu^2/2 are derived from a and nu on access; a, X
+    and alpha_beta are positive (a bound state needs a well, a > 0).
     """
 
     nu: float
@@ -78,8 +77,8 @@ class AnalyticSolution:
             raise ValueError("nu must be a positive real")
         for name in ("a", "X", "alpha_beta"):
             v = getattr(self, name)
-            if not (v >= 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be a finite non-negative real")
+            if not (v > 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be a positive real")
         if not self.eps_over_alpha2 < 0.0:
             raise ValueError("eps_over_alpha2 must be negative")
 
@@ -276,18 +275,15 @@ def solve_a(nu: float, morse: MorseParams) -> float:
 
 
 def observables(nu: float, a: float, c: ModelConstants) -> AnalyticSolution:
-    """Assemble the solution bundle from (nu, a); a = 0 degenerates cleanly."""
+    """Assemble the solution bundle from (nu, a), both positive."""
     if not (nu > 0.0 and math.isfinite(nu)):
         raise ValueError(f"nu must be a positive real, got {nu!r}")
-    if not (a >= 0.0 and math.isfinite(a)):
-        raise ValueError(f"a must be a non-negative real, got {a!r}")
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError(f"a must be a positive real, got {a!r}")
     m = c.morse
     alpha_beta = m.kappa ** 2 * a ** 2 / (2.0 * abs(m.G))
-    if alpha_beta > 0.0:
-        eps = -(0.5 * m.kappa ** 2 * nu ** 2
-                + alpha_beta * (m.V0 + QUARTER_BETA - abs(m.G))) / alpha_beta ** 2
-    else:
-        eps = -math.inf
+    eps = -(0.5 * m.kappa ** 2 * nu ** 2
+            + alpha_beta * (m.V0 + QUARTER_BETA - abs(m.G))) / alpha_beta ** 2
     return AnalyticSolution(
         nu=nu,
         a=a,

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadSpec, integrate
-from .specfun import beta
 
 __all__ = [
     "QUARTER_BETA",
@@ -60,8 +59,9 @@ __all__ = [
     "tabulate",
 ]
 
-# B(1/4,1/4)/4, computed from the library's own Beta (never hard-coded)
-QUARTER_BETA = 0.25 * beta(0.25, 0.25)
+# B(1/4,1/4)/4 = Gamma(1/4)^2/(4 sqrt(pi)) (DLMF 5.12.1), correctly rounded;
+# the tests check it against mpmath and against born_phi(0), its quadrature
+QUARTER_BETA = 1.8540746773013719
 
 # upper endpoint of the screening integral
 Y_STAR = math.sqrt(2.0) / 4.0

@@ -37,6 +37,10 @@ __all__ = [
 
 _RENORM_LIMIT = 1e100
 _RENORM_SCALE = 1e-100
+# bisection stops once the eigenvalue bracket is this narrow
+_LAMBDA_TOL = 1e-10
+# least edge decay kappa*rho_max at which the box no longer moves lambda
+_MIN_EDGE_DECAY = 15.0
 
 
 @dataclass(frozen=True)
@@ -135,17 +139,17 @@ def shoot(p: RadialProblem, lam: float):
     return _shoot(_w_grid(p), p.alpha_beta, p.h, lam)
 
 
-def ground_state(p: RadialProblem, tol: float = 1e-10) -> OracleResult:
-    """Bisect for the lowest eigenvalue; |Delta lambda| <= tol at return.
+def ground_state(p: RadialProblem) -> OracleResult:
+    """Bisect for the lowest eigenvalue; |Delta lambda| <= 1e-10 at return.
 
     The bracket starts at (alpha_beta * min W, ~0-) and bisects on the
     predicate "nodes appeared or the endpoint sign flipped relative to
     the deep end"; the returned lambda is the node-free side of the final
     bracket, so node_count is 0 by construction.  Raises RuntimeError
-    when no bound state exists in the bracket.
+    when no bound state exists in the bracket, or when the box truncates
+    the state: u decays as exp(-kappa rho) at the edge, kappa = sqrt(2
+    (alpha_beta W(rho_max) - lambda)), and kappa rho_max must reach 15.
     """
-    if not (0.0 < tol <= 1e-6):
-        raise ValueError(f"tol must be in (0, 1e-6], got {tol!r}")
     w = _w_grid(p)
     w_min = float(np.min(w[1:]))
     if w_min >= 0.0:
@@ -167,13 +171,20 @@ def ground_state(p: RadialProblem, tol: float = 1e-10) -> OracleResult:
             f"at alpha_beta = {p.alpha_beta:g}")
     iterations = 0
     lo, hi = lam_lo, lam_hi
-    while hi - lo > tol:
+    while hi - lo > _LAMBDA_TOL:
         mid = 0.5 * (lo + hi)
         if above_ground(mid):
             hi = mid
         else:
             lo = mid
         iterations += 1
+    edge = 2.0 * (p.alpha_beta * float(w[-1]) - lo)
+    decay = math.sqrt(max(edge, 0.0)) * p.rho_max
+    if decay < _MIN_EDGE_DECAY:
+        raise RuntimeError(
+            f"rho_max = {p.rho_max:g} truncates the state at lambda = {lo:g}: "
+            f"edge decay kappa*rho_max = {decay:.4g} < {_MIN_EDGE_DECAY:g}; "
+            f"increase rho_max")
     _, nodes = _shoot(w, p.alpha_beta, p.h, lo)
     return OracleResult(
         lam=lo,
@@ -249,18 +260,22 @@ def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     return np.array(x)
 
 
-@lru_cache(maxsize=4)
 def bic_interpolator(rho_max: float = 40.0):
     """Cached not-a-knot cubic spline of the exact screened potential.
 
     Shooting grids need ~10^4 potential values per propagation; a spline
     of the exact table on max(2000, round(50 rho_max)) points (a knot
     spacing of at most 0.02) is accurate to well below the eigenvalue
-    tolerances and tabulates Z only once per rho_max.  The cache keeps
-    the four most recent rho_max.  The spline is in-house (same end
-    conditions as scipy's CubicSpline default) and takes a scalar or an
-    array of rho.
+    tolerances and tabulates Z only once per rho_max.  The cache is keyed
+    on float(rho_max), however the call is written, and keeps the four
+    most recent values.  The spline is in-house (same end conditions as
+    scipy's CubicSpline default) and takes a scalar or an array of rho.
     """
+    return _bic_spline(float(rho_max))
+
+
+@lru_cache(maxsize=4)
+def _bic_spline(rho_max: float) -> _NotAKnotSpline:
     n = max(2000, int(round(50.0 * rho_max)))
     table = tabulate(PotentialKind.EXACT_BIC, 0.0, rho_max, n)
     return _NotAKnotSpline(table.rho_grid, table.values)

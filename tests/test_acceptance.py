@@ -14,6 +14,7 @@ import time
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from bicatom import numerov_oracle
 from bicatom.analytic_solver import (ModelConstants, calibrate_nu,
                                      observables, solve_a)
 from bicatom.bic_potential import (PotentialKind, QUARTER_BETA, born_phi,
@@ -118,7 +119,7 @@ def test_ac6_numerov_cross_checks():
             f"exact={exact.eps_over_alpha2:.8f}, {elapsed:.1f}s")
 
 
-def test_ac7_validation_invariants():
+def test_ac7_validation_invariants(monkeypatch):
     # closed-form reduction: a = nu + 1/2 collapses the series to 1
     reduction_ok = True
     for nu in (0.3, 2.5):
@@ -137,11 +138,12 @@ def test_ac7_validation_invariants():
     closed = math.exp(-0.5 * z) * z ** (nu + 0.5) * poly
     poly_ok = abs(whittaker_m(nu + 2.5, nu, z) - closed) <= 1e-12 * abs(closed)
 
-    # Numerov step-halving signature: error ratio near h^4 (16)
+    # Numerov step-halving signature: error ratio near h^4 (16); the
+    # differences (~5e-11, ~3e-12) need a bracket far below the default 1e-10
+    monkeypatch.setattr(numerov_oracle, "_LAMBDA_TOL", 1e-13)
     morse_pot = lambda rho: morse_w(C.morse, rho)  # noqa: E731
     lams = [ground_state(RadialProblem(potential=morse_pot,
-                                       alpha_beta=1.823373498, h=h),
-                         tol=1e-13).lam
+                                       alpha_beta=1.823373498, h=h)).lam
             for h in (0.01, 0.005, 0.0025)]
     ratio = (lams[0] - lams[1]) / (lams[1] - lams[2])
     order_ok = 12.0 <= ratio <= 20.0

@@ -133,10 +133,11 @@ class TestObservables:
         assert sol.eps_over_alpha2 == pytest.approx(EPS_REF, abs=1e-4)
 
     def test_degenerate_zero_a(self):
-        sol = observables(2.0, 0.0, C)
-        assert sol.alpha_beta == 0.0
-        assert sol.X == 0.0
-        assert sol.eps_over_alpha2 == -math.inf
+        # a = 0 (no well) is rejected; solve_a never returns it
+        with pytest.raises(ValueError, match="a must be a positive real"):
+            observables(2.0, 0.0, C)
+        with pytest.raises(ValueError, match="a must be a positive real"):
+            AnalyticSolution(nu=2.0, a=0.0, X=0.0, alpha_beta=0.0, eps_over_alpha2=-0.5)
 
     def test_alpha_beta_quadratic_in_a(self):
         base = observables(2.0, 1.25, C).alpha_beta

@@ -27,7 +27,6 @@ from bicatom.bic_potential import (
     z_of_rho,
 )
 from bicatom.morse_fit import REFERENCE_MORSE, morse_w
-from bicatom.specfun import beta
 
 # oracle: mpmath mp.beta(1/4,1/4)/4 at 30 digits
 QUARTER_BETA_ORACLE = 1.85407467730137191843385034720
@@ -293,4 +292,8 @@ class TestUnitsNote:
 
 def test_quarter_beta_constant_matches_oracle():
     assert QUARTER_BETA == pytest.approx(QUARTER_BETA_ORACLE, rel=1e-14)
-    assert QUARTER_BETA == 0.25 * beta(0.25, 0.25)
+    # the literal is B(1/4,1/4)/4 = Gamma(1/4)^2/(4 sqrt(pi)) correctly rounded
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        assert QUARTER_BETA == float(mp.beta(0.25, 0.25) / 4)
+        assert QUARTER_BETA == float(mp.gamma(0.25) ** 2 / (4 * mp.sqrt(mp.pi)))

@@ -470,9 +470,10 @@ def test_oracle_checks_grid_before_building_spline(capsys, monkeypatch):
     assert err.startswith("error:invalid-input:")
 
 
-# Full stdout of three commands, recorded before the CLI's argument layer
-# and the units record were simplified; any change to a printed digit or
-# to the layout shows here.
+# Full stdout of five commands: the first three recorded before the CLI's
+# argument layer and the units record were simplified, table1 and the
+# Coulomb oracle before B(1/4,1/4)/4 became a literal; any change to a
+# printed digit or to the layout shows here.
 GOLDEN = {
     ("solve", "--nu", "2.89873"): """\
 {
@@ -533,7 +534,38 @@ beta Born's length parameter"
   ]
 }
 """,
+    ("table1", "--format", "csv"): """\
+row,minus_eps_over_alpha2,alpha_beta,ref_minus_eps_over_alpha2,ref_alpha_beta,pass
+morse-analytic,0.4997329681,1.823373795,0.4997331195,1.823373498,true
+bic-numerov,0.5000002578,1.83297,0.5,1.83297,true
+empirical,0.49973,,0.4997329681,,true
+""",
+    ("oracle", "--potential", "coulomb", "--alpha-beta", "1.0"): """\
+{
+  "schema": 1,
+  "command": "oracle",
+  "potential": "coulomb",
+  "alpha_beta": 1,
+  "rho_max": 40,
+  "h": 0.001,
+  "lambda": -0.499999667,
+  "eps_over_alpha2": -0.499999667,
+  "node_count": 0,
+  "iterations": 44,
+  "grid_points": 40001
 }
+""",
+}
+
+
+def test_oracle_rejects_box_truncated_state(capsys):
+    # kappa*rho_max is 2.7, so the box lifts the energy; printed as -0.4832653072
+    # (exact: -1/2) before the edge-decay check
+    code, out, err = run_cli(capsys, ["oracle", "--potential", "coulomb",
+                                      "--alpha-beta", "0.1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:computation-failed: rho_max = 40 truncates")
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from bicatom import numerov_oracle
 from bicatom.analytic_solver import ModelConstants, observables, solve_a
 from bicatom.morse_fit import REFERENCE_MORSE, morse_w
 from bicatom.numerov_oracle import (
@@ -71,12 +72,6 @@ class TestValidation:
                             alpha_beta=1.0)
         with pytest.raises(ValueError):
             shoot(bad, -0.5)
-
-    def test_ground_state_tol_range(self, morse_problem):
-        with pytest.raises(ValueError):
-            ground_state(morse_problem, tol=0.0)
-        with pytest.raises(ValueError):
-            ground_state(morse_problem, tol=1e-3)
 
     def test_oracle_result_invariants(self):
         with pytest.raises(ValueError):
@@ -140,10 +135,11 @@ class TestGroundState:
         assert abs(morse_result.eps_over_alpha2 * AB_CHAIN ** 2
                    - morse_result.lam) <= 1e-12 * abs(morse_result.lam)
 
-    def test_fourth_order_convergence(self):
+    def test_fourth_order_convergence(self, monkeypatch):
+        # the h^4 differences (~5e-11, ~3e-12) need a bracket far below 1e-10
+        monkeypatch.setattr(numerov_oracle, "_LAMBDA_TOL", 1e-13)
         lams = [ground_state(RadialProblem(potential=morse_pot,
-                                           alpha_beta=AB_CHAIN, h=h),
-                             tol=1e-13).lam
+                                           alpha_beta=AB_CHAIN, h=h)).lam
                 for h in (0.01, 0.005, 0.0025)]
         ratio = (lams[0] - lams[1]) / (lams[1] - lams[2])
         assert 12.0 <= ratio <= 20.0
@@ -164,6 +160,30 @@ class TestGroundState:
         p = RadialProblem(potential=lambda r: -1e-4 * np.exp(-r), alpha_beta=1.0)
         with pytest.raises(RuntimeError):
             ground_state(p)
+
+    def test_box_truncated_state_rejected(self):
+        # Coulomb at alpha_beta = 0.1 has kappa*rho_max = 2.7 in the 40 box,
+        # which lifted eps/alpha^2 to -0.4833 (exact: -1/2)
+        p = RadialProblem(potential=coulomb, alpha_beta=0.1, h=0.01)
+        with pytest.raises(RuntimeError, match="truncates"):
+            ground_state(p)
+
+    def test_classically_allowed_edge_rejected(self):
+        p = RadialProblem(potential=coulomb, alpha_beta=0.1, rho_max=20.0, h=0.01)
+        with pytest.raises(RuntimeError, match=r"kappa\*rho_max = 0 "):
+            ground_state(p)
+
+    def test_box_check_threshold(self):
+        # Coulomb at alpha_beta = 0.5: kappa*rho_max is 14.0 at rho_max = 30
+        # and 15.5 at 33, where the box no longer moves lambda
+        def problem(rho_max):
+            return RadialProblem(potential=coulomb, alpha_beta=0.5,
+                                 rho_max=rho_max, h=0.01)
+
+        with pytest.raises(RuntimeError, match="truncates"):
+            ground_state(problem(30.0))
+        lam = ground_state(problem(33.0)).lam
+        assert lam == pytest.approx(ground_state(problem(100.0)).lam, rel=1e-9)
 
     def test_scalar_only_potential_rejected(self):
         # the potential is called once, on the whole grid array
@@ -190,9 +210,16 @@ class TestBicInterpolator:
     def test_cached_instance_reused(self):
         assert bic_interpolator() is bic_interpolator()
 
+    def test_cache_keyed_on_value_not_call_form(self):
+        spline = bic_interpolator()
+        assert bic_interpolator(40.0) is spline
+        assert bic_interpolator(rho_max=40.0) is spline
+        assert bic_interpolator(40) is spline
+
     def test_cache_is_bounded(self):
-        maxsize = bic_interpolator.cache_info().maxsize
+        build = numerov_oracle._bic_spline
+        maxsize = build.cache_info().maxsize
         assert maxsize is not None and maxsize <= 8
         for k in range(maxsize + 2):
             bic_interpolator(20.0 + k)
-        assert bic_interpolator.cache_info().currsize == maxsize
+        assert build.cache_info().currsize == maxsize

@@ -1,4 +1,4 @@
-"""Tests for specfun: log-Gamma, Beta, Kummer 1F1, Whittaker M.
+"""Tests for specfun: Kummer 1F1 and Whittaker M.
 
 Expected values marked "oracle" were computed beforehand with an
 arbitrary-precision library (mpmath, 40 significant digits) and frozen
@@ -11,73 +11,10 @@ import numpy as np
 import pytest
 
 import bicatom.specfun
-from bicatom.specfun import (
-    SeriesNonConvergence,
-    beta,
-    kummer_m,
-    ln_gamma,
-    whittaker_m,
-)
+from bicatom.specfun import SeriesNonConvergence, kummer_m, whittaker_m
 
-# (x, ln Gamma(x)) oracle pairs, 25 digits
-LN_GAMMA_ORACLE = [
-    (0.001, 6.907178885383853682512345),
-    (0.1, 2.252712651734205959869702),
-    (0.25, 1.288022524698077457370610),
-    (0.5, 0.5723649429247000870717137),
-    (1.5, -0.1207822376352452223455184),
-    (5.0, 3.178053830347945619646942),
-    (20.0, 39.33988418719949403622465),
-    (77.7, 259.2604368975979727050386),
-    (170.0, 701.4372638087370853464547),
-]
-
-BETA_QUARTER = 7.41629870920548767373540138878   # B(1/4, 1/4), oracle
-QUARTER_BETA = 1.85407467730137191843385034720   # B(1/4, 1/4)/4, oracle
 WHITM_112 = 1.577610748073304183520899           # M_{1,1}(2), oracle
 KUMMER_HALF_3_2 = 1.516175047025177893469368     # 1F1(1/2; 3; 2), oracle
-
-
-class TestLnGamma:
-    def test_oracle_grid(self):
-        for x, want in LN_GAMMA_ORACLE:
-            got = ln_gamma(x)
-            assert got == pytest.approx(want, rel=1e-13), f"x={x}"
-
-    def test_integer_zeros(self):
-        assert abs(ln_gamma(1.0)) < 5e-15
-        assert abs(ln_gamma(2.0)) < 5e-15
-
-    def test_factorial(self):
-        assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-    def test_half(self):
-        assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, float("nan")])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            ln_gamma(bad)
-
-
-class TestBeta:
-    def test_trivials(self):
-        assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-        assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)
-
-    def test_quarter_quarter(self):
-        assert beta(0.25, 0.25) == pytest.approx(BETA_QUARTER, rel=1e-12)
-        assert 0.25 * beta(0.25, 0.25) == pytest.approx(QUARTER_BETA, rel=1e-12)
-
-    def test_symmetry(self):
-        for p in (0.25, 0.7, 1.0, 3.5, 10.0):
-            for q in (0.1, 1.3, 6.0):
-                assert beta(p, q) == pytest.approx(beta(q, p), rel=1e-13)
-
-    @pytest.mark.parametrize("p,q", [(0.0, 1.0), (1.0, 0.0), (-2.0, 3.0)])
-    def test_domain(self, p, q):
-        with pytest.raises(ValueError):
-            beta(p, q)
 
 
 class TestKummer:

@@ -275,13 +275,21 @@ def solve_a(nu: float, morse: MorseParams) -> float:
 
 
 def observables(nu: float, a: float, c: ModelConstants) -> AnalyticSolution:
-    """Assemble the solution bundle from (nu, a), both positive."""
+    """Assemble the solution bundle from (nu, a), both positive.
+
+    Raises ValueError when the Morse depth G is 0 or alpha_beta =
+    kappa^2 a^2 / (2 |G|) underflows to 0, since eps divides by both.
+    """
     if not (nu > 0.0 and math.isfinite(nu)):
         raise ValueError(f"nu must be a positive real, got {nu!r}")
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"a must be a positive real, got {a!r}")
     m = c.morse
+    if m.G == 0.0:
+        raise ValueError("the Morse depth G must be nonzero")
     alpha_beta = m.kappa ** 2 * a ** 2 / (2.0 * abs(m.G))
+    if alpha_beta == 0.0:
+        raise ValueError(f"alpha_beta underflows to 0 at a = {a!r}")
     eps = -(0.5 * m.kappa ** 2 * nu ** 2
             + alpha_beta * (m.V0 + QUARTER_BETA - abs(m.G))) / alpha_beta ** 2
     return AnalyticSolution(

@@ -16,7 +16,8 @@ Subcommands
     ``eps / alpha^2``.
 ``oracle``
     Run the Numerov ground-state solver for a chosen radial potential
-    (``coulomb``, ``morse``, or ``bic``) at a given coupling.
+    (``coulomb``, ``morse``, or ``bic``) at a given coupling; its
+    ``iterations`` field counts Numerov propagations.
 ``table1``
     Emit a three-row summary comparing the surrogate-analytic result,
     the Numerov result for the exact potential, and the empirical

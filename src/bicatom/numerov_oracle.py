@@ -8,9 +8,14 @@ eps_over_alpha2 = lambda / alpha_beta^2.
 The recurrence integrates u'' = f u with f = 2 (alpha_beta W - lambda)
 using Numerov's O(h^4) scheme from u(0) = 0, u(h) = h (the s-state grows
 linearly at the origin; W(0) itself is never used, which also admits the
-singular pure-Coulomb test potential).  The eigenvalue is bisected on the
-predicate "interior nodes appeared or the endpoint sign flipped", which
-finds the lowest eigenvalue regardless of how many bound states exist.
+singular pure-Coulomb test potential) and with u(rho_max) = 0.  The
+eigenvalue is found by Cooley's matching-point search (J. W. Cooley,
+Math. Comp. 15, 363 (1961)): each sweep propagates out to the outermost
+classical turning point and in from rho_max, glues the halves there and
+corrects lambda by the Rayleigh quotient of the glued solution.  A bracket
+on lambda, narrowed by each sweep's node count and the sign of its
+correction, catches the steps that leave it, so the search finds the
+lowest eigenvalue regardless of how many bound states exist.
 
 The exact screened potential enters through bic_interpolator, an
 in-house not-a-knot cubic spline of its tabulated values (numpy only).
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -35,12 +41,12 @@ __all__ = [
     "bic_interpolator",
 ]
 
-_RENORM_LIMIT = 1e100
-_RENORM_SCALE = 1e-100
-# bisection stops once the eigenvalue bracket is this narrow
+# the search stops once the correction or the eigenvalue bracket is this small
 _LAMBDA_TOL = 1e-10
 # least edge decay kappa*rho_max at which the box no longer moves lambda
 _MIN_EDGE_DECAY = 15.0
+# sweeps one ground_state may spend
+_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,11 @@ class RadialProblem:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Converged eigenvalue; ``lam`` is the dimensionless lambda."""
+    """Converged eigenvalue; ``lam`` is the dimensionless lambda.
+
+    ``iterations`` counts propagations: the matched sweeps of the search,
+    each one pass across the grid.
+    """
 
     lam: float
     eps_over_alpha2: float
@@ -102,95 +112,154 @@ def _w_grid(p: RadialProblem) -> np.ndarray:
     return np.concatenate(([0.0], w))
 
 
-def _shoot(w: np.ndarray, alpha_beta: float, h: float, lam: float):
-    """Numerov propagation; returns (endpoint, interior node count).
+def _t_grid(w: np.ndarray, alpha_beta: float, h: float, lam: float) -> np.ndarray:
+    """Numerov's t_i = f_i h^2 / 12 with f = 2 (alpha_beta W - lam)."""
+    return (2.0 * (alpha_beta * w - lam)) * (h * h / 12.0)
 
-    The endpoint value is meaningful up to a positive scale factor: the
-    solution is renormalized whenever |u| exceeds 1e100.
+
+def _propagate(t, h: float):
+    """Numerov recurrence from u_0 = 0, u_1 = h along t_0, t_1, t_2, ...
+
+    ``t`` holds at least two values, in the direction of propagation.
+    Returns (u_prev, u, s, nodes): the last two values, s = sum of u_i^2
+    from u_1 on, and the sign changes between consecutive values.  u and
+    s share one positive scale: whenever s passes 1e200, u is rescaled by
+    1e-100 and s by 1e-200.
     """
-    t = ((2.0 * (alpha_beta * w - lam)) * (h * h / 12.0)).tolist()
-    n = len(t) - 1
-    u_prev = 0.0
-    u = h
-    nodes = 0
-    last_sign = 1 if u > 0.0 else -1
-    for i in range(1, n):
-        u_next = ((2.0 + 10.0 * t[i]) * u - (1.0 - t[i - 1]) * u_prev) / (1.0 - t[i + 1])
-        u_prev, u = u, u_next
-        if u != 0.0:
-            sign = 1 if u > 0.0 else -1
-            if i + 1 < n and sign != last_sign:
-                nodes += 1
-            last_sign = sign
-        if u > _RENORM_LIMIT or u < -_RENORM_LIMIT:
-            u *= _RENORM_SCALE
-            u_prev *= _RENORM_SCALE
-    return u, nodes
+    ts = iter(t)
+    d_prev, t_cur = 1.0 - next(ts), next(ts)
+    d_cur = 1.0 - t_cur
+    u_prev, u, s, nodes = 0.0, h, h * h, 0
+    for t_next in ts:
+        d_next = 1.0 - t_next
+        u_prev, u = u, ((2.0 + 10.0 * t_cur) * u - d_prev * u_prev) / d_next
+        d_prev, d_cur, t_cur = d_cur, d_next, t_next
+        s += u * u
+        if u * u_prev <= 0.0:
+            nodes += 1
+        if s > 1e200:
+            u *= 1e-100
+            u_prev *= 1e-100
+            s *= 1e-200
+    return u_prev, u, s, nodes
+
+
+def _sweep(w: np.ndarray, alpha_beta: float, h: float, lam: float):
+    """One matched sweep at trial eigenvalue lam; returns (nodes, dlam).
+
+    Propagates out from the origin and in from u(rho_max) = 0 to the
+    matching index m, the outermost classical turning point clamped to
+    [1, n - 1], so that neither half runs into the forbidden region where
+    the wanted solution decays and rounding errors grow.  With both
+    halves scaled to u_m = 1, nodes counts the sign changes of the glued
+    solution (outward on (0, m], inward on [m, rho_max)), and dlam is
+    Cooley's correction -u_m R_m / (2 h^2 sum u^2), R_m being the Numerov
+    residual of the glued solution at m; dlam is 0 when there are nodes.
+    """
+    t_grid = _t_grid(w, alpha_beta, h, lam)
+    n = len(t_grid) - 1
+    allowed = np.flatnonzero(t_grid[1:n] <= 0.0)
+    m = int(allowed[-1]) + 1 if allowed.size else 1
+    t = t_grid.tolist()
+    out_prev, out, s_out, nodes_out = _propagate(islice(t, m + 1), h)
+    in_prev, in_m, s_in, nodes_in = _propagate(islice(reversed(t), n - m + 1), h)
+    nodes = nodes_out + nodes_in
+    if nodes:
+        return nodes, 0.0
+    residual = ((1.0 - t[m - 1]) * out_prev / out - (2.0 + 10.0 * t[m])
+                + (1.0 - t[m + 1]) * in_prev / in_m)
+    norm = s_out / (out * out) + s_in / (in_m * in_m) - 1.0
+    return 0, -residual / (2.0 * h * h * norm)
 
 
 def shoot(p: RadialProblem, lam: float):
     """Propagate once at trial eigenvalue lam < 0.
 
     Returns (endpoint_value, node_count): u at rho_max (up to a positive
-    renormalization scale) and the number of interior sign changes.
+    renormalization scale) and the number of sign changes of u on
+    (0, rho_max].
     """
     if not (lam < 0.0 and math.isfinite(lam)):
         raise ValueError(f"lam must be a negative real, got {lam!r}")
-    return _shoot(_w_grid(p), p.alpha_beta, p.h, lam)
+    t = _t_grid(_w_grid(p), p.alpha_beta, p.h, lam)
+    _, end, _, nodes = _propagate(t.tolist(), p.h)
+    return end, nodes
 
 
 def ground_state(p: RadialProblem) -> OracleResult:
-    """Bisect for the lowest eigenvalue; |Delta lambda| <= 1e-10 at return.
+    """Lowest eigenvalue by Cooley's matching-point search, to 1e-10.
 
-    The bracket starts at (alpha_beta * min W, ~0-) and bisects on the
-    predicate "nodes appeared or the endpoint sign flipped relative to
-    the deep end"; the returned lambda is the node-free side of the final
-    bracket, so node_count is 0 by construction.  Raises RuntimeError
-    when no bound state exists in the bracket, or when the box truncates
-    the state: u decays as exp(-kappa rho) at the edge, kappa = sqrt(2
-    (alpha_beta W(rho_max) - lambda)), and kappa rho_max must reach 15.
+    The search starts at min over rho of 1/(2 rho^2) + alpha_beta W(rho),
+    exact for hydrogen, inside the bracket (alpha_beta * min W, ~0-).
+    Each sweep (see _sweep) narrows the bracket: one with nodes or a
+    downward correction lies above the ground state, any other below it.
+    The next trial is lam + dlam when the sweep had no nodes and that
+    lies inside the bracket; otherwise it is the bracket's midpoint, or
+    its top while no sweep has yet been above, and a sweep there that
+    is not above means there is no bound state.  The search stops once
+    |dlam| or the bracket falls below _LAMBDA_TOL (or to the resolution
+    of a double); the node count of the final matched solution must be
+    0, and ``iterations`` reports the number of sweeps.
+
+    Raises RuntimeError when there is no bound state, when h is too coarse
+    for Numerov (h^2 f / 12 reaches 1 at the potential floor), after
+    _MAX_SWEEPS sweeps, or when the box truncates the state: u decays as
+    exp(-kappa rho) at the edge, kappa = sqrt(2 (alpha_beta W(rho_max) -
+    lambda)), and kappa rho_max must reach 15.
     """
     w = _w_grid(p)
+    ab, h = p.alpha_beta, p.h
     w_min = float(np.min(w[1:]))
     if w_min >= 0.0:
         raise RuntimeError("potential is nowhere attractive: no bound state")
-    lam_lo = p.alpha_beta * w_min
+    lam_lo = ab * w_min
     lam_hi = -1e-9 * max(1.0, abs(lam_lo))
-    end_lo, nodes_lo = _shoot(w, p.alpha_beta, p.h, lam_lo)
-    sign_lo = math.copysign(1.0, end_lo)
-
-    def above_ground(lam: float) -> bool:
-        end, nodes = _shoot(w, p.alpha_beta, p.h, lam)
-        return nodes >= 1 or math.copysign(1.0, end) != sign_lo
-
-    if nodes_lo >= 1:
-        raise RuntimeError("potential floor estimate failed to bracket from below")
-    if not above_ground(lam_hi):
+    t_floor = float(np.max(_t_grid(w[1:], ab, h, lam_lo)))
+    if t_floor >= 1.0:
         raise RuntimeError(
-            f"no bound state found in ({lam_lo:g}, {lam_hi:g}) "
-            f"at alpha_beta = {p.alpha_beta:g}")
-    iterations = 0
-    lo, hi = lam_lo, lam_hi
-    while hi - lo > _LAMBDA_TOL:
-        mid = 0.5 * (lo + hi)
-        if above_ground(mid):
-            hi = mid
+            f"h = {h:g} is too coarse at alpha_beta = {ab:g}: h^2 f/12 reaches "
+            f"{t_floor:.3g} at the potential floor (Numerov needs < 1)")
+    lo, hi, bound = lam_lo, lam_hi, False
+    rho = h * np.arange(1, len(w))
+    lam = min(hi, float(np.min(ab * w[1:] + 0.5 / rho ** 2)))
+    for sweeps in range(1, _MAX_SWEEPS + 1):
+        nodes, dlam = _sweep(w, ab, h, lam)
+        if nodes == 0 and abs(dlam) <= _LAMBDA_TOL:
+            lam += dlam
+            break
+        if nodes or dlam < 0.0:
+            hi, bound = lam, True
+        elif lam == lam_hi:
+            raise RuntimeError(
+                f"no bound state found in ({lam_lo:g}, {lam_hi:g}) "
+                f"at alpha_beta = {ab:g}")
         else:
-            lo = mid
-        iterations += 1
-    edge = 2.0 * (p.alpha_beta * float(w[-1]) - lo)
+            lo = lam
+        if hi - lo <= max(_LAMBDA_TOL, 2.0 * math.ulp(lo)):
+            break
+        step = lam + dlam
+        if nodes == 0 and lo < step < hi:
+            lam = step
+        else:
+            lam = 0.5 * (lo + hi) if bound else lam_hi
+    else:
+        raise RuntimeError(f"no convergence in {_MAX_SWEEPS} sweeps")
+    if nodes:
+        raise RuntimeError(
+            f"the matched solution at lambda = {lam:g} has {nodes} nodes, "
+            f"so it is not the ground state")
+    edge = 2.0 * (ab * float(w[-1]) - lam)
     decay = math.sqrt(max(edge, 0.0)) * p.rho_max
     if decay < _MIN_EDGE_DECAY:
         raise RuntimeError(
-            f"rho_max = {p.rho_max:g} truncates the state at lambda = {lo:g}: "
+            f"rho_max = {p.rho_max:g} truncates the state at lambda = {lam:g}: "
             f"edge decay kappa*rho_max = {decay:.4g} < {_MIN_EDGE_DECAY:g}; "
             f"increase rho_max")
-    _, nodes = _shoot(w, p.alpha_beta, p.h, lo)
     return OracleResult(
-        lam=lo,
-        eps_over_alpha2=lo / p.alpha_beta ** 2,
+        lam=lam,
+        eps_over_alpha2=lam / ab ** 2,
         node_count=nodes,
-        iterations=iterations,
+        iterations=sweeps,
         grid_points=len(w),
     )
 

@@ -139,6 +139,20 @@ class TestObservables:
         with pytest.raises(ValueError, match="a must be a positive real"):
             AnalyticSolution(nu=2.0, a=0.0, X=0.0, alpha_beta=0.0, eps_over_alpha2=-0.5)
 
+    def test_zero_depth_rejected(self):
+        # eps divides by |G|: G = 0 raised ZeroDivisionError
+        flat = ModelConstants(morse=MorseParams(G=0.0, V0=REFERENCE_MORSE.V0,
+                                                kappa=REFERENCE_MORSE.kappa,
+                                                b=REFERENCE_MORSE.b))
+        with pytest.raises(ValueError, match="G must be nonzero"):
+            observables(2.6, 1.0, flat)
+
+    def test_underflowing_alpha_beta_rejected(self):
+        # alpha_beta = kappa^2 a^2 / (2|G|) is 0.0 at a = 1e-200, and eps
+        # divides by alpha_beta^2: this raised ZeroDivisionError
+        with pytest.raises(ValueError, match="underflows"):
+            observables(2.0, 1e-200, C)
+
     def test_alpha_beta_quadratic_in_a(self):
         base = observables(2.0, 1.25, C).alpha_beta
         assert observables(2.0, 2.5, C).alpha_beta == 4.0 * base

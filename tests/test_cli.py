@@ -278,6 +278,15 @@ def test_solve_rejects_negative_nu(capsys):
     assert err.startswith("error:invalid-input:")
 
 
+def test_solve_rejects_zero_depth(capsys):
+    # observables divides by |G|; this printed a ZeroDivisionError traceback
+    code, out, err = run_cli(capsys, ["solve", "--nu", "2.6", "--G", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:invalid-input:")
+    assert "\n" not in err.strip()
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 
@@ -551,7 +560,7 @@ empirical,0.49973,,0.4997329681,,true
   "lambda": -0.499999667,
   "eps_over_alpha2": -0.499999667,
   "node_count": 0,
-  "iterations": 44,
+  "iterations": 2,
   "grid_points": 40001
 }
 """,

@@ -200,6 +200,89 @@ class TestGroundState:
                 shoot(p, -0.5)
 
 
+def named_potential(name):
+    if name == "bic":
+        return bic_interpolator()
+    return {"coulomb": coulomb, "morse": morse_pot}[name]
+
+
+class TestSearch:
+    """Cooley's matching-point search: its cost and what it converges to."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        sweep = numerov_oracle._sweep
+
+        def counted(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(numerov_oracle, "_sweep", counted)
+        return calls
+
+    @pytest.mark.parametrize("name, alpha_beta, h", [
+        ("coulomb", 1.0, 1e-3),
+        ("morse", AB_CHAIN, 1e-3),
+        ("bic", AB_BIC, 1e-3),
+        ("bic", AB_BIC, 5e-4),
+    ])
+    def test_at_most_ten_propagations(self, sweeps, name, alpha_beta, h):
+        res = ground_state(RadialProblem(potential=named_potential(name),
+                                         alpha_beta=alpha_beta, h=h))
+        assert len(sweeps) <= 10
+        assert res.iterations == len(sweeps)
+        assert res.node_count == 0
+
+    def test_box_truncated_rejection_within_budget(self, sweeps):
+        p = RadialProblem(potential=coulomb, alpha_beta=0.1, h=0.01)
+        with pytest.raises(RuntimeError, match="truncates"):
+            ground_state(p)
+        assert 1 <= len(sweeps) <= 10
+
+    @pytest.mark.parametrize("alpha_beta", [1.0, 2.0])
+    def test_harmonic_well_lowest_of_five_states(self, alpha_beta):
+        # W = rho^2/2 - 10 holds five bound states at alpha_beta = 1; the
+        # s-wave oscillator ground state is lambda = -10 ab + 1.5 sqrt(ab)
+        p = RadialProblem(potential=lambda r: 0.5 * r * r - 10.0,
+                          alpha_beta=alpha_beta, rho_max=20.0, h=1e-3)
+        res = ground_state(p)
+        assert res.node_count == 0
+        assert abs(res.lam - (-10.0 * alpha_beta + 1.5 * math.sqrt(alpha_beta))) <= 1e-8
+
+    def test_deep_well_stops_at_float_resolution(self):
+        # at |lambda| ~ 1e7 neighbouring doubles lie 1.9e-9 apart, so no
+        # bracket narrows to 1e-10: the search must stop at their spacing
+        p = RadialProblem(potential=lambda r: 0.5 * r * r - 1e7, alpha_beta=1.0,
+                          rho_max=20.0)
+        res = ground_state(p)
+        assert res.node_count == 0
+        assert abs(res.lam - (-1e7 + 1.5)) <= 1e-8
+
+    def test_too_coarse_grid_rejected(self):
+        # h^2 f / 12 >= 1 at the potential floor: Numerov divides by 1 - t <= 0
+        p = RadialProblem(potential=coulomb, alpha_beta=1e5)
+        with pytest.raises(RuntimeError, match="too coarse"):
+            ground_state(p)
+
+    def test_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(numerov_oracle, "_MAX_SWEEPS", 1)
+        with pytest.raises(RuntimeError, match="no convergence in 1 sweeps"):
+            ground_state(RadialProblem(potential=morse_pot, alpha_beta=AB_CHAIN, h=0.01))
+
+    @pytest.mark.parametrize("name, alpha_beta, lam", [
+        ("coulomb", 1.0, -0.4999996670215964),
+        ("morse", AB_CHAIN, -1.6614578420100967),
+        ("bic", AB_BIC, -1.679890376709034),
+    ])
+    def test_eigenvalues_match_the_bisection(self, name, alpha_beta, lam):
+        # lambda as returned by the bisection this search replaced: the
+        # node-free end of a bracket at most 1e-10 wide
+        res = ground_state(RadialProblem(potential=named_potential(name),
+                                         alpha_beta=alpha_beta))
+        assert abs(res.lam - lam) <= 1e-10
+
+
 class TestBicInterpolator:
     def test_matches_direct_quadrature_off_grid(self):
         from bicatom.bic_potential import w_of_rho

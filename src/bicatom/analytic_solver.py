@@ -13,7 +13,12 @@ z -> 0+).  A ground state requires M_{a,nu}(z0) = 0 with z0 the FIRST
 positive root of M: the wavefunction is then nodeless on the interior.
 
 Given nu, the solver finds the a whose first Whittaker root X satisfies
-X = 2 a e^{-kappa |b|}, then reports the observables
+X = 2 a e^{-kappa |b|} by one Brent search on the residual M_{a,nu}(X(a))
+(quantization_residual, one scalar 1F1 sum per step).  The residual's
+first sign change in a is the first root's crossing: at small a every
+root of M lies above X(a), and the roots slide down while X(a) grows.
+The returned a is checked once with first_root: solve_a raises when X(a)
+is a later root.  It then reports the observables
 
     alpha_beta = kappa^2 a^2 / (2 |G|),
     eps_over_alpha2 = -[kappa^2 nu^2 / 2
@@ -54,7 +59,7 @@ __all__ = [
 
 _SCAN_STEP = 0.05
 _A_CAP = 50.0
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_RTOL = float(4.0 * np.finfo(float).eps)  # a numpy scalar would leak into results
 _BRENT_MAX_ITER = 100
 
 
@@ -246,31 +251,38 @@ def solve_a(nu: float, morse: MorseParams) -> float:
     """Smallest a > 0 whose first Whittaker root sits at the boundary point.
 
     Marches a upward from 0.1 in steps of 0.1 (values with no positive
-    root are skipped), tracks F(a) = first_root(a, nu) - 2a e^{-kappa|b|},
-    and Brent-refines the first sign change of F to 1e-10.  F is strictly
-    decreasing (the first root slides down while the boundary point grows
-    linearly), so the crossing is unique.
+    root are skipped), tracks the residual M_{a,nu}(X(a)) at the boundary
+    point X(a) = 2a e^{-kappa|b|} and Brent-refines its first sign change
+    to 1e-10.  That is the crossing of the first root: at small a every
+    root of M lies above X(a), the roots slide down while X(a) grows, so
+    the first root is the first to meet X(a).  The march cannot tell a
+    0.1 step in which two roots cross X(a) (M keeps its sign there), so
+    the returned a is checked once: RuntimeError unless first_root(a, nu)
+    lies within 1e-8 max(1, X) of X(a).
     """
     if not (nu > 0.0 and math.isfinite(nu)):
         raise ValueError(f"nu must be a positive real, got {nu!r}")
 
-    def gap(a: float) -> float:
-        return first_root(a, nu) - _boundary_z(a, morse)
+    def residual(a: float) -> float:
+        return quantization_residual(a, nu, morse)
 
     def samples():
         a = 0.1
         while a <= _A_CAP + 1e-12:
             if nu - a + 0.5 < 0.0:
-                try:
-                    yield a, gap(a)
-                except RuntimeError:  # no first root below the z cap
-                    pass
+                yield a, residual(a)
             a = round(a + 0.1, 10)
 
-    root = _first_crossing(gap, samples(), 1e-10)
+    root = _first_crossing(residual, samples(), 1e-10)
     if root is None:
         raise RuntimeError(
             f"no ground-state a in (0, {_A_CAP:g}] for nu = {nu!r}")
+    x = _boundary_z(root, morse)
+    z1 = first_root(root, nu)
+    if abs(z1 - x) > 1e-8 * max(1.0, x):
+        raise RuntimeError(
+            f"a = {root!r} puts a later root of M at X = {x!r}; "
+            f"the first root is {z1!r}")
     return root
 
 

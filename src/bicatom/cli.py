@@ -103,34 +103,53 @@ def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]
         yield ",".join(_cell(v) for v in row) + "\n"
 
 
+_JSON_NESTED = (dict, list, tuple, Iterator)
+_json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
+
+
+def _json_scalar(v) -> Optional[str]:
+    """JSON text of a scalar; None for a dict, list, tuple or iterator."""
+    if isinstance(v, (float, np.floating)):
+        return _fmt_float(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if v is None:
+        return "null"
+    if isinstance(v, _JSON_NESTED):
+        return None
+    return _json_str(str(v))
+
+
 def _json_chunks(v, indent: int) -> Iterator[str]:
-    """JSON text of v in pieces; a list may also be given as an iterator."""
+    """JSON text of v in pieces; a list may also be given as an iterator.
+
+    A dict of scalars (a table row) is one piece.
+    """
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(v, dict):
+        values = [_json_scalar(u) for u in v.values()]
+        if values and None not in values:
+            fields = [f"{inner}{_json_str(str(k))}: {t}" for k, t in zip(v, values)]
+            yield "{\n" + ",\n".join(fields) + "\n" + pad + "}"
+            return
         empty = True
         for k, u in v.items():
-            yield ("{\n" if empty else ",\n") + f"{inner}{json.dumps(str(k))}: "
+            yield ("{\n" if empty else ",\n") + f"{inner}{_json_str(str(k))}: "
             yield from _json_chunks(u, indent + 2)
             empty = False
         yield "{}" if empty else "\n" + pad + "}"
-    elif isinstance(v, (list, tuple, Iterator)):
+    elif isinstance(v, _JSON_NESTED):
         empty = True
         for u in v:
             yield ("[\n" if empty else ",\n") + inner
             yield from _json_chunks(u, indent + 2)
             empty = False
         yield "[]" if empty else "\n" + pad + "]"
-    elif isinstance(v, bool):
-        yield "true" if v else "false"
-    elif v is None:
-        yield "null"
-    elif isinstance(v, (int, np.integer)):
-        yield str(int(v))
-    elif isinstance(v, (float, np.floating)):
-        yield _fmt_float(v)
     else:
-        yield json.dumps(str(v))
+        yield _json_scalar(v)
 
 
 def _json_doc(obj: dict) -> Iterator[str]:

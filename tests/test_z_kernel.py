@@ -15,7 +15,7 @@ import pytest
 
 mp = pytest.importorskip("mpmath")
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bicatom.bic_potential import (  # noqa: E402
@@ -63,6 +63,7 @@ def tolerance(rho: float) -> float:
 
 
 @reproducible
+@seed(8103)
 @given(log_uniform_rho)
 def test_matches_mpmath_log_uniform(rho):
     assert abs(z_of_rho(rho) - z_mpmath(rho)) <= tolerance(rho)
@@ -76,6 +77,7 @@ def test_matches_mpmath_at_domain_edges_and_split(rho):
 
 
 @reproducible
+@seed(8104)
 @given(st.lists(log_uniform_rho, min_size=_BLOCK_ROWS + 1, max_size=2 * _BLOCK_ROWS + 1))
 def test_array_path_matches_scalar_path_and_mpmath(rhos):
     got = _z_kernel(np.array(rhos))

@@ -200,8 +200,9 @@ def _damping(ry):
     return 1.0 / np.sqrt(1.0 + ry2 * ry2)
 
 
-def _z_kernel(rho: np.ndarray) -> np.ndarray:
-    """Z on a 1-d array of rho in [0, 1e6], by fixed composite Gauss-Legendre."""
+def _w_kernel(rho: np.ndarray) -> np.ndarray:
+    """W = -(rho I + B(1/4,1/4)/4) on a 1-d array of rho in [0, 1e6], by fixed
+    composite Gauss-Legendre; no division by rho, so tiny rho loses nothing."""
     out = np.empty(rho.shape)
     for start in range(0, rho.size, _BLOCK_ROWS):
         r = rho[start:start + _BLOCK_ROWS, None]
@@ -215,9 +216,24 @@ def _z_kernel(rho: np.ndarray) -> np.ndarray:
             y = s * np.exp(v)
             integral += np.sum(w * y * _screen(y) * _damping(r * y), axis=1)
         integral += np.sum(_END_W * _damping(r * _END_Y), axis=1)
-        r = r[:, 0]
-        out[start:start + _BLOCK_ROWS] = r * r * integral + QUARTER_BETA * r
+        out[start:start + _BLOCK_ROWS] = -(r[:, 0] * integral + QUARTER_BETA)
     return out
+
+
+def _z_kernel(rho: np.ndarray) -> np.ndarray:
+    """Z = -rho W on a 1-d array of rho in [0, 1e6]."""
+    return -rho * _w_kernel(rho)
+
+
+def _checked_rho(rho: float) -> np.ndarray:
+    """[rho] as an array, once 0 <= rho <= 1e6 is checked."""
+    rho = float(rho)
+    if rho < 0.0 or math.isnan(rho):
+        raise ValueError(f"rho must be non-negative, got {rho!r}")
+    if rho > _RHO_CAP:
+        raise ValueError(f"rho beyond the supported cap {_RHO_CAP:g} "
+                         "(cancellation budget exceeded)")
+    return np.array([rho])
 
 
 def z_of_rho(rho: float) -> float:
@@ -227,25 +243,12 @@ def z_of_rho(rho: float) -> float:
     Gauss-Legendre, split at min(1/rho, sqrt(2)/8) because for large rho
     the integrand drops sharply past y ~ 1/rho.
     """
-    rho = float(rho)
-    if rho < 0.0 or math.isnan(rho):
-        raise ValueError(f"rho must be non-negative, got {rho!r}")
-    if rho > _RHO_CAP:
-        raise ValueError(f"rho beyond the supported cap {_RHO_CAP:g} "
-                         "(cancellation budget exceeded)")
-    if rho == 0.0:
-        return 0.0
-    return float(_z_kernel(np.array([rho]))[0])
+    return float(_z_kernel(_checked_rho(rho))[0])
 
 
 def w_of_rho(rho: float) -> float:
-    """Potential shape W(rho) = -Z(rho)/rho, with the finite limit at rho = 0."""
-    rho = float(rho)
-    if rho < 0.0 or math.isnan(rho):
-        raise ValueError(f"rho must be non-negative, got {rho!r}")
-    if rho == 0.0:
-        return -QUARTER_BETA
-    return -z_of_rho(rho) / rho
+    """Potential shape W(rho) = -Z(rho)/rho, 0 <= rho <= 1e6, finite at rho = 0."""
+    return float(_w_kernel(_checked_rho(rho))[0])
 
 
 def born_phi(r: float) -> float:
@@ -274,9 +277,7 @@ def tabulate(kind: PotentialKind, rho_min: float, rho_max: float, n: int,
                          "(cancellation budget exceeded)")
     grid = np.linspace(rho_min, rho_max, int(n))
     if kind is PotentialKind.EXACT_BIC:
-        vals = np.full(grid.shape, -QUARTER_BETA)
-        inside = grid > 0.0
-        vals[inside] = -_z_kernel(grid[inside]) / grid[inside]
+        vals = _w_kernel(grid)
     else:
         if morse is None:
             raise ValueError("MorseSurrogate tabulation requires morse parameters")

@@ -184,7 +184,7 @@ def _run_potential(args: argparse.Namespace) -> int:
                      args.points)
     rho = table.rho_grid
     w = table.values
-    z = np.where(rho == 0.0, 0.0, -w * rho)
+    z = -w * rho
     if args.format == "csv":
         chunks = _csv_lines(("rho", "Z", "W"), zip(rho, z, w))
     else:

@@ -10,10 +10,10 @@ the result to the analytic solver.
 
 Fitting strategy.  The objective actually minimized is an iteratively
 reweighted least squares due to Lawson: each round solves a weighted
-least-squares problem with a damped Gauss-Newton (Levenberg-Marquardt)
-inner loop, then multiplies each sample weight by the magnitude of its
-current residual and renormalizes.  The weighted iterates converge toward
-the minimax (Chebyshev) fit of the window.  A plain unweighted
+least-squares problem by Gauss-Newton steps on the model's closed-form
+Jacobian, each step solved by QR, then multiplies each sample weight by
+the magnitude of its current residual and renormalizes.  The weighted
+iterates converge toward the minimax (Chebyshev) fit of the window.  A plain unweighted
 least-squares fit of this model on [0, 10] puts nearly all of its error
 budget near the origin and lands ~40% off in V0 with a worse peak
 residual, so the reweighted objective is what actually reproduces the
@@ -43,7 +43,9 @@ __all__ = [
     "fit",
 ]
 
-_JAC_REL_STEP = 1e-6
+_MAX_STEPS = 60  # Gauss-Newton steps per reweighting round
+_STEP_TOL = 1e-10  # a step that moves theta less than this ends the round
+_COST_RESOLUTION = 1e-13  # relative change in cost whose sign rounding decides
 _ZERO_RESIDUAL = 1e-12
 
 
@@ -109,10 +111,15 @@ class FitReport:
             raise ValueError("need max_abs_residual >= rms_residual >= 0")
 
 
+def _w_s(G, V0, gap):
+    """W_s in terms of gap = 1 - e^{-kappa (rho - b)}."""
+    return -(G * gap ** 2 + V0 + QUARTER_BETA)
+
+
 def morse_w(p: MorseParams, rho):
     """Evaluate W_s at scalar or array rho."""
     r = np.asarray(rho, dtype=float)
-    out = -(p.G * (1.0 - np.exp(-p.kappa * (r - p.b))) ** 2 + p.V0 + QUARTER_BETA)
+    out = _w_s(p.G, p.V0, 1.0 - np.exp(-p.kappa * (r - p.b)))
     if np.ndim(rho) == 0:
         return float(out)
     return out
@@ -120,65 +127,67 @@ def morse_w(p: MorseParams, rho):
 
 def _theta_to_params(theta: np.ndarray) -> MorseParams:
     return MorseParams(G=float(theta[0]), V0=float(theta[1]),
-                       kappa=float(math.exp(theta[2])), b=float(theta[3]))
+                       kappa=float(np.exp(theta[2])), b=float(theta[3]))
 
 
-def _params_to_theta(p: MorseParams) -> np.ndarray:
-    return np.array([p.G, p.V0, math.log(p.kappa), p.b], dtype=float)
+def _model(theta: np.ndarray, rho: np.ndarray):
+    """W_s at rho and its Jacobian in theta = (G, V0, log kappa, b).
 
-
-def _lm_minimize(resid_fn, theta0, max_steps=60, inner_tol=1e-13):
-    """Damped least squares on resid_fn; returns (theta, ssr_trace).
-
-    The trace holds the objective after every *accepted* step, so it is
-    non-increasing by construction; a candidate step is retried with a
-    larger damping factor until it does not increase the objective.
-    Raises RuntimeError when the normal equations are singular (a
-    degenerate surrogate, e.g. kappa underflowed to zero range).
+    kappa is exp'd by numpy, so an overflowing step gives inf, not an error.
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    r = resid_fn(theta)
+    G, V0, log_kappa, b = theta
+    kappa = np.exp(log_kappa)
+    shifted = rho - b
+    e = np.exp(-kappa * shifted)
+    gap = 1.0 - e
+    slope = 2.0 * G * kappa * gap * e  # dW_s/db; dW_s/dlog(kappa) = -slope (rho - b)
+    return _w_s(G, V0, gap), np.column_stack(
+        (-gap * gap, np.full(rho.size, -1.0), -slope * shifted, slope))
+
+
+# overflow is handled, not warned of: a cost fails descent, a Jacobian raises
+@np.errstate(over="ignore", invalid="ignore")
+def _gauss_newton(theta, rho, data, sqrt_w):
+    """Minimize |sqrt_w (W_s(rho; theta) - data)|^2; returns theta and W_s there.
+
+    Each step is -R^{-1} Q^T r with sqrt_w J = Q R: QR keeps the condition
+    number of J, which the normal equations would square.  A step is halved
+    until the weighted cost does not increase (theta is returned if it drops
+    below _STEP_TOL first); but where the predicted reduction |Q^T r|^2 is
+    below _COST_RESOLUTION times the cost, the full step is taken unchecked.
+    Raises RuntimeError when the Jacobian is non-finite or rank-deficient
+    (e.g. kappa underflowed to zero range).
+    """
+    w, jac = _model(theta, rho)
+    r = sqrt_w * (w - data)
     cost = float(r @ r)
-    trace = [cost]
-    lam = 1e-3
-    for _ in range(max_steps):
-        jac = np.empty((r.size, theta.size))
-        for j in range(theta.size):
-            h = _JAC_REL_STEP * max(1.0, abs(theta[j]))
-            bumped = theta.copy()
-            bumped[j] += h
-            jac[:, j] = (resid_fn(bumped) - r) / h
-        normal = jac.T @ jac
-        grad = jac.T @ r
-        if not np.all(np.isfinite(normal)) or not np.all(np.isfinite(grad)):
+    for _ in range(_MAX_STEPS):
+        a = sqrt_w[:, None] * jac
+        if not np.all(np.isfinite(a)):
             raise RuntimeError("non-finite Jacobian in surrogate fit")
-        diag = np.diag(normal).copy()
-        if np.any(diag <= 0.0):
+        q, upper = np.linalg.qr(a)
+        qtr = q.T @ r
+        # a zero pivot, or pivots so small that the step overflows
+        if not (np.all(np.diag(upper))
+                and np.all(np.isfinite(step := np.linalg.solve(upper, -qtr)))):
             raise RuntimeError("singular Jacobian: surrogate model is degenerate "
                                "(kappa collapsed toward zero range?)")
-        accepted = False
-        for _attempt in range(40):
-            try:
-                step = np.linalg.solve(normal + lam * np.diag(diag), grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            candidate = theta - step
-            r_new = resid_fn(candidate)
+        unchecked = float(qtr @ qtr) < _COST_RESOLUTION * cost
+        while True:
+            candidate = theta + step
+            moved = float(np.max(np.abs(candidate - theta)))
+            w_new, jac_new = _model(candidate, rho)
+            r_new = sqrt_w * (w_new - data)
             cost_new = float(r_new @ r_new)
-            if math.isfinite(cost_new) and cost_new <= cost:
-                accepted = True
+            if unchecked or cost_new <= cost:
                 break
-            lam *= 10.0
-        if not accepted:
+            if moved < _STEP_TOL:
+                return theta, w
+            step = 0.5 * step
+        theta, w, jac, r, cost = candidate, w_new, jac_new, r_new, cost_new
+        if moved < _STEP_TOL:
             break
-        lam = max(lam * 0.3, 1e-14)
-        moved = float(np.max(np.abs(candidate - theta)))
-        theta, r, cost = candidate, r_new, cost_new
-        trace.append(cost)
-        if moved < inner_tol:
-            break
-    return theta, trace
+    return theta, w
 
 
 def fit(table: PotentialTable, cfg: FitConfig = FitConfig()) -> FitReport:
@@ -197,23 +206,14 @@ def fit(table: PotentialTable, cfg: FitConfig = FitConfig()) -> FitReport:
     if rho.size < 8:
         raise ValueError("fewer than 8 table samples inside the fit window")
 
-    theta = _params_to_theta(cfg.init)
+    p = cfg.init
+    theta = np.array([p.G, p.V0, math.log(p.kappa), p.b])
     weights = np.full(rho.size, 1.0 / rho.size)
-
-    def make_resid(wts):
-        sqrt_w = np.sqrt(wts)
-
-        def resid(th):
-            p = _theta_to_params(th)
-            return sqrt_w * (morse_w(p, rho) - w_data)
-
-        return resid
-
     converged = False
     rounds = 0
     for rounds in range(1, cfg.max_iters + 1):
-        theta_new, _ = _lm_minimize(make_resid(weights), theta)
-        resid = morse_w(_theta_to_params(theta_new), rho) - w_data
+        theta_new, w_fit = _gauss_newton(theta, rho, w_data, np.sqrt(weights))
+        resid = w_fit - w_data
         abs_resid = np.abs(resid)
         step = float(np.max(np.abs(theta_new - theta)))
         theta = theta_new
@@ -230,11 +230,8 @@ def fit(table: PotentialTable, cfg: FitConfig = FitConfig()) -> FitReport:
             converged = True
             break
 
-    params = _theta_to_params(theta)
-    final = morse_w(params, rho) - w_data
-    rms = float(np.sqrt(np.mean(final ** 2)))
-    return FitReport(params=params,
-                     rms_residual=rms,
-                     max_abs_residual=float(np.max(np.abs(final))),
+    return FitReport(params=_theta_to_params(theta),
+                     rms_residual=float(np.sqrt(np.mean(resid ** 2))),
+                     max_abs_residual=float(abs_resid.max()),
                      iterations=rounds,
                      converged=converged)

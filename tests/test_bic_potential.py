@@ -188,6 +188,17 @@ class TestWOfRho:
         with pytest.raises(ValueError):
             w_of_rho(-0.5)
 
+    def test_rejects_rho_beyond_cap(self):
+        with pytest.raises(ValueError):
+            w_of_rho(1e6 + 1.0)
+
+    @pytest.mark.parametrize("rho", [5e-321, 1e-320, 1e-310])
+    def test_subnormal_rho_keeps_origin_limit(self, rho):
+        # W is never formed as -Z/rho, so a subnormal rho costs no precision
+        assert abs(w_of_rho(rho) + QUARTER_BETA) <= 1e-15
+        table = tabulate(PotentialKind.EXACT_BIC, 0.0, rho, 2)
+        assert abs(table.values[-1] + QUARTER_BETA) <= 1e-15
+
 
 class TestBornPhi:
     def test_value_at_zero_is_quarter_beta(self):

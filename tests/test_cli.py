@@ -9,6 +9,7 @@ single-line error contract.
 import json
 import math
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -213,6 +214,25 @@ def test_fit_nonconvergence_exits_nonzero(capsys):
     doc = json.loads(out)  # the report is still emitted
     assert doc["converged"] is False
     assert doc["iterations"] == 1
+
+
+@pytest.mark.parametrize("init", [
+    ("0", "0.1", "0.5", "-0.5"),
+    ("-2", "0", "200", "5"),
+    ("-2", "0", "1", "800"),
+    ("1e308", "0", "0.5", "-0.5"),
+    ("-2", "1e308", "0.5", "-0.5"),
+    ("1e-310", "0", "0.5", "-0.5"),  # subnormal pivots: the step overflows
+])
+def test_fit_degenerate_or_overflowing_start_fails_cleanly(capsys, init):
+    # a numpy warning would reach the user as extra stderr lines
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, ["fit", "--init", *init])
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:computation-failed:")
 
 
 def test_fit_rejects_bad_step_tol(capsys):

@@ -11,13 +11,15 @@ import math
 import numpy as np
 import pytest
 
+from bicatom import morse_fit
 from bicatom.bic_potential import PotentialKind, PotentialTable, QUARTER_BETA, tabulate
 from bicatom.morse_fit import (
     REFERENCE_MORSE,
     FitConfig,
     FitReport,
     MorseParams,
-    _lm_minimize,
+    _gauss_newton,
+    _model,
     fit,
     morse_w,
 )
@@ -152,19 +154,64 @@ class TestFitValidation:
 
 
 class TestInnerOptimizer:
-    def test_monotone_descent_trace(self):
+    def test_monotone_descent_trace(self, monkeypatch):
         rho = np.linspace(0.0, 10.0, 80)
         data = morse_w(REFERENCE_MORSE, rho)
-        weights = np.sqrt(np.linspace(0.2, 1.8, rho.size))
+        sqrt_w = np.sqrt(np.linspace(0.2, 1.8, rho.size))
 
-        def resid(theta):
-            p = MorseParams(theta[0], theta[1], math.exp(theta[2]), theta[3])
-            return weights * (morse_w(p, rho) - data)
+        def weighted_cost(w):
+            r = sqrt_w * (w - data)
+            return float(r @ r)
 
+        costs, accepted = [], []
+        model, qr = morse_fit._model, np.linalg.qr
+
+        def recording_model(theta, grid):
+            w, jac = model(theta, grid)
+            costs.append(weighted_cost(w))
+            return w, jac
+
+        def recording_qr(a):
+            accepted.append(costs[-1])  # the iterate whose Jacobian is factorized
+            return qr(a)
+
+        monkeypatch.setattr(morse_fit, "_model", recording_model)
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
         theta0 = np.array([-3.0, 0.2, math.log(0.25), -1.1])
-        _, trace = _lm_minimize(resid, theta0)
-        assert len(trace) >= 3
-        assert all(b <= a for a, b in zip(trace, trace[1:]))
+        _, w = _gauss_newton(theta0, rho, data, sqrt_w)
+        accepted.append(weighted_cost(w))
+        assert len(accepted) >= 3
+        assert all(b <= a for a, b in zip(accepted, accepted[1:]))
+
+    @pytest.mark.parametrize("theta", [
+        (-1.83, 0.098, math.log(0.585), -0.457),
+        (-3.0, 0.2, math.log(0.25), -1.1),
+        (2.5, -0.4, math.log(1.7), 0.8),
+    ])
+    def test_jacobian_matches_central_differences(self, theta):
+        rho = np.linspace(0.0, 10.0, 41)
+        theta = np.array(theta)
+        _, jac = _model(theta, rho)
+        for j in range(theta.size):
+            h = 1e-6 * max(1.0, abs(theta[j]))
+            up, down = theta.copy(), theta.copy()
+            up[j] += h
+            down[j] -= h
+            diff = (_model(up, rho)[0] - _model(down, rho)[0]) / (2.0 * h)
+            np.testing.assert_allclose(jac[:, j], diff, rtol=0.0, atol=1e-8)
+
+    def test_inner_solve_converges(self, exact_table):
+        # one round has uniform weights, so its objective is the unweighted
+        # mean square; its gradient in (G, V0, kappa, b) must vanish
+        p = fit(exact_table, FitConfig(max_iters=1)).params
+        rho = exact_table.rho_grid
+        e = np.exp(-p.kappa * (rho - p.b))
+        gap = 1.0 - e
+        jac = np.column_stack((-gap ** 2, -np.ones_like(rho),
+                               -2.0 * p.G * gap * e * (rho - p.b),
+                               2.0 * p.G * p.kappa * gap * e))
+        resid = morse_w(p, rho) - exact_table.values
+        assert np.max(np.abs(jac.T @ resid / rho.size)) <= 1e-12
 
 
 class TestExactFit:

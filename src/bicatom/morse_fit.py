@@ -155,23 +155,31 @@ def _gauss_newton(theta, rho, data, sqrt_w):
     until the weighted cost does not increase (theta is returned if it drops
     below _STEP_TOL first); but where the predicted reduction |Q^T r|^2 is
     below _COST_RESOLUTION times the cost, the full step is taken unchecked.
-    Raises RuntimeError when the Jacobian is non-finite or rank-deficient
-    (e.g. kappa underflowed to zero range).
+    Raises RuntimeError when the Jacobian is non-finite, or rank-deficient
+    to rounding (G or kappa at or near zero, say), naming the parameters
+    where the rank was lost.
     """
     w, jac = _model(theta, rho)
     r = sqrt_w * (w - data)
     cost = float(r @ r)
+    # a pivot at or below this times the largest is rounding (numpy's
+    # matrix_rank tolerance)
+    rank_tol = rho.size * np.finfo(float).eps
     for _ in range(_MAX_STEPS):
         a = sqrt_w[:, None] * jac
         if not np.all(np.isfinite(a)):
             raise RuntimeError("non-finite Jacobian in surrogate fit")
         q, upper = np.linalg.qr(a)
         qtr = q.T @ r
-        # a zero pivot, or pivots so small that the step overflows
-        if not (np.all(np.diag(upper))
+        # a pivot at rounding level, or pivots so small that the step overflows
+        pivots = np.abs(np.diag(upper)).tolist()
+        if not (min(pivots) > rank_tol * max(pivots)
                 and np.all(np.isfinite(step := np.linalg.solve(upper, -qtr)))):
-            raise RuntimeError("singular Jacobian: surrogate model is degenerate "
-                               "(kappa collapsed toward zero range?)")
+            G, V0, log_kappa, b = theta
+            raise RuntimeError(
+                f"singular Jacobian at G = {G:.6g}, V0 = {V0:.6g}, "
+                f"kappa = {np.exp(log_kappa):.6g}, b = {b:.6g}: "
+                f"the surrogate model is degenerate there")
         unchecked = float(qtr @ qtr) < _COST_RESOLUTION * cost
         while True:
             candidate = theta + step

@@ -17,6 +17,14 @@ on lambda, narrowed by each sweep's node count and the sign of its
 correction, catches the steps that leave it, so the search finds the
 lowest eigenvalue regardless of how many bound states exist.
 
+Each propagation is blocked numpy work with no per-point Python loop:
+two basis solutions advance through every block of the grid at once, in
+summed form, and a short pass over the blocks chains them (see
+_propagate).  A grid so coarse that Numerov's 1 - h^2 f/12 reaches 0,
+or that puts the outermost turning point of the ground state fewer than
+_MIN_ALLOWED_STEPS steps from the origin, raises RuntimeError instead of
+returning a wrong number.
+
 The exact screened potential enters through bic_interpolator, an
 in-house not-a-knot cubic spline of its tabulated values (numpy only).
 """
@@ -26,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -47,6 +54,12 @@ _LAMBDA_TOL = 1e-10
 _MIN_EDGE_DECAY = 15.0
 # sweeps one ground_state may spend
 _MAX_SWEEPS = 100
+# least number of steps from the origin to the outermost classical turning
+# point: below it h does not resolve the state (Coulomb at h = 1e-3 is off
+# by 1.3e-4 in eps/alpha^2 at 100 steps, by 0.021 at 6)
+_MIN_ALLOWED_STEPS = 100
+# no basis state of a propagation block grows past exp(this) = 1e100
+_LOG_BLOCK_GROWTH = 100.0 * math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -117,31 +130,112 @@ def _t_grid(w: np.ndarray, alpha_beta: float, h: float, lam: float) -> np.ndarra
     return (2.0 * (alpha_beta * w - lam)) * (h * h / 12.0)
 
 
-def _propagate(t, h: float):
+def _propagate(t: np.ndarray, h: float):
     """Numerov recurrence from u_0 = 0, u_1 = h along t_0, t_1, t_2, ...
 
-    ``t`` holds at least two values, in the direction of propagation.
-    Returns (u_prev, u, s, nodes): the last two values, s = sum of u_i^2
-    from u_1 on, and the sign changes between consecutive values.  u and
-    s share one positive scale: whenever s passes 1e200, u is rescaled by
-    1e-100 and s by 1e-200.
+    ``t`` is an array of at least two values, in the direction of
+    propagation, with t_i < 1 from t_1 on (t_0 is never used).  Returns
+    (u_prev, u, s, nodes): the last two values, s = sum of u_i^2 from u_1
+    on, and the number of consecutive pairs from (u_1, u_2) on with
+    u_{i-1} u_i <= 0.  u and s share one positive scale.
+
+    The recurrence runs on v = (1 - t) u, v_{i+1} = g_i v_i - v_{i-1} with
+    g = (2 + 10 t) / (1 - t), in summed form: the differences dv_{i+1} =
+    v_{i+1} - v_i = dv_i + e_i v_i, e = g - 2 = 12 t / (1 - t), carry the
+    solution, so that each step rounds relative to the small dv and not
+    to v.  There is no per-point Python loop.  v_1, v_2, ... are cut into
+    K blocks of L values (the last one padded), and two basis solutions,
+    entering every block as (v, dv) = (1, 0) and (0, 1), advance through
+    all blocks at once in L numpy steps.  One pass over the blocks then
+    chains them: a block entered in state (x, y) holds x times the first
+    basis plus y times the second and leaves in the (v, dv) of that sum;
+    the carried state is rescaled by 1e-100 whenever x^2 + y^2 passes
+    1e200.  Each block is rebuilt at its own scale, so a block far below
+    the largest one underflows in s but keeps its signs in the node
+    count.  L is about sqrt(N)/3, which balances the L numpy steps
+    against the K-step pass, capped so that no basis state grows past
+    1e100 in a block: max(|v|, |dv|) grows by at most 2 + |e_i| a step.
     """
-    ts = iter(t)
-    d_prev, t_cur = 1.0 - next(ts), next(ts)
-    d_cur = 1.0 - t_cur
-    u_prev, u, s, nodes = 0.0, h, h * h, 0
-    for t_next in ts:
-        d_next = 1.0 - t_next
-        u_prev, u = u, ((2.0 + 10.0 * t_cur) * u - d_prev * u_prev) / d_next
-        d_prev, d_cur, t_cur = d_cur, d_next, t_next
-        s += u * u
-        if u * u_prev <= 0.0:
-            nodes += 1
-        if s > 1e200:
-            u *= 1e-100
-            u_prev *= 1e-100
-            s *= 1e-200
-    return u_prev, u, s, nodes
+    n = len(t) - 1  # the values v_1 ... v_n
+    t = t[1:]
+    t_lo, t_hi = float(t.min()), float(t.max())
+    growth = 2.0 + max(-12.0 * t_lo / (1.0 - t_lo), 12.0 * t_hi / (1.0 - t_hi))
+    steps = max(1, min(math.isqrt(n // 9) + 1, int(_LOG_BLOCK_GROWTH / math.log(growth))))
+    blocks = -(-n // steps)
+    # row k holds e, later 1 - t, at indices k*steps + 1 ... (k + 1)*steps
+    coef = np.empty((blocks, steps))
+    flat = coef.reshape(-1)
+    np.divide(12.0 * t, 1.0 - t, out=flat[:n])
+    flat[n:] = 0.0
+    coef = coef.T
+    # basis[i, 0, k], basis[i, 1, k]: v at row i of block k for the two
+    # solutions entering it as (v, dv) = (1, 0) and (0, 1)
+    basis = np.empty((steps, 2, blocks))
+    basis[0, 0] = 1.0
+    basis[0, 1] = 0.0
+    dv = np.zeros((2, blocks))
+    dv[1] = 1.0
+    step = np.empty((2, blocks))
+    for i in range(steps - 1):
+        dv += np.multiply(coef[i], basis[i], out=step)
+        np.add(basis[i], dv, out=basis[i + 1])
+    dv += coef[-1] * basis[-1]
+    leave_v = basis[-1] + dv
+
+    x = y = (1.0 - float(t[0])) * h  # v_1 and v_1 - v_0
+    xs, ys, rescales = [], [], []
+    for p_v, q_v, p_dv, q_dv in zip(*leave_v.tolist(), *dv.tolist()):
+        xs.append(x)
+        ys.append(y)
+        x, y = x * p_v + y * q_v, x * p_dv + y * q_dv
+        if x * x + y * y > 1e200:
+            x, y = x * 1e-100, y * 1e-100
+            rescales.append(len(xs))
+    x, y = np.array(xs), np.array(ys)
+    size = np.maximum(np.abs(x), np.abs(y))
+    # block k is entered after this many rescalings
+    rescaled = np.searchsorted(rescales, np.arange(blocks), side="right")
+    log_scale = rescaled * math.log(1e100) + np.log(size)
+
+    v, other = basis[:, 0], basis[:, 1]
+    v *= x / size
+    other *= y / size
+    v += other  # block k at scale exp(log_scale[k])
+    last = n - 1 - (blocks - 1) * steps  # the row of v_n in the last block
+    np.multiply(v[1:], v[:-1], out=other[1:])
+    nodes = (np.count_nonzero(other[1:, :-1] <= 0.0)
+             + np.count_nonzero(other[1:last + 1, -1] <= 0.0)
+             + np.count_nonzero(v[0, 1:] * v[-1, :-1] <= 0.0))
+    np.subtract(1.0, t, out=flat[:n])
+    flat[n:] = 1.0
+    u = np.divide(v, coef, out=v)
+    u[last + 1:, -1] = 0.0
+    scale = np.exp(log_scale - log_scale.max())
+    s = float(np.einsum("ik,ik->k", u, u) @ (scale * scale))
+
+    def value(j):
+        k, i = divmod(j, steps)
+        return float(u[i, k] * scale[k])
+
+    return value(n - 2) if n > 1 else 0.0, value(n - 1), s, int(nodes)
+
+
+def _turning_index(t: np.ndarray) -> int:
+    """The outermost classical turning point: the last i in [1, n - 1] with t_i <= 0, else 1."""
+    allowed = t[1:-1] <= 0.0
+    return len(allowed) - int(np.argmax(allowed[::-1])) if allowed.any() else 1
+
+
+def _check_step(w: np.ndarray, alpha_beta: float, h: float, lam: float) -> None:
+    """Raise RuntimeError unless t = h^2 f/12 < 1 on the grid w[1:] at lam.
+
+    Numerov divides by 1 - t; t grows with W, so it peaks where W does.
+    """
+    t_max = float(_t_grid(float(np.max(w[1:])), alpha_beta, h, lam))
+    if t_max >= 1.0:
+        raise RuntimeError(
+            f"h = {h:g} is too coarse at alpha_beta = {alpha_beta:g}: h^2 f/12 reaches "
+            f"{t_max:.3g} at lambda = {lam:g} (Numerov needs < 1)")
 
 
 def _sweep(w: np.ndarray, alpha_beta: float, h: float, lam: float):
@@ -156,18 +250,16 @@ def _sweep(w: np.ndarray, alpha_beta: float, h: float, lam: float):
     Cooley's correction -u_m R_m / (2 h^2 sum u^2), R_m being the Numerov
     residual of the glued solution at m; dlam is 0 when there are nodes.
     """
-    t_grid = _t_grid(w, alpha_beta, h, lam)
-    n = len(t_grid) - 1
-    allowed = np.flatnonzero(t_grid[1:n] <= 0.0)
-    m = int(allowed[-1]) + 1 if allowed.size else 1
-    t = t_grid.tolist()
-    out_prev, out, s_out, nodes_out = _propagate(islice(t, m + 1), h)
-    in_prev, in_m, s_in, nodes_in = _propagate(islice(reversed(t), n - m + 1), h)
+    t = _t_grid(w, alpha_beta, h, lam)
+    m = _turning_index(t)
+    out_prev, out, s_out, nodes_out = _propagate(t[:m + 1], h)
+    in_prev, in_m, s_in, nodes_in = _propagate(t[m:][::-1], h)
     nodes = nodes_out + nodes_in
     if nodes:
         return nodes, 0.0
-    residual = ((1.0 - t[m - 1]) * out_prev / out - (2.0 + 10.0 * t[m])
-                + (1.0 - t[m + 1]) * in_prev / in_m)
+    t_before, t_m, t_after = t[m - 1:m + 2].tolist()
+    residual = ((1.0 - t_before) * out_prev / out - (2.0 + 10.0 * t_m)
+                + (1.0 - t_after) * in_prev / in_m)
     norm = s_out / (out * out) + s_in / (in_m * in_m) - 1.0
     return 0, -residual / (2.0 * h * h * norm)
 
@@ -177,12 +269,14 @@ def shoot(p: RadialProblem, lam: float):
 
     Returns (endpoint_value, node_count): u at rho_max (up to a positive
     renormalization scale) and the number of sign changes of u on
-    (0, rho_max].
+    (0, rho_max].  Raises RuntimeError when h is too coarse for Numerov
+    at lam (h^2 f / 12 reaches 1 on the grid).
     """
     if not (lam < 0.0 and math.isfinite(lam)):
         raise ValueError(f"lam must be a negative real, got {lam!r}")
-    t = _t_grid(_w_grid(p), p.alpha_beta, p.h, lam)
-    _, end, _, nodes = _propagate(t.tolist(), p.h)
+    w = _w_grid(p)
+    _check_step(w, p.alpha_beta, p.h, lam)
+    _, end, _, nodes = _propagate(_t_grid(w, p.alpha_beta, p.h, lam), p.h)
     return end, nodes
 
 
@@ -203,7 +297,9 @@ def ground_state(p: RadialProblem) -> OracleResult:
 
     Raises RuntimeError when there is no bound state, when h is too coarse
     for Numerov (h^2 f / 12 reaches 1 at the potential floor), after
-    _MAX_SWEEPS sweeps, or when the box truncates the state: u decays as
+    _MAX_SWEEPS sweeps, when h does not resolve the state (its outermost
+    classical turning point lies fewer than _MIN_ALLOWED_STEPS steps from
+    the origin), or when the box truncates the state: u decays as
     exp(-kappa rho) at the edge, kappa = sqrt(2 (alpha_beta W(rho_max) -
     lambda)), and kappa rho_max must reach 15.
     """
@@ -214,11 +310,7 @@ def ground_state(p: RadialProblem) -> OracleResult:
         raise RuntimeError("potential is nowhere attractive: no bound state")
     lam_lo = ab * w_min
     lam_hi = -1e-9 * max(1.0, abs(lam_lo))
-    t_floor = float(np.max(_t_grid(w[1:], ab, h, lam_lo)))
-    if t_floor >= 1.0:
-        raise RuntimeError(
-            f"h = {h:g} is too coarse at alpha_beta = {ab:g}: h^2 f/12 reaches "
-            f"{t_floor:.3g} at the potential floor (Numerov needs < 1)")
+    _check_step(w, ab, h, lam_lo)
     lo, hi, bound = lam_lo, lam_hi, False
     rho = h * np.arange(1, len(w))
     lam = min(hi, float(np.min(ab * w[1:] + 0.5 / rho ** 2)))
@@ -248,6 +340,12 @@ def ground_state(p: RadialProblem) -> OracleResult:
         raise RuntimeError(
             f"the matched solution at lambda = {lam:g} has {nodes} nodes, "
             f"so it is not the ground state")
+    m = _turning_index(_t_grid(w, ab, h, lam))
+    if m < _MIN_ALLOWED_STEPS:
+        raise RuntimeError(
+            f"h = {h:g} does not resolve the state at lambda = {lam:g}: its "
+            f"outermost classical turning point is {m} steps from the origin, "
+            f"fewer than {_MIN_ALLOWED_STEPS}; decrease h")
     edge = 2.0 * (ab * float(w[-1]) - lam)
     decay = math.sqrt(max(edge, 0.0)) * p.rho_max
     if decay < _MIN_EDGE_DECAY:

@@ -235,6 +235,16 @@ def test_fit_degenerate_or_overflowing_start_fails_cleanly(capsys, init):
     assert lines[0].startswith("error:computation-failed:")
 
 
+def test_fit_singular_jacobian_names_where_rank_was_lost(capsys):
+    # the well depth vanished, not kappa: the message reports the parameters
+    code, out, err = run_cli(capsys, ["fit", "--init", "1e-300", "0", "0.5", "-0.5"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:computation-failed: singular Jacobian at G = 1e-300,")
+    assert "kappa = 0.5" in err
+    assert "kappa collapsed" not in err
+
+
 def test_fit_rejects_bad_step_tol(capsys):
     code, _, err = run_cli(capsys, ["fit", "--step-tol=-1e-5"])
     assert code == 2
@@ -595,6 +605,17 @@ def test_oracle_rejects_box_truncated_state(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:computation-failed: rho_max = 40 truncates")
+
+
+def test_oracle_rejects_unresolved_state(capsys):
+    # the Bohr radius 1/300 is 3 steps of h = 1e-3: printed as -0.4788022821
+    # (exact: -1/2) before the resolution check
+    code, out, err = run_cli(capsys, ["oracle", "--potential", "coulomb",
+                                      "--alpha-beta", "300"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:computation-failed: h = 0.001 does not resolve")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])

@@ -7,6 +7,8 @@ hydrogen ground state in these scaled units.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -200,10 +202,14 @@ class TestGroundState:
                 shoot(p, -0.5)
 
 
+def harmonic(r):
+    return 0.5 * r * r - 10.0
+
+
 def named_potential(name):
     if name == "bic":
         return bic_interpolator()
-    return {"coulomb": coulomb, "morse": morse_pot}[name]
+    return {"coulomb": coulomb, "morse": morse_pot, "harmonic": harmonic}[name]
 
 
 class TestSearch:
@@ -244,7 +250,7 @@ class TestSearch:
     def test_harmonic_well_lowest_of_five_states(self, alpha_beta):
         # W = rho^2/2 - 10 holds five bound states at alpha_beta = 1; the
         # s-wave oscillator ground state is lambda = -10 ab + 1.5 sqrt(ab)
-        p = RadialProblem(potential=lambda r: 0.5 * r * r - 10.0,
+        p = RadialProblem(potential=harmonic,
                           alpha_beta=alpha_beta, rho_max=20.0, h=1e-3)
         res = ground_state(p)
         assert res.node_count == 0
@@ -281,6 +287,159 @@ class TestSearch:
         res = ground_state(RadialProblem(potential=named_potential(name),
                                          alpha_beta=alpha_beta))
         assert abs(res.lam - lam) <= 1e-10
+
+
+def scalar_numerov(t, h, dtype=float):
+    """The per-point Numerov loop that _propagate replaced, as a reference.
+
+    u_{i+1} = ((2 + 10 t_i) u_i - (1 - t_{i-1}) u_{i-1}) / (1 - t_{i+1}) in
+    ``dtype`` from u_0 = 0, u_1 = h, without rescaling; returns (u_prev, u,
+    s, nodes) as _propagate does.
+    """
+    t = [dtype(x) for x in np.asarray(t, dtype=float).tolist()]
+    u_prev, u = dtype(0), dtype(h)
+    s, nodes = u * u, 0
+    for i in range(1, len(t) - 1):
+        u_prev, u = u, ((2 + 10 * t[i]) * u - (1 - t[i - 1]) * u_prev) / (1 - t[i + 1])
+        s += u * u
+        if u * u_prev <= 0:
+            nodes += 1
+    return u_prev, u, s, nodes
+
+
+def reference_sweep(w, alpha_beta, h, lam, dtype):
+    """_sweep's (nodes, dlam), propagated by scalar_numerov in ``dtype``."""
+    t = numerov_oracle._t_grid(w, alpha_beta, h, lam)
+    allowed = np.flatnonzero(t[1:-1] <= 0.0)
+    m = int(allowed[-1]) + 1 if allowed.size else 1
+    out_prev, out, s_out, nodes_out = scalar_numerov(t[:m + 1], h, dtype)
+    in_prev, in_m, s_in, nodes_in = scalar_numerov(t[m:][::-1], h, dtype)
+    nodes = nodes_out + nodes_in
+    if nodes:
+        return nodes, 0.0
+    t_before, t_m, t_after = (dtype(x) for x in t[m - 1:m + 2].tolist())
+    residual = ((1 - t_before) * out_prev / out - (2 + 10 * t_m)
+                + (1 - t_after) * in_prev / in_m)
+    norm = s_out / (out * out) + s_in / (in_m * in_m) - 1
+    return 0, float(-residual / (2 * dtype(h) ** 2 * norm))
+
+
+LONG_DOUBLE = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+class TestPropagation:
+    """The blocked numpy propagation against the per-point loop it replaced."""
+
+    @pytest.mark.skipif(not LONG_DOUBLE, reason="np.longdouble is a plain double here")
+    @pytest.mark.parametrize("name, alpha_beta, rho_max, lam", [
+        ("coulomb", 1.0, 40.0, -0.5),
+        ("morse", AB_CHAIN, 40.0, LAM_MORSE_ORACLE),
+        ("bic", AB_BIC, 40.0, -1.68),
+        ("harmonic", 1.0, 20.0, -8.5),
+    ])
+    def test_correction_matches_long_double_loop(self, name, alpha_beta, rho_max, lam):
+        p = RadialProblem(potential=named_potential(name), alpha_beta=alpha_beta,
+                          rho_max=rho_max)
+        w = numerov_oracle._w_grid(p)
+        rng = np.random.default_rng(1018)
+        for trial in lam + rng.uniform(-1e-3, 1e-3, size=2):
+            nodes, dlam = numerov_oracle._sweep(w, alpha_beta, p.h, trial)
+            ref_nodes, ref_dlam = reference_sweep(w, alpha_beta, p.h, trial, np.longdouble)
+            assert nodes == ref_nodes == 0
+            assert abs(dlam - ref_dlam) <= 1e-11
+
+    @pytest.mark.parametrize("name, alpha_beta, rho_max, lam, expected", [
+        ("morse", AB_CHAIN, 40.0, -1.3, None),
+        # between the s-wave oscillator levels -10 + 3.5 and -10 + 5.5
+        ("harmonic", 1.0, 20.0, -5.5, 2),
+    ])
+    def test_node_counts_match_the_scalar_loop(self, name, alpha_beta, rho_max, lam,
+                                               expected):
+        p = RadialProblem(potential=named_potential(name), alpha_beta=alpha_beta,
+                          rho_max=rho_max)
+        t = numerov_oracle._t_grid(numerov_oracle._w_grid(p), alpha_beta, p.h, lam)
+        nodes = scalar_numerov(t, p.h)[3]
+        assert numerov_oracle._propagate(t, p.h)[3] == nodes
+        assert shoot(p, lam)[1] == nodes
+        assert nodes >= 1 and expected in (None, nodes)
+
+    def test_exact_zero_counts_as_in_the_scalar_loop(self):
+        # u_1 ... u_5 = 1, 4/3, -4, 0, 10/3, the zero exact in both loops:
+        # (-4, 0) and (0, 10/3) are both pairs with u_{i-1} u_i <= 0, where a
+        # rounded zero would make one of them
+        t = np.array([-0.3125, 0.0, -0.5, -0.25, -0.0625, -0.5, -0.3125,
+                      -0.9375, -0.375, -0.8125, 0.0, 0.0, 0.0625])
+        assert scalar_numerov(t[:5], 1.0)[1] == 0.0
+        assert numerov_oracle._propagate(t, 1.0)[3] == scalar_numerov(t, 1.0)[3] == 8
+
+    def test_growth_past_the_double_range(self):
+        # inward from rho_max = 400, u grows by about e^(2 * 399) ~ 1e346: the
+        # blocks near the edge underflow against the largest one, and must
+        # count no nodes
+        def problem(rho_max):
+            return RadialProblem(potential=coulomb, alpha_beta=2.0, rho_max=rho_max,
+                                 h=1e-2)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = ground_state(problem(400.0))
+        assert far.node_count == 0
+        assert far.lam == pytest.approx(ground_state(problem(40.0)).lam, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [[0.3, -0.2], [0.0, 0.5], [0.3, -0.1, 0.01],
+                                   [0.0, -2.0, 0.9]])
+    def test_two_and_three_point_grids(self, t):
+        u_prev, u, s, nodes = numerov_oracle._propagate(np.array(t), 1e-3)
+        ref_prev, ref, ref_s, ref_nodes = scalar_numerov(t, 1e-3)
+        assert nodes == ref_nodes
+        assert u_prev / u == pytest.approx(ref_prev / ref, rel=1e-15)
+        assert s / (u * u) == pytest.approx(ref_s / (ref * ref), rel=1e-15)
+
+    @pytest.mark.parametrize("lam, end", [(-3.5, "origin"), (-0.1, "edge")])
+    def test_matching_at_the_grid_ends(self, lam, end):
+        # below the potential floor nothing is allowed (m = 1, a 2-point
+        # outward half); above the edge value everything is (m = n - 1)
+        p = RadialProblem(potential=morse_pot, alpha_beta=AB_CHAIN, h=1e-2)
+        w = numerov_oracle._w_grid(p)
+        m = numerov_oracle._turning_index(numerov_oracle._t_grid(w, AB_CHAIN, p.h, lam))
+        assert m == {"origin": 1, "edge": len(w) - 2}[end]
+        nodes, dlam = numerov_oracle._sweep(w, AB_CHAIN, p.h, lam)
+        ref_nodes, ref_dlam = reference_sweep(w, AB_CHAIN, p.h, lam, float)
+        assert nodes == ref_nodes
+        assert dlam == pytest.approx(ref_dlam, rel=1e-12)
+
+    @pytest.mark.parametrize("h, limit_mib", [(1e-3, 1.6), (5e-4, 3.1)])
+    def test_sweep_memory(self, h, limit_mib):
+        # the per-point loop held t.tolist(): 1.54 and 3.08 MiB
+        p = RadialProblem(potential=bic_interpolator(), alpha_beta=AB_BIC, h=h)
+        w = numerov_oracle._w_grid(p)
+        tracemalloc.start()
+        try:
+            numerov_oracle._sweep(w, AB_BIC, h, -1.68)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2 ** 20
+
+    def test_shoot_rejects_too_coarse_grid(self):
+        # h^2 f / 12 reaches 1.7 at lambda = -1e7, where the loop divided by
+        # 1 - t < 0 and reported 39 999 nodes
+        with pytest.raises(RuntimeError, match="too coarse"):
+            shoot(RadialProblem(potential=coulomb, alpha_beta=1.0), -1e7)
+
+    def test_unresolved_state_rejected(self):
+        # Coulomb at alpha_beta = 300: the Bohr radius is 3.3 steps, the
+        # turning point 6, and eps/alpha^2 came out as -0.4788 (exact: -1/2)
+        with pytest.raises(RuntimeError, match="does not resolve"):
+            ground_state(RadialProblem(potential=coulomb, alpha_beta=300.0))
+
+    def test_resolution_threshold(self):
+        # at alpha_beta = 20 the turning point is 100 steps out and the error
+        # 1.3e-4; at 21 it is 95 steps out
+        res = ground_state(RadialProblem(potential=coulomb, alpha_beta=20.0))
+        assert res.eps_over_alpha2 == pytest.approx(-0.5, abs=2e-4)
+        with pytest.raises(RuntimeError, match="95 steps"):
+            ground_state(RadialProblem(potential=coulomb, alpha_beta=21.0))
 
 
 class TestBicInterpolator:

@@ -1,19 +1,16 @@
 """Fit the four-parameter Morse surrogate to the exact potential.
 
-Tabulates W(rho) on the standard 200-point window, runs the
-Lawson-reweighted fit, and reports the parameters next to the
-reference set together with the residual profile.  The reweighting
-drives the fit toward the minimax (equal-ripple) solution: the largest
-residuals at the end of the run cluster at several comparable peaks
-instead of one dominant error.
+Tabulates W(rho) on the standard 200-point window, runs the minimax
+fit (Remez's exchange), and reports the parameters next to the
+reference set together with the fit's alternation set: five samples,
+one per sign run of the residual, where the residual alternates in sign
+at one common size (the equal-ripple signature).
 
 Run:  python3 demos/fit_surrogate.py
 """
 
-import numpy as np
-
 from bicatom.bic_potential import PotentialKind, tabulate
-from bicatom.morse_fit import REFERENCE_MORSE, fit, morse_w
+from bicatom.morse_fit import REFERENCE_MORSE, alternation_set, fit, morse_w
 
 
 def main() -> None:
@@ -25,8 +22,7 @@ def main() -> None:
     r = REFERENCE_MORSE
 
     print()
-    print(f"converged in {report.iterations} reweighting rounds: "
-          f"{report.converged}")
+    print(f"converged in {report.iterations} exchanges: {report.converged}")
     print()
     print(f"{'parameter':>10} {'fitted':>14} {'reference':>14} {'dev %':>8}")
     for name, got, ref in (("G", p.G, r.G), ("V0", p.V0, r.V0),
@@ -38,12 +34,11 @@ def main() -> None:
     print(f"max |residual|   = {report.max_abs_residual:.10f}")
 
     resid = table.values - morse_w(p, table.rho_grid)
-    order = np.argsort(-np.abs(resid))[:5]
     print()
-    print("five largest residuals (equal-ripple signature):")
-    for i in sorted(order):
+    print("alternation set (equal-ripple signature):")
+    for i in alternation_set(resid):
         print(f"  rho = {table.rho_grid[i]:7.4f}   "
-              f"residual = {resid[i]:+.6f}")
+              f"residual = {resid[i]:+.10f}")
 
 
 if __name__ == "__main__":

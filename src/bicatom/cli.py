@@ -248,7 +248,7 @@ def _run_fit(args: argparse.Namespace) -> int:
               args.residuals_out)
     if not report.converged:
         _error_line("fit-not-converged",
-                    f"no convergence in {report.iterations} rounds "
+                    f"no convergence in {report.iterations} exchanges "
                     f"(step_tol {_fmt_float(fit_cfg.step_tol)})")
         return 1
     return 0

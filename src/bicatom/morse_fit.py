@@ -8,17 +8,17 @@ is exactly solvable downstream, so the library fits (G, V0, kappa, b) to
 the screened Born-Infeld-Coulomb potential on a window of rho and hands
 the result to the analytic solver.
 
-Fitting strategy.  The objective actually minimized is an iteratively
-reweighted least squares due to Lawson: each round solves a weighted
-least-squares problem by Gauss-Newton steps on the model's closed-form
-Jacobian, each step solved by QR, then multiplies each sample weight by
-the magnitude of its current residual and renormalizes.  The weighted
-iterates converge toward the minimax (Chebyshev) fit of the window.  A plain unweighted
-least-squares fit of this model on [0, 10] puts nearly all of its error
-budget near the origin and lands ~40% off in V0 with a worse peak
-residual, so the reweighted objective is what actually reproduces the
-reference parameters; for zero-residual (synthetic) data both objectives
-agree and the fit recovers the generating parameters to machine
+Fitting strategy.  The fit is the minimax (Chebyshev) fit of the window's
+samples, by Remez's exchange (E. Ya. Remez, 1934; G. Meinardus,
+Approximation of Functions, 1967, ch. 8) from a least-squares start:
+Gauss-Newton steps on the model's closed-form Jacobian, solved by QR.
+Each exchange picks 5 alternating extrema of the residual
+(alternation_set) and solves W_s(x_i) - W(x_i) = s_i E there, s_i their
+signs, by Newton on the 5 x 5 system.  A plain least-squares fit on
+[0, 10] puts nearly all of its error budget near the origin and lands
+~40% off in V0 with a worse peak residual, so the minimax objective is
+what reproduces the reference parameters; for zero-residual (synthetic)
+data the start already recovers the generating parameters to machine
 precision.
 
 kappa is optimized as log(kappa), so the returned inverse-range is
@@ -41,10 +41,11 @@ __all__ = [
     "REFERENCE_MORSE",
     "morse_w",
     "fit",
+    "alternation_set",
 ]
 
-_MAX_STEPS = 60  # Gauss-Newton steps per reweighting round
-_STEP_TOL = 1e-10  # a step that moves theta less than this ends the round
+_MAX_STEPS = 60  # Gauss-Newton steps of the start, Newton steps per exchange
+_STEP_TOL = 1e-10  # a step that moves theta less than this ends the solve
 _COST_RESOLUTION = 1e-13  # relative change in cost whose sign rounding decides
 _ZERO_RESIDUAL = 1e-12
 
@@ -77,8 +78,9 @@ class FitConfig:
     """Fit window and iteration controls.
 
     ``fit`` consumes whatever samples the supplied table holds inside the
-    window.  ``max_iters`` caps the reweighting rounds and ``step_tol`` is
-    the parameter-step norm below which the fit is declared converged.
+    window.  ``max_iters`` caps the exchanges and ``step_tol`` is the
+    relative ripple spread, (max |r| - min |r| on the 5 reference
+    samples) / max |r|, below which the fit is declared converged.
     """
 
     rho_min: float = 0.0
@@ -98,7 +100,8 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Fit outcome; ``iterations`` counts reweighting rounds."""
+    """Fit outcome; ``iterations`` counts exchanges (0 when the
+    least-squares start already fits to rounding)."""
 
     params: MorseParams
     rms_residual: float
@@ -145,47 +148,53 @@ def _model(theta: np.ndarray, rho: np.ndarray):
         (-gap * gap, np.full(rho.size, -1.0), -slope * shifted, slope))
 
 
-# overflow is handled, not warned of: a cost fails descent, a Jacobian raises
-@np.errstate(over="ignore", invalid="ignore")
-def _gauss_newton(theta, rho, data, sqrt_w):
-    """Minimize |sqrt_w (W_s(rho; theta) - data)|^2; returns theta and W_s there.
+def _qr_step(a, r, theta):
+    """The least-squares step -R^{-1} Q^T r for a = Q R, and Q^T r.
 
-    Each step is -R^{-1} Q^T r with sqrt_w J = Q R: QR keeps the condition
-    number of J, which the normal equations would square.  A step is halved
-    until the weighted cost does not increase (theta is returned if it drops
-    below _STEP_TOL first); but where the predicted reduction |Q^T r|^2 is
-    below _COST_RESOLUTION times the cost, the full step is taken unchecked.
-    Raises RuntimeError when the Jacobian is non-finite, or rank-deficient
-    to rounding (G or kappa at or near zero, say), naming the parameters
+    QR keeps the condition number of a, which the normal equations would
+    square.  Raises RuntimeError when a is non-finite, or rank-deficient to
+    rounding (G or kappa at or near zero, say), naming the parameters
     where the rank was lost.
     """
+    if not np.all(np.isfinite(a)):
+        raise RuntimeError("non-finite Jacobian in surrogate fit")
+    q, upper = np.linalg.qr(a)
+    qtr = q.T @ r
+    # a pivot at or below rank_tol times the largest is rounding (numpy's
+    # matrix_rank tolerance), or pivots so small that the step overflows
+    rank_tol = a.shape[0] * np.finfo(float).eps
+    pivots = np.abs(np.diag(upper)).tolist()
+    if not (min(pivots) > rank_tol * max(pivots)
+            and np.all(np.isfinite(step := np.linalg.solve(upper, -qtr)))):
+        G, V0, log_kappa, b = theta
+        raise RuntimeError(
+            f"singular Jacobian at G = {G:.6g}, V0 = {V0:.6g}, "
+            f"kappa = {np.exp(log_kappa):.6g}, b = {b:.6g}: "
+            f"the surrogate model is degenerate there")
+    return step, qtr
+
+
+# overflow is handled, not warned of: a cost fails descent, a Jacobian raises
+@np.errstate(over="ignore", invalid="ignore")
+def _gauss_newton(theta, rho, data):
+    """Minimize |W_s(rho; theta) - data|^2; returns theta and W_s there.
+
+    Each step is _qr_step on the Jacobian.  A step is halved until the cost
+    does not increase (theta is returned if it drops below _STEP_TOL
+    first); but where the predicted reduction |Q^T r|^2 is below
+    _COST_RESOLUTION times the cost, the full step is taken unchecked.
+    """
     w, jac = _model(theta, rho)
-    r = sqrt_w * (w - data)
+    r = w - data
     cost = float(r @ r)
-    # a pivot at or below this times the largest is rounding (numpy's
-    # matrix_rank tolerance)
-    rank_tol = rho.size * np.finfo(float).eps
     for _ in range(_MAX_STEPS):
-        a = sqrt_w[:, None] * jac
-        if not np.all(np.isfinite(a)):
-            raise RuntimeError("non-finite Jacobian in surrogate fit")
-        q, upper = np.linalg.qr(a)
-        qtr = q.T @ r
-        # a pivot at rounding level, or pivots so small that the step overflows
-        pivots = np.abs(np.diag(upper)).tolist()
-        if not (min(pivots) > rank_tol * max(pivots)
-                and np.all(np.isfinite(step := np.linalg.solve(upper, -qtr)))):
-            G, V0, log_kappa, b = theta
-            raise RuntimeError(
-                f"singular Jacobian at G = {G:.6g}, V0 = {V0:.6g}, "
-                f"kappa = {np.exp(log_kappa):.6g}, b = {b:.6g}: "
-                f"the surrogate model is degenerate there")
+        step, qtr = _qr_step(jac, r, theta)
         unchecked = float(qtr @ qtr) < _COST_RESOLUTION * cost
         while True:
             candidate = theta + step
             moved = float(np.max(np.abs(candidate - theta)))
             w_new, jac_new = _model(candidate, rho)
-            r_new = sqrt_w * (w_new - data)
+            r_new = w_new - data
             cost_new = float(r_new @ r_new)
             if unchecked or cost_new <= cost:
                 break
@@ -198,12 +207,57 @@ def _gauss_newton(theta, rho, data, sqrt_w):
     return theta, w
 
 
-def fit(table: PotentialTable, cfg: FitConfig = FitConfig()) -> FitReport:
-    """Fit the surrogate to a potential table over the config window.
+@np.errstate(over="ignore", invalid="ignore")
+def _level_solve(theta, rho, data, signs):
+    """Newton on W_s(rho_i; theta) - data_i = signs_i E at the reference.
 
-    Runs Lawson-reweighted least squares (see module docstring): the
-    converged flag reports whether the between-round parameter step
-    dropped below ``cfg.step_tol`` within ``cfg.max_iters`` rounds.
+    The 5 x 5 system's columns are _model's Jacobian and -signs; E starts
+    at the mean of signs_i (W_s - data)_i.  Returns theta once a step moves
+    it and E by less than _STEP_TOL, which leaves both at rounding.
+    """
+    w, jac = _model(theta, rho)
+    level = float(np.mean(signs * (w - data)))
+    for _ in range(_MAX_STEPS):
+        step, _ = _qr_step(np.column_stack((jac, -signs)),
+                           w - data - signs * level, theta)
+        theta = theta + step[:-1]
+        level += float(step[-1])
+        w, jac = _model(theta, rho)
+        if float(np.max(np.abs(step))) < _STEP_TOL:
+            break
+    return theta
+
+
+def alternation_set(residual: np.ndarray) -> np.ndarray:
+    """Indices of the 5 alternating extrema that the exchange keeps.
+
+    One extremum (largest |r|) per sign run of ``residual``; of those, the
+    5 consecutive ones that contain the largest |r| and have the largest
+    smallest |r|.  At a converged fit these are the equal-ripple points.
+    Raises RuntimeError when the residual has fewer than 5 sign runs.
+    """
+    size = np.abs(residual)
+    positive = residual > 0.0
+    bounds = [0, *(np.flatnonzero(positive[1:] != positive[:-1]) + 1).tolist(),
+              residual.size]
+    extrema = [lo + int(np.argmax(size[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    if len(extrema) < 5:
+        raise RuntimeError(f"the residual has {len(extrema)} sign runs, fewer than "
+                           f"the 5 that a minimax fit of 4 parameters alternates on")
+    peak = extrema.index(int(np.argmax(size)))
+    first = max(range(max(0, peak - 4), min(peak, len(extrema) - 5) + 1),
+                key=lambda j: float(np.min(size[extrema[j:j + 5]])))
+    return np.array(extrema[first:first + 5])
+
+
+def fit(table: PotentialTable, cfg: FitConfig = FitConfig()) -> FitReport:
+    """Minimax fit of the surrogate to a potential table over the config window.
+
+    Runs Remez's exchange from a least-squares start (see module
+    docstring): the converged flag reports whether the relative ripple
+    spread dropped below ``cfg.step_tol`` within ``cfg.max_iters``
+    exchanges.  Raises RuntimeError for a singular Jacobian or 5 x 5
+    system, and for a residual with fewer than 5 sign runs.
     """
     grid = table.rho_grid
     if grid[0] > cfg.rho_min or grid[-1] < cfg.rho_max:
@@ -216,30 +270,21 @@ def fit(table: PotentialTable, cfg: FitConfig = FitConfig()) -> FitReport:
 
     p = cfg.init
     theta = np.array([p.G, p.V0, math.log(p.kappa), p.b])
-    weights = np.full(rho.size, 1.0 / rho.size)
-    converged = False
-    rounds = 0
-    for rounds in range(1, cfg.max_iters + 1):
-        theta_new, w_fit = _gauss_newton(theta, rho, w_data, np.sqrt(weights))
-        resid = w_fit - w_data
-        abs_resid = np.abs(resid)
-        step = float(np.max(np.abs(theta_new - theta)))
-        theta = theta_new
-        if float(abs_resid.max()) < _ZERO_RESIDUAL:
-            converged = True
-            break
-        weights = weights * abs_resid
-        total = float(weights.sum())
-        if total <= 0.0:
-            converged = True
-            break
-        weights = weights / total
-        if step < cfg.step_tol:
-            converged = True
-            break
+    theta, w_fit = _gauss_newton(theta, rho, w_data)
+    resid = w_fit - w_data
+    peak = float(np.max(np.abs(resid)))
+    converged = peak < _ZERO_RESIDUAL
+    exchanges = 0
+    while not converged and exchanges < cfg.max_iters:
+        exchanges += 1
+        ref = alternation_set(resid)
+        theta = _level_solve(theta, rho[ref], w_data[ref], np.sign(resid[ref]))
+        resid = _model(theta, rho)[0] - w_data
+        peak = float(np.max(np.abs(resid)))
+        converged = peak - float(np.min(np.abs(resid[ref]))) < cfg.step_tol * peak
 
     return FitReport(params=_theta_to_params(theta),
                      rms_residual=float(np.sqrt(np.mean(resid ** 2))),
-                     max_abs_residual=float(abs_resid.max()),
-                     iterations=rounds,
+                     max_abs_residual=peak,
+                     iterations=exchanges,
                      converged=converged)

@@ -363,13 +363,16 @@ def ground_state(p: RadialProblem) -> OracleResult:
 
 
 class _NotAKnotSpline:
-    """Not-a-knot cubic spline through (x, y), x strictly increasing.
+    """Not-a-knot cubic spline through (x, y), x uniformly spaced.
 
     The end conditions of scipy's CubicSpline default (C. de Boor, A
     Practical Guide to Splines, 1978, ch. IV): the knot slopes come from
     one O(n) tridiagonal solve, and each interval stores its cubic in
     powers of (t - x_k).  Calls take a scalar or an array; points
-    outside [x_0, x_{n-1}] are extrapolated with the end cubics.
+    outside [x_0, x_{n-1}] are extrapolated with the end cubics.  A point's
+    interval is floor((t - x_0) / dx), moved by one where rounding puts it
+    next door, which is exact while each knot lies within dx/4 of x_0 +
+    k dx; np.linspace's knots, the only ones built here, do to rounding.
     """
 
     def __init__(self, x, y) -> None:
@@ -378,6 +381,7 @@ class _NotAKnotSpline:
         n = len(x)
         if n < 4:
             raise ValueError(f"a not-a-knot spline needs n >= 4 points, got {n}")
+        self._dx = (x[-1] - x[0]) / (n - 1)
         dx = np.diff(x)
         slope = np.diff(y) / dx
         # row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
@@ -399,14 +403,37 @@ class _NotAKnotSpline:
         s = _solve_tridiagonal(lower, diag, upper, rhs)
         t = (s[:-1] + s[1:] - 2.0 * slope) / dx
         self._x = x
+        # x_k and x_{k+1} of interval k, with NaN where the end intervals
+        # extend to infinity: a NaN compares false, so k stays in [0, n - 2]
+        self._left = np.concatenate(([math.nan], x[1:-1]))
+        self._right = np.concatenate((x[1:-1], [math.nan]))
         self._coef = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
+
+    def _interval(self, rho):
+        """searchsorted(x, rho, side="right") - 1, clipped to [0, n - 2].
+
+        floor((rho - x_0) / dx) by truncation once it is >= 0; fmin sends
+        NaN to n - 2, as searchsorted does.
+        """
+        t = np.subtract(rho, self._x[0], out=np.empty_like(rho))
+        t /= self._dx
+        k = np.fmax(np.fmin(t, len(self._left) - 1, out=t), 0.0, out=t).astype(np.intp)
+        # k is in range: mode="clip" only spares take a buffered copy
+        k -= self._left.take(k, out=t, mode="clip") > rho
+        k += self._right.take(k, out=t, mode="clip") <= rho
+        return k
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)
-        k = np.clip(np.searchsorted(self._x, rho, side="right") - 1, 0, len(self._x) - 2)
-        u = rho - self._x[k]
-        c3, c2, c1, c0 = (c[k] for c in self._coef)
-        return ((c3 * u + c2) * u + c1) * u + c0
+        k = self._interval(rho)
+        u = rho - self._x.take(k)
+        c3, c2, c1, c0 = self._coef
+        # ((c3 u + c2) u + c1) u + c0 in place: one gathered column at a time
+        out = c3.take(k)
+        for c in (c2, c1, c0):
+            out *= u
+            out += c.take(k)
+        return out
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:

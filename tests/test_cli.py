@@ -209,7 +209,7 @@ def test_fit_nonconvergence_exits_nonzero(capsys):
     code, out, err = run_cli(capsys, ["fit", "--max-iters", "1",
                                       "--step-tol", "1e-12"])
     assert code == 1
-    assert err.startswith("error:fit-not-converged:")
+    assert err.startswith("error:fit-not-converged: no convergence in 1 exchanges")
     assert "\n" not in err.strip()
     doc = json.loads(out)  # the report is still emitted
     assert doc["converged"] is False

@@ -20,6 +20,7 @@ from bicatom.morse_fit import (
     MorseParams,
     _gauss_newton,
     _model,
+    alternation_set,
     fit,
     morse_w,
 )
@@ -157,10 +158,9 @@ class TestInnerOptimizer:
     def test_monotone_descent_trace(self, monkeypatch):
         rho = np.linspace(0.0, 10.0, 80)
         data = morse_w(REFERENCE_MORSE, rho)
-        sqrt_w = np.sqrt(np.linspace(0.2, 1.8, rho.size))
 
-        def weighted_cost(w):
-            r = sqrt_w * (w - data)
+        def cost(w):
+            r = w - data
             return float(r @ r)
 
         costs, accepted = [], []
@@ -168,7 +168,7 @@ class TestInnerOptimizer:
 
         def recording_model(theta, grid):
             w, jac = model(theta, grid)
-            costs.append(weighted_cost(w))
+            costs.append(cost(w))
             return w, jac
 
         def recording_qr(a):
@@ -178,8 +178,8 @@ class TestInnerOptimizer:
         monkeypatch.setattr(morse_fit, "_model", recording_model)
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
         theta0 = np.array([-3.0, 0.2, math.log(0.25), -1.1])
-        _, w = _gauss_newton(theta0, rho, data, sqrt_w)
-        accepted.append(weighted_cost(w))
+        _, w = _gauss_newton(theta0, rho, data)
+        accepted.append(cost(w))
         assert len(accepted) >= 3
         assert all(b <= a for a, b in zip(accepted, accepted[1:]))
 
@@ -201,10 +201,13 @@ class TestInnerOptimizer:
             np.testing.assert_allclose(jac[:, j], diff, rtol=0.0, atol=1e-8)
 
     def test_inner_solve_converges(self, exact_table):
-        # one round has uniform weights, so its objective is the unweighted
-        # mean square; its gradient in (G, V0, kappa, b) must vanish
-        p = fit(exact_table, FitConfig(max_iters=1)).params
+        # the least-squares start: the gradient of the mean square in
+        # (G, V0, kappa, b) must vanish
         rho = exact_table.rho_grid
+        p0 = FitConfig().init
+        theta0 = np.array([p0.G, p0.V0, math.log(p0.kappa), p0.b])
+        theta, _ = _gauss_newton(theta0, rho, exact_table.values)
+        p = morse_fit._theta_to_params(theta)
         e = np.exp(-p.kappa * (rho - p.b))
         gap = 1.0 - e
         jac = np.column_stack((-gap ** 2, -np.ones_like(rho),
@@ -212,6 +215,83 @@ class TestInnerOptimizer:
                                2.0 * p.G * p.kappa * gap * e))
         resid = morse_w(p, rho) - exact_table.values
         assert np.max(np.abs(jac.T @ resid / rho.size)) <= 1e-12
+
+
+# the three documented starts: the default, --init-reference (20% off the
+# reference) and an explicit start next to the reference
+DOCUMENTED_INITS = {
+    "default": FitConfig().init,
+    "init-reference": MorseParams(1.2 * REF_TUPLE[0], 0.8 * REF_TUPLE[1],
+                                  1.2 * REF_TUPLE[2], 0.8 * REF_TUPLE[3]),
+    "explicit": MorseParams(-1.83, 0.098, 0.585, -0.457),
+}
+# the peak residual of Lawson's reweighted fit (C. L. Lawson, 1961) on this
+# window, which stopped short of equal ripple
+LAWSON_MAXRES = 0.01277045219
+
+
+@pytest.fixture(scope="module")
+def documented_fits(exact_table):
+    return {name: fit(exact_table, FitConfig(init=init))
+            for name, init in DOCUMENTED_INITS.items()}
+
+
+class TestMinimaxCertificate:
+    @pytest.mark.parametrize("name", list(DOCUMENTED_INITS))
+    def test_equal_ripple_on_five_alternating_samples(self, exact_table,
+                                                      documented_fits, name):
+        report = documented_fits[name]
+        assert report.converged
+        resid = morse_w(report.params, exact_table.rho_grid) - exact_table.values
+        ref = alternation_set(resid)
+        assert ref.size == 5 and np.all(np.diff(ref) > 0)
+        assert np.all(np.sign(resid[ref][1:]) == -np.sign(resid[ref][:-1]))
+        level = np.abs(resid[ref])
+        assert level.max() - level.min() <= 1e-10 * level.max()
+        # no sample's residual is larger than the smallest of the five
+        assert np.max(np.abs(resid)) <= level.min() * (1.0 + 1e-10)
+        assert report.max_abs_residual <= LAWSON_MAXRES
+
+    def test_certificate_without_the_exchange_rule(self, exact_table,
+                                                   documented_fits):
+        # Chebyshev's alternation, found without alternation_set: the samples
+        # within 1e-10 of the peak change sign at least 4 times
+        resid = (morse_w(documented_fits["default"].params, exact_table.rho_grid)
+                 - exact_table.values)
+        size = np.abs(resid)
+        signs = np.sign(resid[size >= (1.0 - 1e-10) * size.max()])
+        assert np.count_nonzero(signs[1:] != signs[:-1]) >= 4
+
+    def test_documented_inits_agree_to_ten_digits(self, documented_fits):
+        reports = list(documented_fits.values())
+        for other in reports[1:]:
+            for field in ("G", "V0", "kappa", "b"):
+                assert getattr(other.params, field) == pytest.approx(
+                    getattr(reports[0].params, field), rel=1e-10, abs=0.0)
+
+    def test_few_exchanges(self, documented_fits):
+        assert all(r.iterations <= 4 for r in documented_fits.values())
+
+    def test_fewer_than_five_sign_runs_raises(self):
+        resid = np.array([0.3, 0.2, -0.1, -0.4, 0.5, 0.1])
+        with pytest.raises(RuntimeError, match="3 sign runs"):
+            alternation_set(resid)
+
+    def test_exchange_keeps_the_peak_and_the_largest_smallest_extremum(self):
+        # runs: +1, -0.2, +0.5, -3 (the peak), +0.4, -0.9, +0.1
+        resid = np.array([1.0, -0.2, 0.5, 0.2, -3.0, 0.4, -0.9, -0.3, 0.1])
+        np.testing.assert_array_equal(alternation_set(resid), [0, 1, 2, 4, 5])
+        # with the first run smaller than the last, the window moves right
+        resid[1] = -0.05
+        np.testing.assert_array_equal(alternation_set(resid[1:]), [1, 3, 4, 5, 7])
+
+    def test_singular_reference_system_names_the_parameters(self):
+        # G = 0 zeroes the kappa and b columns of the 5 x 5 system
+        rho = np.linspace(0.0, 10.0, 5)
+        signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        theta = np.array([0.0, 0.1, math.log(0.5), -0.5])
+        with pytest.raises(RuntimeError, match="singular Jacobian at G = 0,"):
+            morse_fit._level_solve(theta, rho, morse_w(REFERENCE_MORSE, rho), signs)
 
 
 class TestExactFit:
@@ -242,8 +322,8 @@ class TestExactFit:
             math.sqrt(float(np.mean(resid ** 2))), abs=1e-14)
 
     def test_beats_plain_least_squares_peak_residual(self, exact_table):
-        # the reweighted objective must not leave a worse peak residual
-        # than the reference parameters themselves
+        # the minimax fit must not leave a worse peak residual than the
+        # reference parameters themselves
         report = fit(exact_table, FitConfig())
         ref_resid = np.max(np.abs(morse_w(REFERENCE_MORSE, exact_table.rho_grid)
                                   - exact_table.values))

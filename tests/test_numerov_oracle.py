@@ -465,3 +465,18 @@ class TestBicInterpolator:
         for k in range(maxsize + 2):
             bic_interpolator(20.0 + k)
         assert build.cache_info().currsize == maxsize
+
+    # the tables bic_interpolator builds: max(2000, round(50 rho_max)) knots
+    @pytest.mark.parametrize("rho_max", [40.0, 38.5, 120.0])
+    def test_interval_is_searchsorted(self, rho_max):
+        spline = bic_interpolator(rho_max)
+        x = spline._x
+
+        def want(rho):
+            return np.clip(np.searchsorted(x, rho, side="right") - 1, 0, x.size - 2)
+
+        grids = [np.arange(1, int(round(rho_max / h)) + 1) * h for h in (1e-3, 5e-4)]
+        for rho in (*grids, x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                    np.array([-1.0, -np.inf, np.inf, np.nan, 1e300])):
+            np.testing.assert_array_equal(spline._interval(rho), want(rho))
+        assert np.ndim(spline._interval(np.asarray(x[7]))) == 0

@@ -1,0 +1,67 @@
+"""The Whittaker and Numerov routes agree on the Morse surrogate.
+
+For a given nu, solve_a and observables give a coupling alpha_beta and the
+closed-form eps/alpha^2; ground_state on morse_w at that coupling must
+find the same energy.  The bound 1e-10 covers the sum of two terms:
+
+- solve_a's Brent search stops once its bracket on a is narrower than
+  xtol + 4 eps a (xtol = 1e-10) and returns the end with the smaller
+  residual, so on a residual linear to rounding over that bracket |da| <=
+  (xtol + 4 eps a) / 2 ~ 5e-11.  A shift da moves the closed-form energy
+  off the true eigenvalue at the shifted coupling by |d gap / d a| da.
+  That slope falls from 1.3 at nu = 1 to 0.51 at nu = 2 and 0.03 at
+  nu = 8 (central differences of the gap, on the reference surrogate and
+  on the fits of [0, 8] and [0, 12]), so this term is at most 6.5e-11.
+- Numerov's error at h = 1e-3 is its h^4 term; the difference between
+  h = 1e-3 and h = 5e-4 is at most 5.1e-13 on the same surrogates.
+
+Together they come to 6.6e-11.  The largest gap seen is 5.5e-12, at
+nu = 2, where the Brent root sits 1.1e-11 from the exact one: it comes
+from xtol, not from Numerov.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, seed, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from bicatom.analytic_solver import ModelConstants, observables, solve_a  # noqa: E402
+from bicatom.bic_potential import PotentialKind, tabulate  # noqa: E402
+from bicatom.morse_fit import REFERENCE_MORSE, FitConfig, fit, morse_w  # noqa: E402
+from bicatom.numerov_oracle import RadialProblem, ground_state  # noqa: E402
+
+ROUTE_GAP = 1e-10
+
+reproducible = settings(max_examples=16, deadline=None, derandomize=True, database=None)
+
+nus = st.floats(min_value=1.0, max_value=8.0)
+
+
+def route_gap(nu, morse):
+    whittaker = observables(nu, solve_a(nu, morse), ModelConstants(morse=morse))
+    numerov = ground_state(RadialProblem(potential=lambda rho: morse_w(morse, rho),
+                                         alpha_beta=whittaker.alpha_beta, h=1e-3))
+    return abs(numerov.eps_over_alpha2 - whittaker.eps_over_alpha2)
+
+
+@reproducible
+@seed(1101)
+@given(nus)
+@example(1.0)
+@example(2.0)  # the largest gap probed, 5.5e-12
+@example(2.89873)  # the paper's chain
+@example(8.0)
+def test_routes_agree_on_the_reference_surrogate(nu):
+    assert route_gap(nu, REFERENCE_MORSE) <= ROUTE_GAP
+
+
+@reproducible
+@seed(1102)
+@given(nus, st.floats(min_value=8.0, max_value=12.0))
+@example(2.89873, 10.0)
+def test_routes_agree_on_fitted_surrogates(nu, rho_max):
+    table = tabulate(PotentialKind.EXACT_BIC, 0.0, rho_max, 200)
+    report = fit(table, FitConfig(rho_max=rho_max))
+    assert report.converged
+    assert route_gap(nu, report.params) <= ROUTE_GAP

@@ -12,13 +12,11 @@ maps to x = kappa |b| for b < 0, hence z = z0; rho -> infinity maps to
 z -> 0+).  A ground state requires M_{a,nu}(z0) = 0 with z0 the FIRST
 positive root of M: the wavefunction is then nodeless on the interior.
 
-Given nu, the solver finds the a whose first Whittaker root X satisfies
-X = 2 a e^{-kappa |b|} by one Brent search on the residual M_{a,nu}(X(a))
-(quantization_residual, one scalar 1F1 sum per step).  The residual's
-first sign change in a is the first root's crossing: at small a every
-root of M lies above X(a), and the roots slide down while X(a) grows.
-The returned a is checked once with first_root: solve_a raises when X(a)
-is a later root.  It then reports the observables
+Both solvers march along a path in (nu, a) on M_{a,nu}(X(a))
+(quantization_residual), Brent-refine its first sign change and check
+it once with first_root.  solve_a marches a up at fixed nu: at small a
+every root of M lies above X(a) and the roots slide down as X(a) grows,
+so the first sign change is the first root's crossing.  Observables:
 
     alpha_beta = kappa^2 a^2 / (2 |G|),
     eps_over_alpha2 = -[kappa^2 nu^2 / 2
@@ -31,8 +29,10 @@ closed-form variant sometimes quoted with the opposite relative sign
 chain's own numbers and is deliberately not implemented (the regression
 suite pins this down).
 
-calibrate_nu closes the loop: it tunes nu until eps_over_alpha2 matches a
-target (by default the empirical hydrogen ground-state value -0.49973).
+calibrate_nu closes the loop: it marches nu down the curve on which
+eps_over_alpha2 equals a target (by default the empirical hydrogen value
+-0.49973); when V0 + B/4 - |G| > 0 the first sign change is the ground
+state (see calibrate_nu).
 """
 
 from __future__ import annotations
@@ -63,6 +63,12 @@ _BRENT_RTOL = float(4.0 * np.finfo(float).eps)  # a numpy scalar would leak into
 _BRENT_MAX_ITER = 100
 
 
+def _require_positive(**values: float) -> None:
+    for name, v in values.items():
+        if not (v > 0.0 and math.isfinite(v)):
+            raise ValueError(f"{name} must be a positive real, got {v!r}")
+
+
 @dataclass(frozen=True)
 class AnalyticSolution:
     """Ground-state solution bundle.
@@ -78,12 +84,7 @@ class AnalyticSolution:
     eps_over_alpha2: float
 
     def __post_init__(self) -> None:
-        if not (self.nu > 0.0 and math.isfinite(self.nu)):
-            raise ValueError("nu must be a positive real")
-        for name in ("a", "X", "alpha_beta"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be a positive real")
+        _require_positive(nu=self.nu, a=self.a, X=self.X, alpha_beta=self.alpha_beta)
         if not self.eps_over_alpha2 < 0.0:
             raise ValueError("eps_over_alpha2 must be negative")
 
@@ -113,10 +114,7 @@ def quantization_residual(a: float, nu: float, morse: MorseParams) -> float:
     A root in a (together with z0 being the first root of M) enforces
     u = 0 at rho = 0 for a nodeless interior solution.
     """
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError(f"a must be a positive real, got {a!r}")
-    if not (nu > 0.0 and math.isfinite(nu)):
-        raise ValueError(f"nu must be a positive real, got {nu!r}")
+    _require_positive(a=a, nu=nu)
     return whittaker_m(a, nu, _boundary_z(a, morse))
 
 
@@ -181,7 +179,7 @@ def _brent(f: Callable[[float], float], lo: float, hi: float,
 def _first_crossing(f: Callable[[float], float],
                     samples: Iterable[Tuple[float, float]],
                     xtol: float) -> Optional[float]:
-    """First root of f along samples, (x, f(x)) pairs at increasing x.
+    """First root of f along samples, (x, f(x)) pairs in march order.
 
     Returns the first sample where f is exactly 0, or the Brent-refined
     root of the first bracketed sign change; None when f never changes
@@ -232,10 +230,7 @@ def first_root(a: float, nu: float) -> float:
     is positive and M has no positive roots at all; that case (and any
     other scan without a sign change) raises RuntimeError.
     """
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError(f"a must be a positive real, got {a!r}")
-    if not (nu > 0.0 and math.isfinite(nu)):
-        raise ValueError(f"nu must be a positive real, got {nu!r}")
+    _require_positive(a=a, nu=nu)
     if nu - a + 0.5 >= 0.0:
         raise RuntimeError(
             f"M_({a!r},{nu!r}) has only positive series terms: no positive roots")
@@ -247,63 +242,68 @@ def first_root(a: float, nu: float) -> float:
     return root
 
 
-def solve_a(nu: float, morse: MorseParams) -> float:
-    """Smallest a > 0 whose first Whittaker root sits at the boundary point.
+def _march(path: Callable[[float], Tuple[float, float]], ts: Iterable[float],
+           morse: MorseParams, xtol: float, missing: str) -> Tuple[float, float]:
+    """(nu, a) at the first sign change of M_{a,nu}(X(a)) along path(t), t in ts.
 
-    Marches a upward from 0.1 in steps of 0.1 (values with no positive
-    root are skipped), tracks the residual M_{a,nu}(X(a)) at the boundary
-    point X(a) = 2a e^{-kappa|b|} and Brent-refines its first sign change
-    to 1e-10.  That is the crossing of the first root: at small a every
-    root of M lies above X(a), the roots slide down while X(a) grows, so
-    the first root is the first to meet X(a).  The march cannot tell a
-    0.1 step in which two roots cross X(a) (M keeps its sign there), so
-    the returned a is checked once: RuntimeError unless first_root(a, nu)
-    lies within 1e-8 max(1, X) of X(a).
+    Skips points with a outside (0, 50] or with no positive root of M
+    (nu - a + 1/2 >= 0), Brent-refines the first sign change in t to xtol
+    and raises RuntimeError(missing) when there is none.  A step in which
+    two roots cross X(a) keeps the sign of M, so the point is checked once:
+    RuntimeError unless first_root(a, nu) lies within 1e-8 max(1, X) of X(a).
     """
-    if not (nu > 0.0 and math.isfinite(nu)):
-        raise ValueError(f"nu must be a positive real, got {nu!r}")
-
-    def residual(a: float) -> float:
+    def residual(t: float) -> float:
+        nu, a = path(t)
         return quantization_residual(a, nu, morse)
 
     def samples():
-        a = 0.1
-        while a <= _A_CAP + 1e-12:
-            if nu - a + 0.5 < 0.0:
-                yield a, residual(a)
-            a = round(a + 0.1, 10)
+        for t in ts:
+            nu, a = path(t)
+            if 0.0 < a <= _A_CAP and nu - a + 0.5 < 0.0:
+                yield t, quantization_residual(a, nu, morse)
 
-    root = _first_crossing(residual, samples(), 1e-10)
-    if root is None:
-        raise RuntimeError(
-            f"no ground-state a in (0, {_A_CAP:g}] for nu = {nu!r}")
-    x = _boundary_z(root, morse)
-    z1 = first_root(root, nu)
+    t = _first_crossing(residual, samples(), xtol)
+    if t is None:
+        raise RuntimeError(missing)
+    nu, a = path(t)
+    x = _boundary_z(a, morse)
+    z1 = first_root(a, nu)
     if abs(z1 - x) > 1e-8 * max(1.0, x):
         raise RuntimeError(
-            f"a = {root!r} puts a later root of M at X = {x!r}; "
+            f"a = {a!r} puts a later root of M at X = {x!r}; "
             f"the first root is {z1!r}")
-    return root
+    return nu, a
+
+
+def solve_a(nu: float, morse: MorseParams) -> float:
+    """Smallest a > 0 whose first Whittaker root sits at X(a) = 2a e^{-kappa|b|}.
+
+    a marches up from 0.1 to 50 in steps of 0.1; the first sign change of
+    M_{a,nu}(X(a)) is refined to 1e-10 and checked (_march).
+    """
+    _require_positive(nu=nu)
+    return _march(lambda a: (nu, a), (round(0.1 * k, 10) for k in range(1, 501)), morse,
+                  1e-10, f"no ground-state a in (0, {_A_CAP:g}] for nu = {nu!r}")[1]
 
 
 def observables(nu: float, a: float, c: ModelConstants) -> AnalyticSolution:
     """Assemble the solution bundle from (nu, a), both positive.
 
-    Raises ValueError when the Morse depth G is 0 or alpha_beta =
-    kappa^2 a^2 / (2 |G|) underflows to 0, since eps divides by both.
+    Raises ValueError when the Morse depth G is 0 or eps is not finite,
+    as when alpha_beta = kappa^2 a^2 / (2 |G|) squared underflows to 0.
     """
-    if not (nu > 0.0 and math.isfinite(nu)):
-        raise ValueError(f"nu must be a positive real, got {nu!r}")
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError(f"a must be a positive real, got {a!r}")
+    _require_positive(nu=nu, a=a)
     m = c.morse
     if m.G == 0.0:
         raise ValueError("the Morse depth G must be nonzero")
-    alpha_beta = m.kappa ** 2 * a ** 2 / (2.0 * abs(m.G))
-    if alpha_beta == 0.0:
-        raise ValueError(f"alpha_beta underflows to 0 at a = {a!r}")
-    eps = -(0.5 * m.kappa ** 2 * nu ** 2
-            + alpha_beta * (m.V0 + QUARTER_BETA - abs(m.G))) / alpha_beta ** 2
+    alpha_beta = (m.kappa * m.kappa) * (a * a) / (2.0 * abs(m.G))
+    ab2 = alpha_beta * alpha_beta
+    eps = (-(0.5 * (m.kappa * m.kappa) * (nu * nu)
+             + alpha_beta * (m.V0 + QUARTER_BETA - abs(m.G))) / ab2
+           if 0.0 < ab2 < math.inf else math.nan)
+    if not math.isfinite(eps):
+        raise ValueError(
+            f"alpha_beta^2 underflows to 0, or it or eps overflows, at a = {a!r}")
     return AnalyticSolution(
         nu=nu,
         a=a,
@@ -314,33 +314,32 @@ def observables(nu: float, a: float, c: ModelConstants) -> AnalyticSolution:
 
 
 def calibrate_nu(target_eps: float, c: ModelConstants) -> AnalyticSolution:
-    """Tune nu so that eps_over_alpha2 hits target_eps (within ~1e-7).
+    """The nu in (0.5, 10] whose ground state has eps_over_alpha2 = target_eps.
 
-    Starts from the bracket (2.0, 4.0) and widens it automatically toward
-    (0.5, 10] until the target is straddled; raises RuntimeError when the
-    target is unattainable on that range.
+    With c0 = V0 + B/4 - |G|, alpha_beta is the positive root of
+    -target ab^2 - c0 ab - kappa^2 nu^2 / 2 = 0, which gives a_T(nu) on
+    the target curve.  nu marches down it from 10 to 0.5 in steps of 0.1;
+    the first sign change of M at X(a_T) is refined to 1e-12 and checked
+    (_march).  For c0 > 0 that is the ground state: above the answer the
+    ground-state eps exceeds the target (it increases with nu), and eps
+    increases with a, so a_T lies below the ground-state a and M has no
+    root in (0, X].  RuntimeError when the target is not attainable.
     """
     if not math.isfinite(target_eps):
         raise ValueError("target_eps must be finite")
+    m = c.morse
+    if m.G == 0.0:
+        raise ValueError("the Morse depth G must be nonzero")
+    t = -target_eps  # > 0 for a bound state; a target >= 0 gets an empty march
+    c0 = m.V0 + QUARTER_BETA - abs(m.G)
 
-    def eps_of(nu: float) -> float:
-        return observables(nu, solve_a(nu, c.morse), c).eps_over_alpha2
+    def on_target(nu: float) -> Tuple[float, float]:
+        k = m.kappa * nu
+        s = math.hypot(c0, k * math.sqrt(2.0 * t))
+        alpha_beta = (c0 + s) / (2.0 * t) if c0 >= 0.0 else k * k / (s - c0)
+        return nu, math.sqrt(2.0 * abs(m.G) * alpha_beta) / m.kappa
 
-    lo, hi = 2.0, 4.0
-    f_lo = eps_of(lo) - target_eps
-    f_hi = eps_of(hi) - target_eps
-    while (f_lo > 0.0) == (f_hi > 0.0):
-        widened = False
-        if lo > 0.5:
-            lo = max(0.5, lo - 1.0)
-            f_lo = eps_of(lo) - target_eps
-            widened = True
-        if (f_lo > 0.0) == (f_hi > 0.0) and hi < 10.0:
-            hi = min(10.0, hi + 2.0)
-            f_hi = eps_of(hi) - target_eps
-            widened = True
-        if not widened:
-            raise RuntimeError(
-                f"target eps/alpha^2 = {target_eps!r} not attainable for nu in (0.5, 10]")
-    nu_star = _brent(lambda nu: eps_of(nu) - target_eps, lo, hi, f_lo, f_hi, 1e-9)
-    return observables(nu_star, solve_a(nu_star, c.morse), c)
+    steps = (round(10.0 - 0.1 * k, 10) for k in range(96)) if t > 0.0 else ()
+    return observables(*_march(
+        on_target, steps, m, 1e-12,
+        f"target eps/alpha^2 = {target_eps!r} not attainable for nu in (0.5, 10]"), c)

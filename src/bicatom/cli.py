@@ -86,15 +86,12 @@ def _fmt_float(x: float) -> str:
 
 
 def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(v)
+    """CSV text of a scalar: its JSON text, but None is empty and a str bare."""
     if v is None:
         return ""
-    return str(v)
+    if isinstance(v, str):
+        return v
+    return _json_scalar(v)
 
 
 def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from bicatom.analytic_solver import (
     AnalyticSolution,
@@ -20,8 +22,8 @@ from bicatom.analytic_solver import (
     quantization_residual,
     solve_a,
 )
-from bicatom.bic_potential import QUARTER_BETA
-from bicatom.morse_fit import REFERENCE_MORSE, MorseParams
+from bicatom.bic_potential import QUARTER_BETA, PotentialKind, tabulate
+from bicatom.morse_fit import REFERENCE_MORSE, FitConfig, MorseParams, fit
 from bicatom.specfun import whittaker_m
 
 C = ModelConstants()
@@ -208,10 +210,36 @@ class TestCalibrateNu:
         assert sol.alpha_beta == pytest.approx(1.8234, abs=1e-3)
         assert sol.eps_over_alpha2 == pytest.approx(-0.49973, abs=1e-7)
 
-    def test_round_trip(self):
-        target = observables(NU_REF, solve_a(NU_REF, REFERENCE_MORSE), C).eps_over_alpha2
-        sol = calibrate_nu(target, C)
-        assert sol.nu == pytest.approx(NU_REF, abs=1e-6)
+    # solve_a returns a within (xtol + 4 eps a)/2 of the ground state at nu
+    # (xtol = 1e-10, a <= 50), so the target is eps at a point that far off
+    # the ground-state curve a_gs(nu).  calibrate_nu finds where the curve
+    # a_T(nu) of that target meets a_gs: nu moves by da / |a_gs' - a_T'|.
+    # That factor grows as nu falls and is largest at nu = 0.6: 14.4 on the
+    # reference surrogate, 14.1 to 26.2 on the fits of [0, 8] to [0, 12]
+    # (central differences, h = 1e-4), and 2.0 to 5.0 at nu >= 1.  Taken as
+    # 26.3, plus calibrate_nu's own bracket (1e-12 + 4 eps nu)/2, nu <= 10.
+    EPS = float(np.finfo(float).eps)
+    NU_ROUND_TRIP = 26.3 * (1e-10 + 4 * EPS * 50.0) / 2 + (1e-12 + 4 * EPS * 10.0) / 2
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @seed(1202)
+    @given(st.floats(min_value=0.6, max_value=9.9),
+           st.one_of(st.none(), st.floats(min_value=8.0, max_value=12.0)))
+    @example(0.6, None)
+    @example(2.89873, None)
+    @example(9.9, None)
+    @example(0.6, 12.0)  # the largest slope factor
+    def test_round_trip(self, nu, rho_max):
+        if rho_max is None:
+            morse = REFERENCE_MORSE
+        else:
+            report = fit(tabulate(PotentialKind.EXACT_BIC, 0.0, rho_max, 200),
+                         FitConfig(rho_max=rho_max))
+            assert report.converged
+            morse = report.params
+        c = ModelConstants(morse=morse)
+        target = observables(nu, solve_a(nu, morse), c).eps_over_alpha2
+        assert abs(calibrate_nu(target, c).nu - nu) <= self.NU_ROUND_TRIP
 
     def test_eps_monotone_increasing_in_nu(self):
         eps = [observables(nu, solve_a(nu, REFERENCE_MORSE), C).eps_over_alpha2

@@ -6,12 +6,17 @@ focus is on output schemas, exit codes, determinism, and the
 single-line error contract.
 """
 
+import contextlib
+import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from bicatom import cli
 from bicatom.cli import main
@@ -338,6 +343,15 @@ def test_calibrate_unattainable_target(capsys):
     assert "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("target", ["0", "-5", "-1e308", "-1e-320"])
+def test_calibrate_target_out_of_reach(capsys, target):
+    code, out, err = run_cli(capsys, ["calibrate", f"--target={target}"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:computation-failed:")
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -489,6 +503,23 @@ def test_ten_significant_digits(capsys):
     assert "-0.4997329681" in doc_text
 
 
+@pytest.mark.parametrize("argv", [
+    # alpha_beta^2 overflowed: an OverflowError traceback
+    ["solve", "--nu", "2", "--G=-1e-300"],
+    # alpha_beta > 0 but its square underflowed: ZeroDivisionError tracebacks
+    ["solve", "--nu", "2", "--G=-1e300"],
+    ["solve", "--nu", "2", "--kappa", "1e-160"],
+    ["calibrate", "--G=-1e300"],
+    ["calibrate", "--kappa", "1e-160"],
+])
+def test_extreme_morse_parameters_fail_cleanly(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code != 0
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(("error:invalid-input:", "error:computation-failed:"))
+
+
 def test_unknown_format_usage_error(capsys):
     code, out, err = run_cli(capsys, ["solve", "--nu", "2.9", "--format", "yaml"])
     assert code == 2
@@ -527,9 +558,11 @@ GOLDEN = {
   "eps_over_alpha2": -0.4997329681
 }
 """,
+    # E is rounded from nu = 2.8989226742057983, the 40-digit root on the
+    # target curve; the nested search's nu (5e-12 low) printed -4.201876335
     ("calibrate", "--target", "-0.4997", "--format", "csv"): """\
 target,nu,a,X,A_abs,E,alpha_beta,eps_over_alpha2
--0.4997,2.898922674,4.414638572,6.756599342,9.744516859,-4.201876335,1.823550759,-0.4997
+-0.4997,2.898922674,4.414638572,6.756599342,9.744516859,-4.201876336,1.823550759,-0.4997
 """,
     ("potential", "--points", "5", "--format", "json"): """\
 {
@@ -624,3 +657,36 @@ def test_golden_output(capsys, argv):
     assert code == 0
     assert err == ""
     assert out == GOLDEN[argv]
+
+
+# The error contract under extreme inputs: any mix of ordinary and extreme
+# Morse parameters (+-1e+-300, subnormals, 0) either succeeds silently or
+# fails with one error line, and never lets an exception or a warning out.
+EXTREME = st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e300])
+
+
+def ordinary_or_extreme(lo, hi):
+    signed_extreme = st.tuples(EXTREME, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+    return st.one_of(st.floats(lo, hi), signed_extreme)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@seed(1201)
+@given(st.sampled_from(["solve", "calibrate"]),
+       ordinary_or_extreme(-3.0, -0.5), ordinary_or_extreme(-1.0, 1.0),
+       ordinary_or_extreme(0.2, 2.0), ordinary_or_extreme(-2.0, 0.0),
+       ordinary_or_extreme(0.2, 8.0), ordinary_or_extreme(-1.2, -0.05))
+def test_error_contract_under_extreme_inputs(command, g, v0, kappa, b, nu, target):
+    argv = [command, f"--G={g!r}", f"--V0={v0!r}", f"--kappa={kappa!r}", f"--b={b!r}"]
+    argv.append(f"--nu={nu!r}" if command == "solve" else f"--target={target!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert re.match(r"error:[a-z0-9-]+: ", lines[0])

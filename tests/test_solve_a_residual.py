@@ -1,13 +1,14 @@
-"""solve_a as one Brent search on the boundary residual M_{a,nu}(X(a)).
+"""solve_a and calibrate_nu as one march on the boundary residual M_{a,nu}(X(a)).
 
 solve_a refines the first sign change of M_{a,nu}(X(a)), X(a) =
 2a e^{-kappa|b|}, and checks once, on the returned a, that X(a) is the
-FIRST root of M.  These tests pin that the answer is the crossing of the
-first root (over nu in [0.6, 8] and Morse parameters within 15 % of the
-reference, as the surrogate chain draws them), that the check costs one
-first_root call per solve_a, that it raises when the first root is
-elsewhere, and that the solvers return Python floats.  hypothesis is a
-test-only dependency.
+FIRST root of M; calibrate_nu marches nu along the target-energy curve
+and checks once in the same way.  These tests pin that the answer is the
+crossing of the first root (over nu in [0.6, 8] and Morse parameters
+within 15 % of the reference, as the surrogate chain draws them), that
+the check costs one first_root call per solve_a and per calibrate_nu,
+that it raises when the first root is elsewhere, and that the solvers
+return Python floats.  hypothesis is a test-only dependency.
 """
 
 import math
@@ -68,9 +69,10 @@ def test_solve_a_calls_first_root_once(monkeypatch):
 
 
 def test_calibrate_nu_first_root_budget(monkeypatch):
+    # one march along the target curve, one check
     counter = CountFirstRoot(monkeypatch)
     calibrate_nu(-0.49973, ModelConstants())
-    assert counter.calls <= 12
+    assert counter.calls == 1
 
 
 def test_raises_when_boundary_point_is_not_the_first_root(monkeypatch):

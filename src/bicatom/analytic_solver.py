@@ -243,14 +243,16 @@ def first_root(a: float, nu: float) -> float:
 
 
 def _march(path: Callable[[float], Tuple[float, float]], ts: Iterable[float],
-           morse: MorseParams, xtol: float, missing: str) -> Tuple[float, float]:
+           morse: MorseParams, xtol: float, missing: str,
+           later_root_missing: bool = False) -> Tuple[float, float]:
     """(nu, a) at the first sign change of M_{a,nu}(X(a)) along path(t), t in ts.
 
     Skips points with a outside (0, 50] or with no positive root of M
     (nu - a + 1/2 >= 0), Brent-refines the first sign change in t to xtol
     and raises RuntimeError(missing) when there is none.  A step in which
     two roots cross X(a) keeps the sign of M, so the point is checked once:
-    RuntimeError unless first_root(a, nu) lies within 1e-8 max(1, X) of X(a).
+    RuntimeError unless first_root(a, nu) lies within 1e-8 max(1, X) of X(a),
+    prefixed by missing when later_root_missing.
     """
     def residual(t: float) -> float:
         nu, a = path(t)
@@ -269,9 +271,9 @@ def _march(path: Callable[[float], Tuple[float, float]], ts: Iterable[float],
     x = _boundary_z(a, morse)
     z1 = first_root(a, nu)
     if abs(z1 - x) > 1e-8 * max(1.0, x):
-        raise RuntimeError(
-            f"a = {a!r} puts a later root of M at X = {x!r}; "
-            f"the first root is {z1!r}")
+        detail = (f"a = {a!r} puts a later root of M at X = {x!r}; "
+                  f"the first root is {z1!r}")
+        raise RuntimeError(f"{missing}: {detail}" if later_root_missing else detail)
     return nu, a
 
 
@@ -323,7 +325,9 @@ def calibrate_nu(target_eps: float, c: ModelConstants) -> AnalyticSolution:
     (_march).  For c0 > 0 that is the ground state: above the answer the
     ground-state eps exceeds the target (it increases with nu), and eps
     increases with a, so a_T lies below the ground-state a and M has no
-    root in (0, X].  RuntimeError when the target is not attainable.
+    root in (0, X]; a first crossing at a later root then means the target
+    lies above the ground-state curve at every nu.  RuntimeError when the
+    target is not attainable.
     """
     if not math.isfinite(target_eps):
         raise ValueError("target_eps must be finite")
@@ -342,4 +346,5 @@ def calibrate_nu(target_eps: float, c: ModelConstants) -> AnalyticSolution:
     steps = (round(10.0 - 0.1 * k, 10) for k in range(96)) if t > 0.0 else ()
     return observables(*_march(
         on_target, steps, m, 1e-12,
-        f"target eps/alpha^2 = {target_eps!r} not attainable for nu in (0.5, 10]"), c)
+        f"target eps/alpha^2 = {target_eps!r} not attainable for nu in (0.5, 10]",
+        later_root_missing=c0 > 0.0), c)

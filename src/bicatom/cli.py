@@ -44,6 +44,7 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -149,11 +150,6 @@ def _json_chunks(v, indent: int) -> Iterator[str]:
         yield _json_scalar(v)
 
 
-def _json_doc(obj: dict) -> Iterator[str]:
-    yield from _json_chunks(obj, 0)
-    yield "\n"
-
-
 def _emit(chunks: Iterable[str], path: Optional[str]) -> None:
     """Write text pieces as they are produced, to stdout or to path."""
     if path is None:
@@ -161,6 +157,22 @@ def _emit(chunks: Iterable[str], path: Optional[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
+
+
+def _write(args: argparse.Namespace, command: str, fields: dict,
+           header: Optional[Sequence[str]] = None,
+           rows: Optional[Iterable[Sequence]] = None) -> None:
+    """The command's output: the JSON object {"schema": 1, "command":
+    command, **fields}, or CSV of header and rows (fields as one row when
+    neither is given)."""
+    if args.format == "json":
+        chunks = chain(_json_chunks({"schema": 1, "command": command, **fields}, 0),
+                       ("\n",))
+    elif header is None:
+        chunks = _csv_lines(tuple(fields), [tuple(fields.values())])
+    else:
+        chunks = _csv_lines(header, rows)
+    _emit(chunks, args.output)
 
 
 def _error_line(code: str, detail) -> None:
@@ -181,22 +193,15 @@ def _run_potential(args: argparse.Namespace) -> int:
                      args.points)
     rho = table.rho_grid
     w = table.values
-    z = -w * rho
-    if args.format == "csv":
-        chunks = _csv_lines(("rho", "Z", "W"), zip(rho, z, w))
-    else:
-        chunks = _json_doc({
-            "schema": 1,
-            "command": "potential",
-            "rho_min": args.rho_min,
-            "rho_max": args.rho_max,
-            "points": args.points,
-            "units": {"alpha": FINE_STRUCTURE_ALPHA,
-                      "conventions": UNIT_CONVENTIONS},
-            "rows": ({"rho": r, "Z": zz, "W": ww}
-                     for r, zz, ww in zip(rho, z, w)),
-        })
-    _emit(chunks, args.output)
+    rows = zip(rho, -w * rho, w)  # one pass, by whichever format is written
+    _write(args, "potential", {
+        "rho_min": args.rho_min,
+        "rho_max": args.rho_max,
+        "points": args.points,
+        "units": {"alpha": FINE_STRUCTURE_ALPHA,
+                  "conventions": UNIT_CONVENTIONS},
+        "rows": ({"rho": r, "Z": z, "W": ww} for r, z, ww in rows),
+    }, ("rho", "Z", "W"), rows)
     return 0
 
 
@@ -216,25 +221,18 @@ def _run_fit(args: argparse.Namespace) -> int:
                      args.samples)
     report = fit(table, fit_cfg)
     p = report.params
-    if args.format == "json":
-        chunks = _json_doc({
-            "schema": 1,
-            "command": "fit",
-            "params": {"G": p.G, "V0": p.V0, "kappa": p.kappa, "b": p.b},
-            "rms_residual": report.rms_residual,
-            "max_abs_residual": report.max_abs_residual,
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "window": {"rho_min": args.rho_min, "rho_max": args.rho_max,
-                       "samples": args.samples},
-        })
-    else:
-        chunks = _csv_lines(
-            ("G", "V0", "kappa", "b", "rms_residual", "max_abs_residual",
-             "iterations", "converged"),
-            [(p.G, p.V0, p.kappa, p.b, report.rms_residual,
-              report.max_abs_residual, report.iterations, report.converged)])
-    _emit(chunks, args.output)
+    _write(args, "fit", {
+        "params": {"G": p.G, "V0": p.V0, "kappa": p.kappa, "b": p.b},
+        "rms_residual": report.rms_residual,
+        "max_abs_residual": report.max_abs_residual,
+        "iterations": report.iterations,
+        "converged": report.converged,
+        "window": {"rho_min": args.rho_min, "rho_max": args.rho_max,
+                   "samples": args.samples},
+    }, ("G", "V0", "kappa", "b", "rms_residual", "max_abs_residual",
+        "iterations", "converged"),
+        [(p.G, p.V0, p.kappa, p.b, report.rms_residual,
+          report.max_abs_residual, report.iterations, report.converged)])
     if args.residuals_out is not None:
         rho = table.rho_grid
         w_exact = table.values
@@ -263,27 +261,17 @@ def _solution_fields(sol) -> dict:
     }
 
 
-def _emit_record(args: argparse.Namespace, command: str, fields: dict) -> None:
-    """One flat record: a JSON object, or a CSV header plus one row."""
-    if args.format == "json":
-        chunks = _json_doc({"schema": 1, "command": command, **fields})
-    else:
-        chunks = _csv_lines(tuple(fields), [tuple(fields.values())])
-    _emit(chunks, args.output)
-
-
 def _run_solve(args: argparse.Namespace) -> int:
     morse = _morse_from(args)
     sol = observables(args.nu, solve_a(args.nu, morse),
                       ModelConstants(morse=morse))
-    _emit_record(args, "solve", _solution_fields(sol))
+    _write(args, "solve", _solution_fields(sol))
     return 0
 
 
 def _run_calibrate(args: argparse.Namespace) -> int:
     sol = calibrate_nu(args.target, ModelConstants(morse=_morse_from(args)))
-    _emit_record(args, "calibrate",
-                 {"target": args.target, **_solution_fields(sol)})
+    _write(args, "calibrate", {"target": args.target, **_solution_fields(sol)})
     return 0
 
 
@@ -303,7 +291,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
                                     args.rho_max),
         alpha_beta=args.alpha_beta, rho_max=args.rho_max, h=args.h)
     result = ground_state(problem)
-    _emit_record(args, "oracle", {
+    _write(args, "oracle", {
         "potential": args.potential,
         "alpha_beta": args.alpha_beta,
         "rho_max": args.rho_max,
@@ -344,15 +332,8 @@ def _run_table1(args: argparse.Namespace) -> int:
     ]
     header = ("row", "minus_eps_over_alpha2", "alpha_beta",
               "ref_minus_eps_over_alpha2", "ref_alpha_beta", "pass")
-    if args.format == "json":
-        chunks = _json_doc({
-            "schema": 1,
-            "command": "table1",
-            "rows": [dict(zip(header, row)) for row in rows],
-        })
-    else:
-        chunks = _csv_lines(header, rows)
-    _emit(chunks, args.output)
+    _write(args, "table1", {"rows": [dict(zip(header, row)) for row in rows]},
+           header, rows)
     failed = [row[0] for row in rows if not row[-1]]
     if failed:
         _error_line("table1-row-failed", ",".join(failed))

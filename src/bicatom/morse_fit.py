@@ -10,16 +10,18 @@ the result to the analytic solver.
 
 Fitting strategy.  The fit is the minimax (Chebyshev) fit of the window's
 samples, by Remez's exchange (E. Ya. Remez, 1934; G. Meinardus,
-Approximation of Functions, 1967, ch. 8) from a least-squares start:
-Gauss-Newton steps on the model's closed-form Jacobian, solved by QR.
-Each exchange picks 5 alternating extrema of the residual
-(alternation_set) and solves W_s(x_i) - W(x_i) = s_i E there, s_i their
-signs, by Newton on the 5 x 5 system.  A plain least-squares fit on
-[0, 10] puts nearly all of its error budget near the origin and lands
+Approximation of Functions, 1967, ch. 8).  Each round solves
+W_s(x_i) - W(x_i) = s_i E on 5 reference samples x_i with alternating
+signs s_i, by Newton on the 5 x 5 system, and then exchanges the
+reference for the 5 alternating extrema of the new residual
+(alternation_set).  In q = e^{-kappa rho}, W_s is a quadratic, so the
+first reference is the samples nearest Chebyshev's alternation points
+of a quadratic in q, for the initial kappa.  A plain least-squares fit
+on [0, 10] puts nearly all of its error budget near the origin and lands
 ~40% off in V0 with a worse peak residual, so the minimax objective is
 what reproduces the reference parameters; for zero-residual (synthetic)
-data the start already recovers the generating parameters to machine
-precision.
+data the first solve already recovers the generating parameters to
+machine precision.
 
 kappa is optimized as log(kappa), so the returned inverse-range is
 positive by construction regardless of the initial sign.
@@ -44,9 +46,8 @@ __all__ = [
     "alternation_set",
 ]
 
-_MAX_STEPS = 60  # Gauss-Newton steps of the start, Newton steps per exchange
+_MAX_STEPS = 60  # Newton steps per reference solve
 _STEP_TOL = 1e-10  # a step that moves theta less than this ends the solve
-_COST_RESOLUTION = 1e-13  # relative change in cost whose sign rounding decides
 _ZERO_RESIDUAL = 1e-12
 
 
@@ -78,7 +79,7 @@ class FitConfig:
     """Fit window and iteration controls.
 
     ``fit`` consumes whatever samples the supplied table holds inside the
-    window.  ``max_iters`` caps the exchanges and ``step_tol`` is the
+    window.  ``max_iters`` caps the reference solves and ``step_tol`` is the
     relative ripple spread, (max |r| - min |r| on the 5 reference
     samples) / max |r|, below which the fit is declared converged.
     """
@@ -100,8 +101,8 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Fit outcome; ``iterations`` counts exchanges (0 when the
-    least-squares start already fits to rounding)."""
+    """Fit outcome; ``iterations`` counts reference solves, the first
+    (on Chebyshev's reference) included."""
 
     params: MorseParams
     rms_residual: float
@@ -149,64 +150,30 @@ def _model(theta: np.ndarray, rho: np.ndarray):
 
 
 def _qr_step(a, r, theta):
-    """The least-squares step -R^{-1} Q^T r for a = Q R, and Q^T r.
+    """The Newton step -a^{-1} r for a square a = Q R, as -R^{-1} Q^T r.
 
-    QR keeps the condition number of a, which the normal equations would
-    square.  Raises RuntimeError when a is non-finite, or rank-deficient to
-    rounding (G or kappa at or near zero, say), naming the parameters
-    where the rank was lost.
+    Raises RuntimeError when a is non-finite, or singular to rounding (G
+    or kappa at or near zero, say), naming the parameters where the rank
+    was lost.
     """
     if not np.all(np.isfinite(a)):
         raise RuntimeError("non-finite Jacobian in surrogate fit")
     q, upper = np.linalg.qr(a)
-    qtr = q.T @ r
     # a pivot at or below rank_tol times the largest is rounding (numpy's
     # matrix_rank tolerance), or pivots so small that the step overflows
     rank_tol = a.shape[0] * np.finfo(float).eps
     pivots = np.abs(np.diag(upper)).tolist()
     if not (min(pivots) > rank_tol * max(pivots)
-            and np.all(np.isfinite(step := np.linalg.solve(upper, -qtr)))):
+            and np.all(np.isfinite(step := np.linalg.solve(upper, -(q.T @ r))))):
         G, V0, log_kappa, b = theta
         raise RuntimeError(
             f"singular Jacobian at G = {G:.6g}, V0 = {V0:.6g}, "
             f"kappa = {np.exp(log_kappa):.6g}, b = {b:.6g}: "
             f"the surrogate model is degenerate there")
-    return step, qtr
+    return step
 
 
-# overflow is handled, not warned of: a cost fails descent, a Jacobian raises
-@np.errstate(over="ignore", invalid="ignore")
-def _gauss_newton(theta, rho, data):
-    """Minimize |W_s(rho; theta) - data|^2; returns theta and W_s there.
-
-    Each step is _qr_step on the Jacobian.  A step is halved until the cost
-    does not increase (theta is returned if it drops below _STEP_TOL
-    first); but where the predicted reduction |Q^T r|^2 is below
-    _COST_RESOLUTION times the cost, the full step is taken unchecked.
-    """
-    w, jac = _model(theta, rho)
-    r = w - data
-    cost = float(r @ r)
-    for _ in range(_MAX_STEPS):
-        step, qtr = _qr_step(jac, r, theta)
-        unchecked = float(qtr @ qtr) < _COST_RESOLUTION * cost
-        while True:
-            candidate = theta + step
-            moved = float(np.max(np.abs(candidate - theta)))
-            w_new, jac_new = _model(candidate, rho)
-            r_new = w_new - data
-            cost_new = float(r_new @ r_new)
-            if unchecked or cost_new <= cost:
-                break
-            if moved < _STEP_TOL:
-                return theta, w
-            step = 0.5 * step
-        theta, w, jac, r, cost = candidate, w_new, jac_new, r_new, cost_new
-        if moved < _STEP_TOL:
-            break
-    return theta, w
-
-
+# overflow is handled, not warned of: a non-finite Jacobian raises
 @np.errstate(over="ignore", invalid="ignore")
 def _level_solve(theta, rho, data, signs):
     """Newton on W_s(rho_i; theta) - data_i = signs_i E at the reference.
@@ -218,8 +185,8 @@ def _level_solve(theta, rho, data, signs):
     w, jac = _model(theta, rho)
     level = float(np.mean(signs * (w - data)))
     for _ in range(_MAX_STEPS):
-        step, _ = _qr_step(np.column_stack((jac, -signs)),
-                           w - data - signs * level, theta)
+        step = _qr_step(np.column_stack((jac, -signs)),
+                        w - data - signs * level, theta)
         theta = theta + step[:-1]
         level += float(step[-1])
         w, jac = _model(theta, rho)
@@ -253,11 +220,12 @@ def alternation_set(residual: np.ndarray) -> np.ndarray:
 def fit(table: PotentialTable, cfg: FitConfig = FitConfig()) -> FitReport:
     """Minimax fit of the surrogate to a potential table over the config window.
 
-    Runs Remez's exchange from a least-squares start (see module
-    docstring): the converged flag reports whether the relative ripple
-    spread dropped below ``cfg.step_tol`` within ``cfg.max_iters``
-    exchanges.  Raises RuntimeError for a singular Jacobian or 5 x 5
-    system, and for a residual with fewer than 5 sign runs.
+    Runs Remez's exchange from Chebyshev's reference (see module
+    docstring): the converged flag reports whether the residual vanished
+    to rounding, or its relative ripple spread dropped below
+    ``cfg.step_tol``, within ``cfg.max_iters`` reference solves.  Raises
+    RuntimeError for a singular 5 x 5 system, and for a residual with
+    fewer than 5 sign runs.
     """
     grid = table.rho_grid
     if grid[0] > cfg.rho_min or grid[-1] < cfg.rho_max:
@@ -270,21 +238,33 @@ def fit(table: PotentialTable, cfg: FitConfig = FitConfig()) -> FitReport:
 
     p = cfg.init
     theta = np.array([p.G, p.V0, math.log(p.kappa), p.b])
-    theta, w_fit = _gauss_newton(theta, rho, w_data)
-    resid = w_fit - w_data
-    peak = float(np.max(np.abs(resid)))
-    converged = peak < _ZERO_RESIDUAL
-    exchanges = 0
-    while not converged and exchanges < cfg.max_iters:
-        exchanges += 1
-        ref = alternation_set(resid)
-        theta = _level_solve(theta, rho[ref], w_data[ref], np.sign(resid[ref]))
+    # the 5 alternation points of a quadratic in q = e^{-kappa rho}, from
+    # q(rho[0]) (c = 1) to q(rho[-1]) (c = 0); a vanishing e^{-kappa L}
+    # puts the last at infinity, which the clip takes to rho[-1]
+    j = np.arange(5)
+    c = 0.5 + 0.5 * np.cos(np.pi * j / 4)
+    with np.errstate(divide="ignore", over="ignore"):
+        nodes = rho[0] - np.log(c + (1.0 - c) * math.exp(
+            -p.kappa * (rho[-1] - rho[0]))) / p.kappa
+    ref = np.abs(rho[:, None] - np.minimum(nodes, rho[-1])).argmin(axis=0)
+    # distinct and increasing, and still inside the window
+    ref = np.minimum(np.maximum.accumulate(ref - j), rho.size - 5) + j
+    signs = (-1.0) ** j
+    solves = 0
+    while True:
+        theta = _level_solve(theta, rho[ref], w_data[ref], signs)
+        solves += 1
         resid = _model(theta, rho)[0] - w_data
         peak = float(np.max(np.abs(resid)))
-        converged = peak - float(np.min(np.abs(resid[ref]))) < cfg.step_tol * peak
+        converged = (peak < _ZERO_RESIDUAL
+                     or peak - float(np.min(np.abs(resid[ref]))) < cfg.step_tol * peak)
+        if converged or solves == cfg.max_iters:
+            break
+        ref = alternation_set(resid)
+        signs = np.sign(resid[ref])
 
     return FitReport(params=_theta_to_params(theta),
                      rms_residual=float(np.sqrt(np.mean(resid ** 2))),
                      max_abs_residual=peak,
-                     iterations=exchanges,
+                     iterations=solves,
                      converged=converged)

@@ -249,7 +249,7 @@ class TestCalibrateNu:
         assert eps[1] == pytest.approx(EPS25_ORACLE, abs=1e-8)
 
     def test_unattainable_target(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="not attainable"):
             calibrate_nu(-0.05, C)
 
     def test_validation(self):

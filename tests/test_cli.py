@@ -339,7 +339,8 @@ def test_calibrate_unattainable_target(capsys):
     code, out, err = run_cli(capsys, ["calibrate", "--target", "-0.05"])
     assert code == 1
     assert out == ""
-    assert err.startswith("error:computation-failed:")
+    assert err.startswith("error:computation-failed: target eps/alpha^2 = -0.05 "
+                          "not attainable for nu in (0.5, 10]")
     assert "\n" not in err.strip()
 
 

@@ -17,7 +17,9 @@ Subcommands
 ``oracle``
     Run the Numerov ground-state solver for a chosen radial potential
     (``coulomb``, ``morse``, or ``bic``) at a given coupling; its
-    ``iterations`` field counts Numerov propagations.
+    ``iterations`` field counts the matched sweeps of the eigenvalue
+    search on the coarse and the full grid, each an outward and an inward
+    Numerov propagation.
 ``table1``
     Emit a three-row summary comparing the surrogate-analytic result,
     the Numerov result for the exact potential, and the empirical

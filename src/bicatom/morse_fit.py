@@ -82,6 +82,11 @@ class FitConfig:
     window.  ``max_iters`` caps the reference solves and ``step_tol`` is the
     relative ripple spread, (max |r| - min |r| on the 5 reference
     samples) / max |r|, below which the fit is declared converged.
+
+    The tested domain is windows that start near the origin.  A window
+    with rho_min = 2 that reaches rho_max >= 8 lies outside it: there the
+    level solve drives G and V0 off together, nearly cancelling, and
+    ``fit`` raises RuntimeError (``error:computation-failed:`` on the CLI).
     """
 
     rho_min: float = 0.0

@@ -250,6 +250,23 @@ def test_fit_singular_jacobian_names_where_rank_was_lost(capsys):
     assert "kappa collapsed" not in err
 
 
+def test_fit_window_off_the_origin_keeps_the_error_contract(capsys):
+    # rho_min = 2 with rho_max >= 8 lies outside the fit's tested domain:
+    # whether it fits is not pinned, only that it answers or fails cleanly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["fit", "--rho-min", "2", "--rho-max", "10"])
+    if code == 0:
+        assert err == ""
+        assert json.loads(out)["command"] == "fit"
+    else:
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert re.match(r"error:[a-z0-9-]+: \S", lines[0])
+        assert "Traceback" not in err
+
+
 def test_fit_rejects_bad_step_tol(capsys):
     code, _, err = run_cli(capsys, ["fit", "--step-tol=-1e-5"])
     assert code == 2
@@ -624,7 +641,7 @@ empirical,0.49973,,0.4997329681,,true
   "lambda": -0.499999667,
   "eps_over_alpha2": -0.499999667,
   "node_count": 0,
-  "iterations": 2,
+  "iterations": 6,
   "grid_points": 40001
 }
 """,

@@ -273,7 +273,7 @@ class TestSearch:
 
     def test_sweep_cap(self, monkeypatch):
         monkeypatch.setattr(numerov_oracle, "_MAX_SWEEPS", 1)
-        with pytest.raises(RuntimeError, match="no convergence in 1 sweeps"):
+        with pytest.raises(RuntimeError, match="^no convergence in 1 sweeps$"):
             ground_state(RadialProblem(potential=morse_pot, alpha_beta=AB_CHAIN, h=0.01))
 
     @pytest.mark.parametrize("name, alpha_beta, lam", [
@@ -287,6 +287,75 @@ class TestSearch:
         res = ground_state(RadialProblem(potential=named_potential(name),
                                          alpha_beta=alpha_beta))
         assert abs(res.lam - lam) <= 1e-10
+
+    @pytest.mark.parametrize("name, alpha_beta, h, lam", [
+        ("bic", 1.5, 1e-3, -1.285210515811902),
+        ("bic", AB_BIC, 1e-3, -1.6798903766798954),
+        ("bic", 2.2, 1e-3, -2.1307417673734004),
+        ("bic", 1.7, 5e-4, -1.520426431355175),
+        ("morse", AB_CHAIN, 1e-3, -1.6614578419354131),
+        ("coulomb", 1.0, 1e-3, -0.49999966700072845),
+        ("coulomb", 2.0, 1e-3, -1.999994677374764),
+        ("harmonic", 1.0, 1e-3, -8.50000000000005),
+        ("harmonic", 2.0, 1e-3, -17.878679656440426),
+    ])
+    def test_coarse_start_keeps_the_eigenvalue(self, name, alpha_beta, h, lam):
+        # lambda as the search returned it from the hydrogen start alone,
+        # six full-grid sweeps for bic and Morse, two for Coulomb
+        rho_max = 20.0 if name == "harmonic" else 40.0
+        res = ground_state(RadialProblem(potential=named_potential(name),
+                                         alpha_beta=alpha_beta, rho_max=rho_max, h=h))
+        assert abs(res.lam - lam) <= 1e-12
+
+    @pytest.mark.parametrize("name, alpha_beta, h, fine_limit", [
+        ("bic", AB_BIC, 1e-3, 1),
+        ("bic", AB_BIC, 5e-4, 1),
+        ("morse", AB_CHAIN, 1e-3, 1),
+        # the coarse eigenvalue carries Coulomb's O(h^3) origin error
+        ("coulomb", 1.0, 1e-3, 3),
+        ("coulomb", 2.0, 1e-3, 3),
+    ])
+    def test_full_grid_sweeps_after_the_coarse_start(self, sweeps, name, alpha_beta, h,
+                                                     fine_limit):
+        # from the hydrogen start alone bic and Morse took 6 full-grid sweeps
+        p = RadialProblem(potential=named_potential(name), alpha_beta=alpha_beta, h=h)
+        res = ground_state(p)
+        fine = sum(len(args[0]) == res.grid_points for args in sweeps)
+        assert 1 <= fine <= fine_limit
+        assert len(sweeps) <= 10
+        assert res.iterations == len(sweeps)
+
+    @pytest.mark.parametrize("potential, alpha_beta, h, text", [
+        pytest.param(coulomb, 0.1, 1e-3,
+                     "rho_max = 40 truncates the state at lambda = -0.00483265: edge "
+                     "decay kappa*rho_max = 2.732 < 15; increase rho_max", id="box"),
+        pytest.param(coulomb, 0.1, 1e-2,
+                     "rho_max = 40 truncates the state at lambda = -0.00483265: edge "
+                     "decay kappa*rho_max = 2.732 < 15; increase rho_max", id="box-h1e-2"),
+        pytest.param(coulomb, 300.0, 1e-3,
+                     "h = 0.001 does not resolve the state at lambda = -43092.2: its "
+                     "outermost classical turning point is 6 steps from the origin, "
+                     "fewer than 100; decrease h", id="unresolved"),
+        # the coarse grid fails its h^2 f/12 < 1 check: the full grid starts alone
+        pytest.param(coulomb, 1000.0, 1e-3,
+                     "h = 0.001 does not resolve the state at lambda = -386887: its "
+                     "outermost classical turning point is 2 steps from the origin, "
+                     "fewer than 100; decrease h", id="unresolved-coarse-fails"),
+        pytest.param(coulomb, 1e5, 1e-3,
+                     "h = 0.001 is too coarse at alpha_beta = 100000: h^2 f/12 reaches "
+                     "16.7 at lambda = -1e+08 (Numerov needs < 1)", id="too-coarse"),
+        pytest.param(lambda r: 1.0 / r, 1.0, 1e-3,
+                     "potential is nowhere attractive: no bound state", id="repulsive"),
+        pytest.param(lambda r: -0.01 * np.exp(-r * r), 1.0, 1e-3,
+                     "no bound state found in (-0.00999999, -1e-09) at alpha_beta = 1",
+                     id="shallow"),
+    ])
+    def test_errors_come_from_the_full_grid(self, potential, alpha_beta, h, text):
+        # the texts the search raised from the hydrogen start alone
+        p = RadialProblem(potential=potential, alpha_beta=alpha_beta, h=h)
+        with pytest.raises(RuntimeError) as err:
+            ground_state(p)
+        assert str(err.value) == text
 
 
 def scalar_numerov(t, h, dtype=float):

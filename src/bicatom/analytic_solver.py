@@ -4,13 +4,14 @@ With the surrogate potential and the substitutions u(rho) = rho R(rho),
 x = kappa (rho - b), z = 2 a e^{-x}, the s-state radial equation becomes
 Whittaker's equation, and the regular solution is M_{a,nu}(z) with
 
-    a  = sqrt(2 |A|),        |A| = alpha_beta |G| / kappa^2,
+    a  = sqrt(2 |A|),        |A| = -alpha_beta G / kappa^2,
     nu = sqrt(2 |E|),        E = -nu^2 / 2.
 
-The u(0) = 0 boundary condition lands at z0 = 2 a e^{-kappa |b|} (rho = 0
-maps to x = kappa |b| for b < 0, hence z = z0; rho -> infinity maps to
-z -> 0+).  A ground state requires M_{a,nu}(z0) = 0 with z0 the FIRST
-positive root of M: the wavefunction is then nodeless on the interior.
+The reduction needs an attractive well, G < 0.  The u(0) = 0 boundary
+condition lands at z0 = 2 a e^{kappa b} (rho = 0 maps to x = -kappa b,
+for either sign of b; rho -> infinity maps to z -> 0+).  A ground state
+requires M_{a,nu}(z0) = 0 with z0 the FIRST positive root of M: the
+wavefunction is then nodeless on the interior.
 
 Both solvers march along a path in (nu, a) on M_{a,nu}(X(a))
 (quantization_residual), Brent-refine its first sign change and check
@@ -18,9 +19,9 @@ it once with first_root.  solve_a marches a up at fixed nu: at small a
 every root of M lies above X(a) and the roots slide down as X(a) grows,
 so the first sign change is the first root's crossing.  Observables:
 
-    alpha_beta = kappa^2 a^2 / (2 |G|),
+    alpha_beta = -kappa^2 a^2 / (2 G),
     eps_over_alpha2 = -[kappa^2 nu^2 / 2
-                        + alpha_beta (V0 + B/4 - |G|)] / alpha_beta^2.
+                        + alpha_beta (V0 + B/4 + G)] / alpha_beta^2.
 
 The eps_over_alpha2 expression is the inversion of the energy relation
 E = -nu^2/2 written in terms of the total dimensionless eigenvalue; the
@@ -31,8 +32,14 @@ suite pins this down).
 
 calibrate_nu closes the loop: it marches nu down the curve on which
 eps_over_alpha2 equals a target (by default the empirical hydrogen value
--0.49973); when V0 + B/4 - |G| > 0 the first sign change is the ground
+-0.49973); when V0 + B/4 + G > 0 the first sign change is the ground
 state (see calibrate_nu).
+
+For b > 0 the ground-state a can lie within one march step above
+nu + 1/2, where M first has a root; the march then refines a later
+root's crossing, which the first_root check rejects with RuntimeError.
+On the reference kappa this starts at b = 0.65 (nu near 10); at b = 1
+every nu >= 2.9 raises.
 """
 
 from __future__ import annotations
@@ -99,17 +106,24 @@ class AnalyticSolution:
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """Surrogate parameters (B(1/4,1/4)/4 and alpha are bic_potential constants)."""
+    """Surrogate parameters (B(1/4,1/4)/4 and alpha are bic_potential constants).
+
+    The Whittaker reduction needs an attractive well: G >= 0 raises ValueError.
+    """
 
     morse: MorseParams = REFERENCE_MORSE
 
+    def __post_init__(self) -> None:
+        if not self.morse.G < 0.0:
+            raise ValueError(f"the Morse depth G must be negative, got {self.morse.G!r}")
+
 
 def _boundary_z(a: float, morse: MorseParams) -> float:
-    return 2.0 * a * math.exp(-morse.kappa * abs(morse.b))
+    return 2.0 * a * math.exp(morse.kappa * morse.b)
 
 
 def quantization_residual(a: float, nu: float, morse: MorseParams) -> float:
-    """M_{a,nu} evaluated at the boundary point z0 = 2a e^{-kappa|b|}.
+    """M_{a,nu} evaluated at the boundary point z0 = 2a e^{kappa b}.
 
     A root in a (together with z0 being the first root of M) enforces
     u = 0 at rho = 0 for a nodeless interior solution.
@@ -278,7 +292,7 @@ def _march(path: Callable[[float], Tuple[float, float]], ts: Iterable[float],
 
 
 def solve_a(nu: float, morse: MorseParams) -> float:
-    """Smallest a > 0 whose first Whittaker root sits at X(a) = 2a e^{-kappa|b|}.
+    """Smallest a > 0 whose first Whittaker root sits at X(a) = 2a e^{kappa b}.
 
     a marches up from 0.1 to 50 in steps of 0.1; the first sign change of
     M_{a,nu}(X(a)) is refined to 1e-10 and checked (_march).
@@ -291,17 +305,15 @@ def solve_a(nu: float, morse: MorseParams) -> float:
 def observables(nu: float, a: float, c: ModelConstants) -> AnalyticSolution:
     """Assemble the solution bundle from (nu, a), both positive.
 
-    Raises ValueError when the Morse depth G is 0 or eps is not finite,
-    as when alpha_beta = kappa^2 a^2 / (2 |G|) squared underflows to 0.
+    Raises ValueError when eps is not finite, as when alpha_beta =
+    -kappa^2 a^2 / (2 G) squared underflows to 0.
     """
     _require_positive(nu=nu, a=a)
     m = c.morse
-    if m.G == 0.0:
-        raise ValueError("the Morse depth G must be nonzero")
-    alpha_beta = (m.kappa * m.kappa) * (a * a) / (2.0 * abs(m.G))
+    alpha_beta = (m.kappa * m.kappa) * (a * a) / (-2.0 * m.G)
     ab2 = alpha_beta * alpha_beta
     eps = (-(0.5 * (m.kappa * m.kappa) * (nu * nu)
-             + alpha_beta * (m.V0 + QUARTER_BETA - abs(m.G))) / ab2
+             + alpha_beta * (m.V0 + QUARTER_BETA + m.G)) / ab2
            if 0.0 < ab2 < math.inf else math.nan)
     if not math.isfinite(eps):
         raise ValueError(
@@ -318,7 +330,7 @@ def observables(nu: float, a: float, c: ModelConstants) -> AnalyticSolution:
 def calibrate_nu(target_eps: float, c: ModelConstants) -> AnalyticSolution:
     """The nu in (0.5, 10] whose ground state has eps_over_alpha2 = target_eps.
 
-    With c0 = V0 + B/4 - |G|, alpha_beta is the positive root of
+    With c0 = V0 + B/4 + G, alpha_beta is the positive root of
     -target ab^2 - c0 ab - kappa^2 nu^2 / 2 = 0, which gives a_T(nu) on
     the target curve.  nu marches down it from 10 to 0.5 in steps of 0.1;
     the first sign change of M at X(a_T) is refined to 1e-12 and checked
@@ -332,16 +344,14 @@ def calibrate_nu(target_eps: float, c: ModelConstants) -> AnalyticSolution:
     if not math.isfinite(target_eps):
         raise ValueError("target_eps must be finite")
     m = c.morse
-    if m.G == 0.0:
-        raise ValueError("the Morse depth G must be nonzero")
     t = -target_eps  # > 0 for a bound state; a target >= 0 gets an empty march
-    c0 = m.V0 + QUARTER_BETA - abs(m.G)
+    c0 = m.V0 + QUARTER_BETA + m.G
 
     def on_target(nu: float) -> Tuple[float, float]:
         k = m.kappa * nu
         s = math.hypot(c0, k * math.sqrt(2.0 * t))
         alpha_beta = (c0 + s) / (2.0 * t) if c0 >= 0.0 else k * k / (s - c0)
-        return nu, math.sqrt(2.0 * abs(m.G) * alpha_beta) / m.kappa
+        return nu, math.sqrt(-2.0 * m.G * alpha_beta) / m.kappa
 
     steps = (round(10.0 - 0.1 * k, 10) for k in range(96)) if t > 0.0 else ()
     return observables(*_march(

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
@@ -76,6 +77,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse reads only -1 and -1.5 as negative numbers, not an option;
+        # also read the exponent forms, such as %.10g's -4.5e-05
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message: str):  # noqa: A003 - argparse API
         raise _UsageError(message)
 
@@ -282,7 +289,7 @@ def _oracle_potential(name: str, morse: MorseParams, rho_max: float) -> Callable
         return lambda rho: -1.0 / rho
     if name == "morse":
         return lambda rho: morse_w(morse, rho)
-    # exact screened potential, via the cached cubic-spline table; built on
+    # exact screened potential, via the cached cubic interpolant; built on
     # first evaluation, after RadialProblem has checked the grid
     return lambda rho: bic_interpolator(rho_max)(rho)
 

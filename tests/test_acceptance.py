@@ -166,7 +166,7 @@ def test_ac8_energy_identity_discrepancy():
     sol = observables(2.89873, solve_a(2.89873, m), C)
     ab = sol.alpha_beta
     eps_printed = (0.5 * m.kappa ** 2 * 2.89873 ** 2
-                   - ab * (m.V0 + QUARTER_BETA - abs(m.G))) / ab ** 2
+                   - ab * (m.V0 + QUARTER_BETA + m.G)) / ab ** 2
     printed_disagrees = abs(eps_printed - (-0.4997331195)) > 1e-2
     inversion_agrees = abs(sol.eps_over_alpha2 - (-0.4997331195)) <= 1e-4
     ok = printed_disagrees and inversion_agrees

@@ -7,6 +7,7 @@ eps) figures the library is expected to reproduce.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from bicatom.analytic_solver import (
     solve_a,
 )
 from bicatom.bic_potential import QUARTER_BETA, PotentialKind, tabulate
-from bicatom.morse_fit import REFERENCE_MORSE, FitConfig, MorseParams, fit
+from bicatom.morse_fit import REFERENCE_MORSE, FitConfig, fit
 from bicatom.specfun import whittaker_m
 
 C = ModelConstants()
@@ -142,15 +143,14 @@ class TestObservables:
             AnalyticSolution(nu=2.0, a=0.0, X=0.0, alpha_beta=0.0, eps_over_alpha2=-0.5)
 
     def test_zero_depth_rejected(self):
-        # eps divides by |G|: G = 0 raised ZeroDivisionError
-        flat = ModelConstants(morse=MorseParams(G=0.0, V0=REFERENCE_MORSE.V0,
-                                                kappa=REFERENCE_MORSE.kappa,
-                                                b=REFERENCE_MORSE.b))
-        with pytest.raises(ValueError, match="G must be nonzero"):
-            observables(2.6, 1.0, flat)
+        # alpha_beta divides by G: G = 0 raised ZeroDivisionError, and G > 0
+        # was silently solved as -|G|
+        for g in (0.0, 1.83):
+            with pytest.raises(ValueError, match="G must be negative"):
+                observables(2.6, 1.0, ModelConstants(morse=replace(REFERENCE_MORSE, G=g)))
 
     def test_underflowing_alpha_beta_rejected(self):
-        # alpha_beta = kappa^2 a^2 / (2|G|) is 0.0 at a = 1e-200, and eps
+        # alpha_beta = -kappa^2 a^2 / (2 G) is 0.0 at a = 1e-200, and eps
         # divides by alpha_beta^2: this raised ZeroDivisionError
         with pytest.raises(ValueError, match="underflows"):
             observables(2.0, 1e-200, C)
@@ -165,8 +165,8 @@ class TestObservables:
         sol = observables(nu, solve_a(nu, m), C)
         assert abs(sol.a - math.sqrt(2.0 * sol.A_abs)) <= 1e-12
         assert abs(sol.E + 0.5 * nu ** 2) <= 1e-12
-        assert abs(sol.X - 2.0 * sol.a * math.exp(-m.kappa * abs(m.b))) <= 1e-10
-        assert abs(sol.alpha_beta - m.kappa ** 2 * sol.a ** 2 / (2.0 * abs(m.G))) <= 1e-12
+        assert abs(sol.X - 2.0 * sol.a * math.exp(m.kappa * m.b)) <= 1e-10
+        assert abs(sol.alpha_beta - m.kappa ** 2 * sol.a ** 2 / (-2.0 * m.G)) <= 1e-12
         assert sol.eps_over_alpha2 < 0.0
 
     def test_validation(self):
@@ -197,7 +197,7 @@ class TestEnergyRelationSign:
         sol = observables(NU_REF, solve_a(NU_REF, m), C)
         ab = sol.alpha_beta
         eps_printed = (0.5 * m.kappa ** 2 * NU_REF ** 2
-                       - ab * (m.V0 + QUARTER_BETA - abs(m.G))) / ab ** 2
+                       - ab * (m.V0 + QUARTER_BETA + m.G)) / ab ** 2
         assert eps_printed == pytest.approx(EPS_PRINTED_ORACLE, abs=1e-6)
         assert abs(eps_printed - EPS_REF) > 0.1
         assert sol.eps_over_alpha2 == pytest.approx(EPS_REF, abs=1e-4)

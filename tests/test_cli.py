@@ -339,6 +339,32 @@ def test_solve_rejects_zero_depth(capsys):
     assert "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("command", [["solve", "--nu", "2.9"], ["calibrate"]])
+def test_repulsive_depth_is_rejected(capsys, command):
+    # the Whittaker reduction needs G < 0; G = 1.83 printed the G = -1.83 answer
+    code, out, err = run_cli(capsys, [*command, "--G", "1.83"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:invalid-input:")
+    assert len(err.splitlines()) == 1
+
+
+# argparse reads only -1 and -1.5 as negative numbers; these printed
+# "error:usage: ... expected one argument" (or "expected 4 arguments")
+@pytest.mark.parametrize("argv, plain", [
+    (["calibrate", "--target", "-4.9973e-1"], ["calibrate", "--target", "-0.49973"]),
+    (["calibrate", "--target=-4.9973e-1"], ["calibrate", "--target", "-0.49973"]),
+    (["fit", "--init", "-1.83e0", "0.098", "0.585", "-0.457"],
+     ["fit", "--init", "-1.83", "0.098", "0.585", "-0.457"]),
+    (["solve", "--nu", "2.9", "--G", "-1.83e0"], ["solve", "--nu", "2.9", "--G", "-1.83"]),
+], ids=["calibrate", "calibrate-equals", "fit", "solve"])
+def test_negative_numbers_with_an_exponent(capsys, argv, plain):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert err == ""
+    assert out == run_cli(capsys, plain)[1]
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 

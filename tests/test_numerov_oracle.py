@@ -15,6 +15,7 @@ import pytest
 
 from bicatom import numerov_oracle
 from bicatom.analytic_solver import ModelConstants, observables, solve_a
+from bicatom.bic_potential import PotentialKind, _w_kernel, tabulate, w_of_rho
 from bicatom.morse_fit import REFERENCE_MORSE, morse_w
 from bicatom.numerov_oracle import (
     OracleResult,
@@ -511,9 +512,20 @@ class TestPropagation:
             ground_state(RadialProblem(potential=coulomb, alpha_beta=21.0))
 
 
+def end_cubic(y, t):
+    """The Hermite cubic on [x_0, x_1] at x_0 + t dx, from y at x_k = x_0 + k dx.
+
+    The slopes (times dx) at x_0 and x_1 are the fourth-order one-sided
+    differences on y_0 ... y_4; dx may be negative.
+    """
+    s0 = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3] - 3.0 * y[4]) / 12.0
+    s1 = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4]) / 12.0
+    return (y[0] * (2 * t ** 3 - 3 * t ** 2 + 1) + y[1] * (3 * t ** 2 - 2 * t ** 3)
+            + s0 * (t ** 3 - 2 * t ** 2 + t) + s1 * (t ** 3 - t ** 2))
+
+
 class TestBicInterpolator:
     def test_matches_direct_quadrature_off_grid(self):
-        from bicatom.bic_potential import w_of_rho
         spline = bic_interpolator()
         for rho in (0.013, 0.77, 3.1415, 17.3, 39.2):
             assert float(spline(rho)) == pytest.approx(w_of_rho(rho), abs=1e-8)
@@ -535,7 +547,35 @@ class TestBicInterpolator:
             bic_interpolator(20.0 + k)
         assert build.cache_info().currsize == maxsize
 
-    # the tables bic_interpolator builds: max(2000, round(50 rho_max)) knots
+    # the tables bic_interpolator builds: max(2000, round(50 rho_max)) knots.
+    # Fourth-order slopes keep the error at 7.5e-11 to 8.8e-11 here;
+    # second-order (Catmull-Rom) slopes give 1.7e-8.
+    @pytest.mark.parametrize("rho_max, n", [(40.0, 2000), (38.5, 2000), (120.0, 6000)])
+    def test_matches_exact_kernel_on_shooting_grids(self, rho_max, n):
+        table = tabulate(PotentialKind.EXACT_BIC, 0.0, rho_max, n)
+        got = bic_interpolator(rho_max)
+        np.testing.assert_array_equal(got._x, table.rho_grid)
+        for h in (1e-3, 5e-4):
+            rho = np.arange(1, int(round(rho_max / h)) + 1) * h
+            assert np.max(np.abs(got(rho) - _w_kernel(rho))) <= 2e-10
+        # scalar calls give 0-d results, as the array path does; the knots
+        # are reproduced exactly
+        for rho in (-0.5, 0.0, 1e-3, table.rho_grid[7], 2.1396, rho_max, rho_max + 3.0):
+            value = got(rho)
+            assert np.ndim(value) == 0
+            assert float(value) == got(np.array([rho]))[0]
+        assert got(0.0) == table.values[0] and got(table.rho_grid[7]) == table.values[7]
+        for rho in (1e-3, 2.1396, rho_max):
+            assert abs(float(got(rho)) - w_of_rho(rho)) <= 2e-10
+        # both sides extrapolate the end interval's cubic, with the slopes of
+        # the one-sided stencils; the far end is the near one read backwards.
+        # At t = -150 the cubic's terms reach 1e5 and cancel to 1e-2, so the
+        # two ways of summing it agree only to about 1e-9.
+        dx = rho_max / (n - 1)
+        for rho, t, y in ((-0.5, -0.5 / dx, table.values[:5]),
+                          (rho_max + 3.0, -3.0 / dx, table.values[::-1][:5])):
+            assert float(got(rho)) == pytest.approx(end_cubic(y, t), rel=1e-8)
+
     @pytest.mark.parametrize("rho_max", [40.0, 38.5, 120.0])
     def test_interval_is_searchsorted(self, rho_max):
         spline = bic_interpolator(rho_max)

@@ -18,7 +18,16 @@ find the same energy.  The bound 1e-10 covers the sum of two terms:
 Together they come to 6.6e-11.  The largest gap seen is 5.5e-12, at
 nu = 2, where the Brent root sits 1.1e-11 from the exact one: it comes
 from xtol, not from Numerov.
+
+The reference well moved to b = 0 and mirrored to b = 0.4572 checks the
+boundary point z0 = 2a e^{kappa b} on both sides of the origin.  There
+the slope is steeper, 2.1 and 3.4 at nu = 1, 0.82 and 1.2 at nu = 2 and
+0.043 and 0.054 at nu = 8, so the xtol term reaches 1.7e-10 and the
+Numerov term stays below 4.6e-13: those wells get the bound 2e-10.  The
+largest gap seen there is 1.1e-12, at b = 0.4572 and nu = 2.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -32,6 +41,7 @@ from bicatom.morse_fit import REFERENCE_MORSE, FitConfig, fit, morse_w  # noqa: 
 from bicatom.numerov_oracle import RadialProblem, ground_state  # noqa: E402
 
 ROUTE_GAP = 1e-10
+SHIFTED_ROUTE_GAP = 2e-10
 
 reproducible = settings(max_examples=16, deadline=None, derandomize=True, database=None)
 
@@ -65,3 +75,9 @@ def test_routes_agree_on_fitted_surrogates(nu, rho_max):
     report = fit(table, FitConfig(rho_max=rho_max))
     assert report.converged
     assert route_gap(nu, report.params) <= ROUTE_GAP
+
+
+@pytest.mark.parametrize("b", [0.0, 0.4572])
+@pytest.mark.parametrize("nu", [1.0, 2.0, 2.89873, 5.0, 8.0])
+def test_routes_agree_on_wells_at_and_past_the_origin(nu, b):
+    assert route_gap(nu, replace(REFERENCE_MORSE, b=b)) <= SHIFTED_ROUTE_GAP

@@ -1,9 +1,8 @@
-"""The runtime is numpy only: Brent and the not-a-knot spline against scipy.
+"""The runtime is numpy only: Brent against scipy, and no scipy on import.
 
-scipy is a test-only dependency (the ``test`` extra).  The in-house Brent
-routine is a port of scipy.optimize.brentq and must return the same bits;
-the spline must match scipy's CubicSpline (same not-a-knot end
-conditions) to 1e-15 on the Numerov shooting grids.
+scipy is a test-only dependency (the ``test`` extra).  Brent is the only
+in-house routine compared with scipy: it is a port of
+scipy.optimize.brentq and must return the same bits.
 """
 
 import math
@@ -11,19 +10,15 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 optimize = pytest.importorskip("scipy.optimize")
-interpolate = pytest.importorskip("scipy.interpolate")
 from hypothesis import example, given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import bicatom  # noqa: E402
 from bicatom.analytic_solver import _brent  # noqa: E402
-from bicatom.bic_potential import PotentialKind, tabulate  # noqa: E402
-from bicatom.numerov_oracle import bic_interpolator  # noqa: E402
 
 reproducible = settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 
@@ -88,22 +83,6 @@ def test_brent_bisects_where_the_extrapolation_divides_by_zero(scale):
 
     want = optimize.brentq(f, 0.0, 1.0, xtol=1e-12)
     assert _brent(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12) == want
-
-
-# n is the table size bic_interpolator derives, max(2000, round(50 rho_max))
-@pytest.mark.parametrize("rho_max, n", [(40.0, 2000), (38.5, 2000), (120.0, 6000)])
-def test_spline_matches_cubic_spline_on_shooting_grids(rho_max, n):
-    table = tabulate(PotentialKind.EXACT_BIC, 0.0, rho_max, n)
-    want = interpolate.CubicSpline(table.rho_grid, table.values)
-    got = bic_interpolator(rho_max)
-    for h in (1e-3, 5e-4):
-        rho = np.arange(1, int(round(rho_max / h)) + 1) * h
-        assert np.max(np.abs(got(rho) - want(rho))) <= 1e-15
-    # scalar calls, including the knots and both extrapolation sides
-    for rho in (-0.5, 0.0, 1e-3, table.rho_grid[7], 2.1396, rho_max, rho_max + 3.0):
-        value = got(rho)
-        assert np.ndim(value) == 0
-        assert abs(float(value) - float(want(rho))) <= 1e-15
 
 
 def test_import_loads_no_scipy():

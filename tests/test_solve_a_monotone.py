@@ -1,7 +1,7 @@
 """Monotonicity of the surrogate quantization, as solve_a relies on it.
 
 solve_a takes the first sign change of the gap
-F(a) = first_root(a, nu) - 2a e^{-kappa|b|} along a grid of a; that
+F(a) = first_root(a, nu) - 2a e^{kappa b} along a grid of a; that
 crossing is the only one because F is strictly decreasing (the first
 root slides down as a grows while the boundary point grows linearly).
 The ground-state a then grows with nu.  Pairs closer than 1e-6 are not
@@ -29,7 +29,7 @@ step = st.floats(min_value=-6.0, max_value=2.0).map(lambda e: 10.0 ** e)
 
 def gap(a: float, nu: float) -> float:
     m = REFERENCE_MORSE
-    return first_root(a, nu) - 2.0 * a * math.exp(-m.kappa * abs(m.b))
+    return first_root(a, nu) - 2.0 * a * math.exp(m.kappa * m.b)
 
 
 def ordered_pair(lo: float, hi: float, u: float, d: float):

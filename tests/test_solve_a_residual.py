@@ -1,7 +1,7 @@
 """solve_a and calibrate_nu as one march on the boundary residual M_{a,nu}(X(a)).
 
 solve_a refines the first sign change of M_{a,nu}(X(a)), X(a) =
-2a e^{-kappa|b|}, and checks once, on the returned a, that X(a) is the
+2a e^{kappa b}, and checks once, on the returned a, that X(a) is the
 FIRST root of M; calibrate_nu marches nu along the target-energy curve
 and checks once in the same way.  These tests pin that the answer is the
 crossing of the first root (over nu in [0.6, 8] and Morse parameters
@@ -33,7 +33,7 @@ factor = st.floats(min_value=0.85, max_value=1.15)
 
 
 def boundary_z(a: float, m: MorseParams) -> float:
-    return 2.0 * a * math.exp(-m.kappa * abs(m.b))
+    return 2.0 * a * math.exp(m.kappa * m.b)
 
 
 def gap(a: float, nu: float, m: MorseParams) -> float:

@@ -14,10 +14,20 @@ requires M_{a,nu}(z0) = 0 with z0 the FIRST positive root of M: the
 wavefunction is then nodeless on the interior.
 
 Both solvers march along a path in (nu, a) on M_{a,nu}(X(a))
-(quantization_residual), Brent-refine its first sign change and check
-it once with first_root.  solve_a marches a up at fixed nu: at small a
-every root of M lies above X(a) and the roots slide down as X(a) grows,
-so the first sign change is the first root's crossing.  Observables:
+(quantization_residual) from where M gets its first root, and
+Brent-refine its first sign change.  solve_a marches a up at fixed nu:
+each root enters from z = +inf and slides down as X(a) grows, so the
+first sign change is the first root's crossing.
+
+The refined point is certified without a root scan.  With F_c(z) =
+1F1(c; 1 + 2 nu; z) and alpha = nu - a + 1/2 < 0, F_alpha has exactly
+m = ceil(-alpha) positive zeros, all simple (DLMF 13.9.1), and
+F_{alpha+m}, ..., F_{alpha+1}, F_alpha is a Sturm sequence: at a zero of
+F_c, c < 0, DLMF 13.3.1 gives F_{c-1} and F_{c+1} opposite signs, and
+z F_c' = c (F_{c+1} - F_c) gives F_c' the sign opposite to F_{c+1}.  So
+X is the first root exactly when F_{alpha+k}(X) > 0 for each k >= 1
+with alpha + k < 0: no series sum for -1 < alpha < 0, one for
+-2 < alpha <= -1.  Observables:
 
     alpha_beta = -kappa^2 a^2 / (2 G),
     eps_over_alpha2 = -[kappa^2 nu^2 / 2
@@ -34,25 +44,20 @@ calibrate_nu closes the loop: it marches nu down the curve on which
 eps_over_alpha2 equals a target (by default the empirical hydrogen value
 -0.49973); when V0 + B/4 + G > 0 the first sign change is the ground
 state (see calibrate_nu).
-
-For b > 0 the ground-state a can lie within one march step above
-nu + 1/2, where M first has a root; the march then refines a later
-root's crossing, which the first_root check rejects with RuntimeError.
-On the reference kappa this starts at b = 0.65 (nu near 10); at b = 1
-every nu >= 2.9 raises.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import Callable, Iterable, Optional, Tuple
-
-import numpy as np
 
 from .bic_potential import QUARTER_BETA
 from .morse_fit import REFERENCE_MORSE, MorseParams
-from .specfun import _Z_CAP, whittaker_m
+from .specfun import _Z_CAP, kummer_m, whittaker_m
 
 __all__ = [
     "AnalyticSolution",
@@ -66,7 +71,7 @@ __all__ = [
 
 _SCAN_STEP = 0.05
 _A_CAP = 50.0
-_BRENT_RTOL = float(4.0 * np.finfo(float).eps)  # a numpy scalar would leak into results
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAX_ITER = 100
 
 
@@ -209,37 +214,15 @@ def _first_crossing(f: Callable[[float], float],
     return None
 
 
-def _m_samples(a: float, nu: float):
-    """(z, M_{a,nu}(z)) along the first_root scan, in increasing z.
-
-    When M < 0 at the scan start z = 0.05, the first root lies below it;
-    the scan is then preceded by the first of 0.025, 0.0125, ... at which
-    M >= 0 (M > 0 near z = 0+).
-    """
-    chunk = 256
-    v = whittaker_m(a, nu, _SCAN_STEP)
-    if v < 0.0:
-        z_lo = 0.5 * _SCAN_STEP
-        while (v_lo := whittaker_m(a, nu, z_lo)) < 0.0:
-            z_lo *= 0.5
-        yield z_lo, v_lo
-    yield _SCAN_STEP, v
-    start = _SCAN_STEP
-    while start < _Z_CAP:
-        stop = min(start + chunk * _SCAN_STEP, _Z_CAP)
-        n = max(2, int(round((stop - start) / _SCAN_STEP)) + 1)
-        zs = np.linspace(start, stop, n)
-        yield from zip(zs[1:].tolist(), whittaker_m(a, nu, zs)[1:].tolist())
-        start = stop
-
-
 def first_root(a: float, nu: float) -> float:
     """Smallest z > 0 with M_{a,nu}(z) = 0, by scan + Brent refinement.
 
-    Scans in steps of 0.05 from z = 0.05 up to z = 200 and refines the
-    first bracketed sign change to 1e-10.  M > 0 near z = 0+, so the first
-    root flips the sign; when M(0.05) < 0 the root below 0.05 is bracketed
-    by halving toward 0.  For a <= 50 at most one root lies below 0.05.
+    A diagnostic that no solver calls: the tests check the solvers'
+    certificate (_not_first_root) against it.  Scans in steps of 0.05
+    from z = 0.05 up to z = 200 and refines the first bracketed sign
+    change to 1e-10.  M > 0 near z = 0+, so the first root flips the
+    sign; when M(0.05) < 0 the root below 0.05 is bracketed by halving
+    toward 0.  For a <= 50 at most one root lies below 0.05.
     When nu - a + 1/2 >= 0 every series coefficient of the rising factor
     is positive and M has no positive roots at all; that case (and any
     other scan without a sign change) raises RuntimeError.
@@ -248,12 +231,32 @@ def first_root(a: float, nu: float) -> float:
     if nu - a + 0.5 >= 0.0:
         raise RuntimeError(
             f"M_({a!r},{nu!r}) has only positive series terms: no positive roots")
-    root = _first_crossing(lambda z: whittaker_m(a, nu, z),
-                           _m_samples(a, nu), 1e-10)
+    m = partial(whittaker_m, a, nu)
+    z_lo = _SCAN_STEP
+    while m(z_lo) < 0.0:  # the first root lies below z_lo
+        z_lo *= 0.5
+    zs = chain((z_lo,) if z_lo < _SCAN_STEP else (),
+               (round(k * _SCAN_STEP, 10) for k in range(1, round(_Z_CAP / _SCAN_STEP) + 1)))
+    root = _first_crossing(m, ((z, m(z)) for z in zs), 1e-10)
     if root is None:
         raise RuntimeError(
             f"no root of M_({a!r},{nu!r}) found below z = {_Z_CAP:g}")
     return root
+
+
+def _not_first_root(a: float, nu: float, x: float) -> Optional[str]:
+    """None when x, a root of M_{a,nu}, is certified as its first root, else why not.
+
+    Tests 1F1(alpha + k; 1 + 2 nu; x) > 0, alpha = nu - a + 1/2, for
+    k = 1, 2, ... while alpha + k < 0 (see the module docstring).
+    """
+    alpha = nu - a + 0.5
+    k = 1
+    while alpha + k < 0.0:
+        if not kummer_m(alpha + k, 1.0 + 2.0 * nu, x) > 0.0:
+            return f"a = {a!r} puts a later root of M at X = {x!r}"
+        k += 1
+    return None
 
 
 def _march(path: Callable[[float], Tuple[float, float]], ts: Iterable[float],
@@ -262,31 +265,45 @@ def _march(path: Callable[[float], Tuple[float, float]], ts: Iterable[float],
     """(nu, a) at the first sign change of M_{a,nu}(X(a)) along path(t), t in ts.
 
     Skips points with a outside (0, 50] or with no positive root of M
-    (nu - a + 1/2 >= 0), Brent-refines the first sign change in t to xtol
-    and raises RuntimeError(missing) when there is none.  A step in which
-    two roots cross X(a) keeps the sign of M, so the point is checked once:
-    RuntimeError unless first_root(a, nu) lies within 1e-8 max(1, X) of X(a),
-    prefixed by missing when later_root_missing.
+    (alpha = nu - a + 1/2 > 0), Brent-refines the first sign change in t
+    to xtol and raises RuntimeError(missing) when there is none.  A kept
+    point that follows one skipped for alpha > 0 and has a negative
+    residual is preceded by the point where alpha = 0 (Brent in t), at
+    which M has no root and the residual is positive.  A step in which two
+    roots cross X(a) keeps the sign of M, so the point is certified once
+    (_not_first_root): RuntimeError when that fails, prefixed by missing
+    when later_root_missing.
     """
     def residual(t: float) -> float:
         nu, a = path(t)
         return quantization_residual(a, nu, morse)
 
+    def alpha(t: float) -> float:
+        nu, a = path(t)
+        return nu - a + 0.5
+
     def samples():
+        t_out = None  # the last point skipped for alpha > 0
         for t in ts:
             nu, a = path(t)
-            if 0.0 < a <= _A_CAP and nu - a + 0.5 < 0.0:
-                yield t, quantization_residual(a, nu, morse)
+            if not 0.0 < a <= _A_CAP:
+                t_out = None
+            elif nu - a + 0.5 > 0.0:
+                t_out = t
+            else:
+                r = quantization_residual(a, nu, morse)
+                if t_out is not None and r < 0.0:
+                    t0 = _brent(alpha, t_out, t, alpha(t_out), nu - a + 0.5, xtol)
+                    yield t0, residual(t0)
+                t_out = None
+                yield t, r
 
     t = _first_crossing(residual, samples(), xtol)
     if t is None:
         raise RuntimeError(missing)
     nu, a = path(t)
-    x = _boundary_z(a, morse)
-    z1 = first_root(a, nu)
-    if abs(z1 - x) > 1e-8 * max(1.0, x):
-        detail = (f"a = {a!r} puts a later root of M at X = {x!r}; "
-                  f"the first root is {z1!r}")
+    detail = _not_first_root(a, nu, _boundary_z(a, morse))
+    if detail is not None:
         raise RuntimeError(f"{missing}: {detail}" if later_root_missing else detail)
     return nu, a
 
@@ -295,7 +312,7 @@ def solve_a(nu: float, morse: MorseParams) -> float:
     """Smallest a > 0 whose first Whittaker root sits at X(a) = 2a e^{kappa b}.
 
     a marches up from 0.1 to 50 in steps of 0.1; the first sign change of
-    M_{a,nu}(X(a)) is refined to 1e-10 and checked (_march).
+    M_{a,nu}(X(a)) is refined to 1e-10 and certified (_march).
     """
     _require_positive(nu=nu)
     return _march(lambda a: (nu, a), (round(0.1 * k, 10) for k in range(1, 501)), morse,
@@ -333,7 +350,7 @@ def calibrate_nu(target_eps: float, c: ModelConstants) -> AnalyticSolution:
     With c0 = V0 + B/4 + G, alpha_beta is the positive root of
     -target ab^2 - c0 ab - kappa^2 nu^2 / 2 = 0, which gives a_T(nu) on
     the target curve.  nu marches down it from 10 to 0.5 in steps of 0.1;
-    the first sign change of M at X(a_T) is refined to 1e-12 and checked
+    the first sign change of M at X(a_T) is refined to 1e-12 and certified
     (_march).  For c0 > 0 that is the ground state: above the answer the
     ground-state eps exceeds the target (it increases with nu), and eps
     increases with a, so a_T lies below the ground-state a and M has no

@@ -35,7 +35,7 @@ class SeriesNonConvergence(RuntimeError):
     """Raised when the 1F1 series does not converge within _MAX_TERMS terms."""
 
 
-def _kummer_scalar(alpha: float, gamma: float, z: float) -> float:
+def _kummer_series(alpha: float, gamma: float, z: float) -> float:
     rel_tol, max_terms = _REL_TOL, _MAX_TERMS
     term = 1.0
     total = 1.0
@@ -56,26 +56,6 @@ def _kummer_scalar(alpha: float, gamma: float, z: float) -> float:
         f"1F1({alpha}, {gamma}, {z}) did not converge in {max_terms} terms")
 
 
-def _kummer_array(alpha: float, gamma: float, z: np.ndarray) -> np.ndarray:
-    rel_tol, max_terms = _REL_TOL, _MAX_TERMS
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    magnitude = np.ones_like(z)
-    streak = np.zeros(z.shape, dtype=np.int64)
-    for n in range(max_terms):
-        c = (alpha + n) / ((gamma + n) * (n + 1))
-        term = term * c * z
-        total = total + term
-        at = np.abs(term)
-        magnitude += at
-        small = (at <= rel_tol * magnitude) & ((term == 0.0) | (abs(c) * z < 1.0))
-        streak = np.where(small, streak + 1, 0)
-        if int(streak.min(initial=2)) >= 2:  # an empty z is done at once
-            return total
-    raise SeriesNonConvergence(
-        f"1F1({alpha}, {gamma}, <array>) did not converge in {max_terms} terms")
-
-
 def kummer_m(alpha: float, gamma: float, z):
     """Kummer's confluent hypergeometric 1F1(alpha; gamma; z), 0 <= z <= 200.
 
@@ -86,9 +66,9 @@ def kummer_m(alpha: float, gamma: float, z):
     negative integer, do not end the sum).  The stop is relative to that
     magnitude, not to the partial sum: near a zero of the function the
     sum itself is small through cancellation and a sum-relative test
-    would never trigger.  z may be a scalar or ndarray (an empty array
-    gives an empty array); negative z, where the alternating series
-    cancels catastrophically, is rejected rather than summed.
+    would never trigger.  z may be a scalar or ndarray, summed element by
+    element (an empty array gives an empty array); negative z, where the
+    alternating series cancels catastrophically, is rejected.
 
     Raises ValueError for gamma in {0, -1, -2, ...} or any z outside
     [0, 200] (NaN included), and SeriesNonConvergence when 5000 terms do
@@ -102,11 +82,12 @@ def kummer_m(alpha: float, gamma: float, z):
         zf = float(z)
         if not 0.0 <= zf <= _Z_CAP:
             raise ValueError(f"kummer_m supports 0 <= z <= {_Z_CAP:g}, got {zf!r}")
-        return _kummer_scalar(alpha, gamma, zf)
+        return _kummer_series(alpha, gamma, zf)
     za = np.asarray(z, dtype=float)
     if not np.all((za >= 0.0) & (za <= _Z_CAP)):
         raise ValueError(f"kummer_m supports 0 <= z <= {_Z_CAP:g}")
-    return _kummer_array(alpha, gamma, za)
+    return np.array([_kummer_series(alpha, gamma, zi) for zi in za.ravel().tolist()],
+                    dtype=float).reshape(za.shape)
 
 
 def whittaker_m(a: float, nu: float, z):

@@ -317,6 +317,21 @@ def test_solve_morse_overrides_change_result(capsys):
     assert abs(doc["alpha_beta"] - AB_REF) > 1e-3
 
 
+def test_solve_well_past_the_origin(capsys):
+    # the march from a = nu + 1/2 brackets the first root's crossing, which
+    # lies below the first 0.1-grid point; this raised "puts a later root of M"
+    code, out, err = run_cli(capsys, ["solve", "--nu", "3", "--b", "1"])
+    assert code == 0
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["a"] == 3.596826322
+    assert doc["eps_over_alpha2"] == -1.152578454
+    code, out, _ = run_cli(capsys, ["oracle", "--potential", "morse", "--b", "1",
+                                    "--alpha-beta", repr(doc["alpha_beta"])])
+    assert code == 0
+    assert abs(json.loads(out)["eps_over_alpha2"] - doc["eps_over_alpha2"]) <= 1e-8
+
+
 def test_solve_requires_nu(capsys):
     code, _, err = run_cli(capsys, ["solve"])
     assert code == 2

@@ -25,6 +25,19 @@ the slope is steeper, 2.1 and 3.4 at nu = 1, 0.82 and 1.2 at nu = 2 and
 0.043 and 0.054 at nu = 8, so the xtol term reaches 1.7e-10 and the
 Numerov term stays below 4.6e-13: those wells get the bound 2e-10.  The
 largest gap seen there is 1.1e-12, at b = 0.4572 and nu = 2.
+
+Wells further from the origin get the same bound 2e-10.  At b in
+{0.65, 1, 1.5} the ground-state a lies close above nu + 1/2, where M
+gets its first root: within 0.28, and within 1e-4 at b = 1.5 and
+nu = 9.  At b = -1.5 it lies 1.4 to 4.3 above, so M has up to 5 roots
+and the first-root certificate takes up to 4 series sums.  The largest
+gap seen on these wells is 1.0e-11, at b = 1 and nu = 2.89873.
+
+calibrate_nu refines nu to 1e-12 and returns eps/alpha^2 on the target;
+Numerov at its coupling must find the same energy.  On wells at
+b = 1.25 and 1.5 its march meets the first root's crossing within the
+step in which M gets that root, as solve_a's does.  The largest gap seen
+there is 1.8e-14, under the same bound 2e-10.
 """
 
 from dataclasses import replace
@@ -35,7 +48,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from bicatom.analytic_solver import ModelConstants, observables, solve_a  # noqa: E402
+from bicatom.analytic_solver import (  # noqa: E402
+    ModelConstants,
+    calibrate_nu,
+    observables,
+    solve_a,
+)
 from bicatom.bic_potential import PotentialKind, tabulate  # noqa: E402
 from bicatom.morse_fit import REFERENCE_MORSE, FitConfig, fit, morse_w  # noqa: E402
 from bicatom.numerov_oracle import RadialProblem, ground_state  # noqa: E402
@@ -81,3 +99,22 @@ def test_routes_agree_on_fitted_surrogates(nu, rho_max):
 @pytest.mark.parametrize("nu", [1.0, 2.0, 2.89873, 5.0, 8.0])
 def test_routes_agree_on_wells_at_and_past_the_origin(nu, b):
     assert route_gap(nu, replace(REFERENCE_MORSE, b=b)) <= SHIFTED_ROUTE_GAP
+
+
+# integer nu puts a = nu + 1/2 on solve_a's 0.1 grid; 2.89873, 3.6 and 5.55 do not
+@pytest.mark.parametrize("b", [-1.5, 0.65, 1.0, 1.5])
+@pytest.mark.parametrize("nu", [1.0, 2.0, 2.89873, 3.0, 3.6, 4.0, 5.0, 5.55, 6.0, 7.0, 8.0,
+                                9.0])
+def test_routes_agree_on_wells_far_from_the_origin(nu, b):
+    assert route_gap(nu, replace(REFERENCE_MORSE, b=b)) <= SHIFTED_ROUTE_GAP
+
+
+@pytest.mark.parametrize("b", [1.25, 1.5])
+@pytest.mark.parametrize("target", [-0.8, -0.49973, -0.3])
+def test_calibration_agrees_on_wells_far_past_the_origin(target, b):
+    morse = replace(REFERENCE_MORSE, b=b)
+    whittaker = calibrate_nu(target, ModelConstants(morse=morse))
+    numerov = ground_state(RadialProblem(potential=lambda rho: morse_w(morse, rho),
+                                         alpha_beta=whittaker.alpha_beta, h=1e-3))
+    assert abs(whittaker.eps_over_alpha2 - target) <= 1e-12
+    assert abs(numerov.eps_over_alpha2 - whittaker.eps_over_alpha2) <= SHIFTED_ROUTE_GAP

@@ -27,10 +27,13 @@ phi_hat(r) = int_r^inf ds/sqrt(1+s^4), with phi_hat(0) = B(1/4,1/4)/4.
 
 Accuracy note: Z is assembled from two terms of magnitude ~1.854*rho that
 cancel to O(1), so rounding in the screening integral is amplified by ~rho.
-Z is evaluated by fixed-node composite Gauss-Legendre (12 nodes on 2 + 7 + 3
-panels) whose truncation error lies below that rounding.  Against 30-digit
-mpmath the measured absolute error in Z is ~1e-15 up to rho = 10 and grows
-as ~1.6e-15*rho beyond: ~1.3e-12 at rho = 1000, ~1.4e-11 at 1e4, ~1.6e-10 at
+Z is evaluated by fixed-node composite Gauss-Legendre, 12 nodes a panel on
+an inner, a middle and an end piece of 2, up to 7 and 3 panels, whose
+truncation error lies below that rounding.  The middle piece shrinks to
+zero width as rho falls to 4 sqrt(2); only its panels that carry weight
+are evaluated (at most 3 for rho <= 40).  Against 30-digit mpmath the
+measured absolute error in Z is ~1e-15 up to rho = 10 and grows as
+~1.6e-15*rho beyond: ~1.3e-12 at rho = 1000, ~1.4e-11 at 1e4, ~1.6e-10 at
 1e5 and ~1.6e-9 at the supported cap rho = 1e6; beyond the cap the call is
 rejected.  The tests hold Z to 4e-15*max(1, rho).
 """
@@ -167,9 +170,10 @@ def _composite(edges):
 # Z(rho) splits [0, y*] at s = min(1/rho, y*/2) and y*/2.  Inner piece
 # [0, s] with y = s x: panels in x.
 _INNER_X, _INNER_W = _composite(np.array([0.0, 0.5, 1.0]))
-# Middle piece [s, y*/2] with y = s e^v, v in [0, log(y*/(2s))]: panels in v,
-# graded from the 1/sqrt(1 + rho^4 y^4) branch points at Im v = pi/4 over v = 0;
-# edges past the end of the piece collapse onto it.
+# Middle piece [s, y*/2] with y = s e^v, v in [0, span], span = log(y*/(2s)):
+# panels in v, graded from the 1/sqrt(1 + rho^4 y^4) branch points at
+# Im v = pi/4 over v = 0.  Only the searchsorted(_MIDDLE_EDGES, span) panels
+# that start below span carry weight; the last of them ends at span.
 _MIDDLE_EDGES = np.array([0.0, 0.5, 1.25, 2.5, 4.0, 6.0, 9.0, np.inf])
 
 
@@ -191,7 +195,7 @@ def _end_piece():
 _END_Y, _END_W = _end_piece()
 
 # rows per kernel block: keeps the (rows x nodes) temporaries small
-_BLOCK_ROWS = 32
+_BLOCK_ROWS = 128
 
 
 def _damping(ry):
@@ -200,23 +204,45 @@ def _damping(ry):
     return 1.0 / np.sqrt(1.0 + ry2 * ry2)
 
 
+# rho-free inner factors.  For rho <= 4 sqrt(2), s = y*/2 fixes the nodes
+# and their _screen; for rho > 4 sqrt(2), s = 1/rho makes rho y = x, which
+# fixes their _damping.
+_NEAR_Y = (Y_STAR / 2.0) * _INNER_X
+_NEAR_W = _INNER_W * _screen(_NEAR_Y)
+_FAR_W = _INNER_W * _damping(_INNER_X)
+
+
+def _w_rows(r: np.ndarray, panels: int) -> np.ndarray:
+    """W on a column r of rho whose middle pieces all have `panels` weighted panels."""
+    if panels == 0:  # rho <= 4 sqrt(2): the middle piece is empty
+        integral = (Y_STAR / 2.0) * np.sum(_NEAR_W * _damping(r * _NEAR_Y), axis=1)
+    else:
+        ratio = r * (Y_STAR / 2.0)  # y*/(2s)
+        s = (Y_STAR / 2.0) / ratio
+        integral = s[:, 0] * np.sum(_FAR_W * _screen(s * _INNER_X), axis=1)
+        v, w = _composite(np.minimum(np.log(ratio), _MIDDLE_EDGES[:panels + 1]))
+        ry = np.exp(v)  # rho y = e^v on the middle piece
+        y = s * ry
+        integral += np.sum(w * y * _screen(y) * _damping(ry), axis=1)
+    integral += np.sum(_END_W * _damping(r * _END_Y), axis=1)
+    return -(r[:, 0] * integral + QUARTER_BETA)
+
+
 def _w_kernel(rho: np.ndarray) -> np.ndarray:
     """W = -(rho I + B(1/4,1/4)/4) on a 1-d array of rho in [0, 1e6], by fixed
-    composite Gauss-Legendre; no division by rho, so tiny rho loses nothing."""
+    composite Gauss-Legendre; no division by rho, so tiny rho loses nothing.
+
+    Rows are grouped by their number of weighted middle panels, so each row
+    sums the same nodes in the same order whatever else is in the array.
+    """
     out = np.empty(rho.shape)
-    for start in range(0, rho.size, _BLOCK_ROWS):
-        r = rho[start:start + _BLOCK_ROWS, None]
-        ratio = np.maximum(1.0, r * (Y_STAR / 2.0))  # y*/(2s)
-        s = (Y_STAR / 2.0) / ratio
-        y = s * _INNER_X
-        integral = s[:, 0] * np.sum(_INNER_W * _screen(y) * _damping(r * y), axis=1)
-        span = np.log(ratio)
-        if span.max() > 0.0:  # the middle piece is empty for rho <= 4 sqrt(2)
-            v, w = _composite(np.minimum(span, _MIDDLE_EDGES))
-            y = s * np.exp(v)
-            integral += np.sum(w * y * _screen(y) * _damping(r * y), axis=1)
-        integral += np.sum(_END_W * _damping(r * _END_Y), axis=1)
-        out[start:start + _BLOCK_ROWS] = -(r[:, 0] * integral + QUARTER_BETA)
+    span = np.log(np.maximum(1.0, rho * (Y_STAR / 2.0)))
+    panels = np.searchsorted(_MIDDLE_EDGES, span)
+    for k in range(len(_MIDDLE_EDGES)):
+        rows = np.flatnonzero(panels == k)
+        for start in range(0, rows.size, _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            out[block] = _w_rows(rho[block, None], k)
     return out
 
 
@@ -251,13 +277,24 @@ def w_of_rho(rho: float) -> float:
     return float(_w_kernel(_checked_rho(rho))[0])
 
 
+def _born_integrand(t):
+    return 1.0 / np.sqrt(1.0 + t ** 4)
+
+
 def born_phi(r: float) -> float:
-    """Born's dimensionless potential phi_hat(r) = int_r^inf (1+s^4)^{-1/2} ds."""
+    """Born's dimensionless potential phi_hat(r) = int_r^inf (1+s^4)^{-1/2} ds.
+
+    Under s = 1/t the tail past 1 is int_0^min(1, 1/r) of the same
+    integrand, so only finite ranges are integrated and the relative
+    tolerance holds however small phi_hat(r) is.
+    """
     r = float(r)
     if r < 0.0 or math.isnan(r):
         raise ValueError(f"r must be non-negative, got {r!r}")
-    res = integrate(lambda s: 1.0 / np.sqrt(1.0 + s ** 4), QuadSpec(r, math.inf))
-    return res.value
+    if r >= 1.0:
+        return integrate(_born_integrand, QuadSpec(0.0, 1.0 / r)).value
+    return (integrate(_born_integrand, QuadSpec(r, 1.0)).value
+            + integrate(_born_integrand, QuadSpec(0.0, 1.0)).value)
 
 
 def tabulate(kind: PotentialKind, rho_min: float, rho_max: float, n: int,

@@ -20,13 +20,26 @@ from hypothesis import strategies as st  # noqa: E402
 
 from bicatom.bic_potential import (  # noqa: E402
     _BLOCK_ROWS,
+    _MIDDLE_EDGES,
+    Y_STAR,
+    PotentialKind,
     _gauss_legendre,
+    _w_kernel,
     _z_kernel,
+    tabulate,
+    w_of_rho,
     z_of_rho,
 )
 
 # rho where the split point min(1/rho, sqrt(2)/8) changes branch
 SPLIT_RHO = 4.0 * math.sqrt(2.0)
+# rho where log(rho y*/2) meets a middle panel edge, so the number of weighted
+# middle panels changes, each with its float neighbours
+PANEL_EDGE_RHO = sorted({
+    r
+    for edge in [SPLIT_RHO] + [(2.0 / Y_STAR) * math.exp(e) for e in _MIDDLE_EDGES[:-1]]
+    for r in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))
+})
 
 log_uniform_rho = st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0 ** e)
 reproducible = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -69,9 +82,10 @@ def test_matches_mpmath_log_uniform(rho):
     assert abs(z_of_rho(rho) - z_mpmath(rho)) <= tolerance(rho)
 
 
-@pytest.mark.parametrize("rho", [
+@pytest.mark.parametrize("rho", sorted({
     0.0, 1e-3, SPLIT_RHO * (1.0 - 1e-12), SPLIT_RHO, SPLIT_RHO * (1.0 + 1e-12), 1e5, 1e6,
-])
+    *PANEL_EDGE_RHO,
+}))
 def test_matches_mpmath_at_domain_edges_and_split(rho):
     assert abs(z_of_rho(rho) - z_mpmath(rho)) <= tolerance(rho)
 
@@ -85,6 +99,22 @@ def test_array_path_matches_scalar_path_and_mpmath(rhos):
         assert abs(z - z_of_rho(r)) <= 1e-14
     for k in (_BLOCK_ROWS - 1, _BLOCK_ROWS):
         assert abs(got[k] - z_mpmath(rhos[k])) <= tolerance(rhos[k])
+
+
+def test_rows_do_not_depend_on_their_neighbours():
+    # a row's W is bit-identical alone, at the end of a sorted table and in a
+    # shuffled array mixing every number of weighted middle panels
+    rhos = PANEL_EDGE_RHO + [1e5, 1e6]
+    alone = [w_of_rho(r) for r in rhos]
+    in_table = [tabulate(PotentialKind.EXACT_BIC, 0.0, r, 2 * _BLOCK_ROWS + 1).values[-1]
+                for r in rhos]
+    rng = np.random.default_rng(8105)
+    mixed = np.concatenate([rhos, 10.0 ** rng.uniform(-3.0, 6.0, 3 * _BLOCK_ROWS)])
+    order = rng.permutation(mixed.size)
+    shuffled = np.empty(mixed.size)
+    shuffled[order] = _w_kernel(mixed[order])
+    np.testing.assert_array_equal(in_table, alone)
+    np.testing.assert_array_equal(shuffled[:len(rhos)], alone)
 
 
 def test_gauss_legendre_matches_numpy():

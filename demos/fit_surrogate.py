@@ -1,10 +1,12 @@
 """Fit the four-parameter Morse surrogate to the exact potential.
 
 Tabulates W(rho) on the standard 200-point window, runs the minimax
-fit (Remez's exchange), and reports the parameters next to the
-reference set together with the fit's alternation set: five samples,
-one per sign run of the residual, where the residual alternates in sign
-at one common size (the equal-ripple signature).
+fit (Remez's exchange, each reference solved by variable projection:
+the surrogate is a quadratic in q = e^{-kappa rho}, so only kappa is
+searched for, as one scalar root), and reports the parameters next to
+the reference set together with the fit's alternation set: five
+samples, one per sign run of the residual, where the residual
+alternates in sign at one common size (the equal-ripple signature).
 
 Run:  python3 demos/fit_surrogate.py
 """

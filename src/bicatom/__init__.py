@@ -3,9 +3,10 @@
 Library layout:
 
 - specfun: Kummer 1F1 and Whittaker M for z > 0 (from scratch)
-- quadrature: adaptive Gauss-Kronrod, finite or semi-infinite (Born's phi)
+- quadrature: adaptive Gauss-Kronrod on finite ranges (Born's phi)
 - bic_potential: Born's potential, the screening function Z, and W = -Z/rho
 - morse_fit: Morse-type surrogate W_s and its four-parameter fit
+- roots: Brent's bracketed root refinement, shared by the fit and solver
 - analytic_solver: Whittaker quantization, alpha*beta and energy closed forms
 - numerov_oracle: direct Numerov shooting cross-check
 - cli: CSV/JSON emitters for all of the above

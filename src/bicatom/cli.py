@@ -394,11 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-tol", type=float, default=5e-5)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--init-reference", action="store_true",
-                       help="start from a 20%% perturbation of the "
-                            "reference parameters")
+                       help="a 20%% perturbation of the reference parameters "
+                            "as the start; accepted, but the fit needs no "
+                            "start and the result does not change")
     group.add_argument("--init", type=float, nargs=4,
                        metavar=("G", "V0", "KAPPA", "B"),
-                       help="explicit starting parameters")
+                       help="explicit starting parameters; validated, but "
+                            "the fit needs no start and the result does "
+                            "not change")
     p.add_argument("--residuals-out", default=None, metavar="PATH",
                    help="also write per-sample residuals as CSV to PATH")
     p.set_defaults(run=_run_fit)

@@ -10,21 +10,35 @@ the result to the analytic solver.
 
 Fitting strategy.  The fit is the minimax (Chebyshev) fit of the window's
 samples, by Remez's exchange (E. Ya. Remez, 1934; G. Meinardus,
-Approximation of Functions, 1967, ch. 8).  Each round solves
-W_s(x_i) - W(x_i) = s_i E on 5 reference samples x_i with alternating
-signs s_i, by Newton on the 5 x 5 system, and then exchanges the
-reference for the 5 alternating extrema of the new residual
-(alternation_set).  In q = e^{-kappa rho}, W_s is a quadratic, so the
-first reference is the samples nearest Chebyshev's alternation points
-of a quadratic in q, for the initial kappa.  A plain least-squares fit
-on [0, 10] puts nearly all of its error budget near the origin and lands
-~40% off in V0 with a worse peak residual, so the minimax objective is
-what reproduces the reference parameters; for zero-residual (synthetic)
-data the first solve already recovers the generating parameters to
-machine precision.
+Approximation of Functions, 1967, ch. 8).  With x = (rho - rho_0)/L on
+the window's samples rho_0 .. rho_0 + L and q = e^{-kappa L x},
 
-kappa is optimized as log(kappa), so the returned inverse-range is
-positive by construction regardless of the initial sign.
+    W_s = c0 + c1 q + c2 q^2,
+
+which is linear in c once kappa is fixed, and {1, q, q^2} is a Haar
+system.  Each round solves W_s(x_i) - W(x_i) = s_i E on 5 reference
+samples with alternating signs s_i by variable projection (G. H. Golub
+and V. Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): at fixed kappa L,
+the equations of samples 0-3 are linear in (c, E), and so are those of
+samples 1-4.  Their two levels E differ except where all 5 hold, so the
+gap is one scalar equation in kappa L.  A fixed log grid of kappa L
+brackets its roots, Brent refines each, and the root with the smallest
+|E| is the reference's best fit, so no start is needed.  The exchange
+then takes the 5 alternating extrema of the new residual
+(alternation_set).  The first reference is the samples nearest
+Chebyshev's alternation points of a quadratic in q at a fixed kappa.
+
+In the Morse form, e^{kappa (b - rho_0)} = -2 c2/c1, G = -c1^2/(4 c2)
+and V0 = -c0 - G - B/4, so a real b needs c1 c2 < 0.  A window whose
+best quadratic in q has c1 c2 >= 0 (as on [2, 8]), or whose reference
+equations have no root (as on [2, 10]), has no Morse well with real b,
+and fit raises RuntimeError.
+
+A plain least-squares fit on [0, 10] puts nearly all of its error budget
+near the origin and lands ~40% off in V0 with a worse peak residual, so
+the minimax objective is what reproduces the reference parameters; for
+zero-residual (synthetic) data the first solve already recovers the
+generating parameters to machine precision.
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bic_potential import QUARTER_BETA, PotentialTable
+from .roots import _brent
 
 __all__ = [
     "MorseParams",
@@ -46,9 +61,12 @@ __all__ = [
     "alternation_set",
 ]
 
-_MAX_STEPS = 60  # Newton steps per reference solve
-_STEP_TOL = 1e-10  # a step that moves theta less than this ends the solve
-_ZERO_RESIDUAL = 1e-12
+# the kappa L grid on which each reference's level gap is bracketed
+_KL_SCAN = np.geomspace(0.05, 60.0, 48)
+# the kappa of the first reference: the fit does not depend on it, and
+# 0.35 took the fewest reference solves on windows [0, 8..12]
+_FIRST_KAPPA = 0.35
+_ZERO_RESIDUAL = 1e-12  # relative to the window's largest |W|
 
 
 @dataclass(frozen=True)
@@ -83,10 +101,12 @@ class FitConfig:
     relative ripple spread, (max |r| - min |r| on the 5 reference
     samples) / max |r|, below which the fit is declared converged.
 
-    The tested domain is windows that start near the origin.  A window
-    with rho_min = 2 that reaches rho_max >= 8 lies outside it: there the
-    level solve drives G and V0 off together, nearly cancelling, and
-    ``fit`` raises RuntimeError (``error:computation-failed:`` on the CLI).
+    ``init`` is accepted and must be a valid MorseParams, but it does not
+    change the result: the fit needs no start (see the module docstring).
+
+    A window whose best quadratic in q = e^{-kappa rho} has no Morse well
+    with real b, such as one with rho_min = 2 and rho_max >= 8, makes
+    ``fit`` raise RuntimeError (``error:computation-failed:`` on the CLI).
     """
 
     rho_min: float = 0.0
@@ -120,84 +140,32 @@ class FitReport:
             raise ValueError("need max_abs_residual >= rms_residual >= 0")
 
 
-def _w_s(G, V0, gap):
-    """W_s in terms of gap = 1 - e^{-kappa (rho - b)}."""
-    return -(G * gap ** 2 + V0 + QUARTER_BETA)
-
-
 def morse_w(p: MorseParams, rho):
     """Evaluate W_s at scalar or array rho."""
     r = np.asarray(rho, dtype=float)
-    out = _w_s(p.G, p.V0, 1.0 - np.exp(-p.kappa * (r - p.b)))
+    out = -(p.G * (1.0 - np.exp(-p.kappa * (r - p.b))) ** 2 + p.V0 + QUARTER_BETA)
     if np.ndim(rho) == 0:
         return float(out)
     return out
 
 
-def _theta_to_params(theta: np.ndarray) -> MorseParams:
-    return MorseParams(G=float(theta[0]), V0=float(theta[1]),
-                       kappa=float(np.exp(theta[2])), b=float(theta[3]))
+def _level_gap(q, w, s):
+    """The level E of c0 + c1 q_i + c2 q_i^2 - s_i E = w_i on samples 0-3,
+    and its gap to the level on samples 1-4, which is 0 where all 5 hold.
 
-
-def _model(theta: np.ndarray, rho: np.ndarray):
-    """W_s at rho and its Jacobian in theta = (G, V0, log kappa, b).
-
-    kappa is exp'd by numpy, so an overflowing step gives inf, not an error.
+    Third divided differences D in q vanish on 1, q and q^2, so E =
+    -D[w]/D[s] on each 4 samples; for monotone q and alternating s the
+    terms of D[s] share one sign.  q holds 5 floats, or 5 arrays over
+    kappa L; w and s hold 5 floats.
     """
-    G, V0, log_kappa, b = theta
-    kappa = np.exp(log_kappa)
-    shifted = rho - b
-    e = np.exp(-kappa * shifted)
-    gap = 1.0 - e
-    slope = 2.0 * G * kappa * gap * e  # dW_s/db; dW_s/dlog(kappa) = -slope (rho - b)
-    return _w_s(G, V0, gap), np.column_stack(
-        (-gap * gap, np.full(rho.size, -1.0), -slope * shifted, slope))
-
-
-def _qr_step(a, r, theta):
-    """The Newton step -a^{-1} r for a square a = Q R, as -R^{-1} Q^T r.
-
-    Raises RuntimeError when a is non-finite, or singular to rounding (G
-    or kappa at or near zero, say), naming the parameters where the rank
-    was lost.
-    """
-    if not np.all(np.isfinite(a)):
-        raise RuntimeError("non-finite Jacobian in surrogate fit")
-    q, upper = np.linalg.qr(a)
-    # a pivot at or below rank_tol times the largest is rounding (numpy's
-    # matrix_rank tolerance), or pivots so small that the step overflows
-    rank_tol = a.shape[0] * np.finfo(float).eps
-    pivots = np.abs(np.diag(upper)).tolist()
-    if not (min(pivots) > rank_tol * max(pivots)
-            and np.all(np.isfinite(step := np.linalg.solve(upper, -(q.T @ r))))):
-        G, V0, log_kappa, b = theta
-        raise RuntimeError(
-            f"singular Jacobian at G = {G:.6g}, V0 = {V0:.6g}, "
-            f"kappa = {np.exp(log_kappa):.6g}, b = {b:.6g}: "
-            f"the surrogate model is degenerate there")
-    return step
-
-
-# overflow is handled, not warned of: a non-finite Jacobian raises
-@np.errstate(over="ignore", invalid="ignore")
-def _level_solve(theta, rho, data, signs):
-    """Newton on W_s(rho_i; theta) - data_i = signs_i E at the reference.
-
-    The 5 x 5 system's columns are _model's Jacobian and -signs; E starts
-    at the mean of signs_i (W_s - data)_i.  Returns theta once a step moves
-    it and E by less than _STEP_TOL, which leaves both at rounding.
-    """
-    w, jac = _model(theta, rho)
-    level = float(np.mean(signs * (w - data)))
-    for _ in range(_MAX_STEPS):
-        step = _qr_step(np.column_stack((jac, -signs)),
-                        w - data - signs * level, theta)
-        theta = theta + step[:-1]
-        level += float(step[-1])
-        w, jac = _model(theta, rho)
-        if float(np.max(np.abs(step))) < _STEP_TOL:
-            break
-    return theta
+    dw, ds = list(w), list(s)
+    for order in (1, 2, 3):
+        for i in range(5 - order):
+            dq = q[i + order] - q[i]
+            dw[i] = (dw[i + 1] - dw[i]) / dq
+            ds[i] = (ds[i + 1] - ds[i]) / dq
+    level = -dw[0] / ds[0]
+    return level, level + dw[1] / ds[1]
 
 
 def alternation_set(residual: np.ndarray) -> np.ndarray:
@@ -225,12 +193,12 @@ def alternation_set(residual: np.ndarray) -> np.ndarray:
 def fit(table: PotentialTable, cfg: FitConfig = FitConfig()) -> FitReport:
     """Minimax fit of the surrogate to a potential table over the config window.
 
-    Runs Remez's exchange from Chebyshev's reference (see module
-    docstring): the converged flag reports whether the residual vanished
-    to rounding, or its relative ripple spread dropped below
-    ``cfg.step_tol``, within ``cfg.max_iters`` reference solves.  Raises
-    RuntimeError for a singular 5 x 5 system, and for a residual with
-    fewer than 5 sign runs.
+    Runs Remez's exchange, each reference solved by variable projection
+    (see module docstring): the converged flag reports whether the
+    residual vanished to rounding, or its relative ripple spread dropped
+    below ``cfg.step_tol``, within ``cfg.max_iters`` reference solves.
+    ``cfg.init`` is not read.  Raises RuntimeError when the window has no
+    Morse well with real b, and for a residual with fewer than 5 sign runs.
     """
     grid = table.rho_grid
     if grid[0] > cfg.rho_min or grid[-1] < cfg.rho_max:
@@ -241,34 +209,62 @@ def fit(table: PotentialTable, cfg: FitConfig = FitConfig()) -> FitReport:
     if rho.size < 8:
         raise ValueError("fewer than 8 table samples inside the fit window")
 
-    p = cfg.init
-    theta = np.array([p.G, p.V0, math.log(p.kappa), p.b])
-    # the 5 alternation points of a quadratic in q = e^{-kappa rho}, from
-    # q(rho[0]) (c = 1) to q(rho[-1]) (c = 0); a vanishing e^{-kappa L}
-    # puts the last at infinity, which the clip takes to rho[-1]
+    rho0, length = float(rho[0]), float(rho[-1] - rho[0])
+    x = (rho - rho0) / length
+    no_well = (f"the best quadratic in q = e^(-kappa rho) on [{rho0:.6g}, "
+               f"{rho0 + length:.6g}] has no Morse well with real b")
+    # the 5 alternation points of a quadratic in q, from q(x = 0) (cheb = 1)
+    # to q(x = 1) (cheb = 0), at _FIRST_KAPPA; a vanishing e^{-kappa L}
+    # puts the last at infinity, which the clip takes to x = 1
     j = np.arange(5)
-    c = 0.5 + 0.5 * np.cos(np.pi * j / 4)
-    with np.errstate(divide="ignore", over="ignore"):
-        nodes = rho[0] - np.log(c + (1.0 - c) * math.exp(
-            -p.kappa * (rho[-1] - rho[0]))) / p.kappa
-    ref = np.abs(rho[:, None] - np.minimum(nodes, rho[-1])).argmin(axis=0)
+    cheb = 0.5 + 0.5 * np.cos(np.pi * j / 4)
+    kl = _FIRST_KAPPA * length
+    with np.errstate(divide="ignore"):
+        nodes = -np.log(cheb + (1.0 - cheb) * math.exp(-kl)) / kl
+    ref = np.abs(x[:, None] - np.minimum(nodes, 1.0)).argmin(axis=0)
     # distinct and increasing, and still inside the window
     ref = np.minimum(np.maximum.accumulate(ref - j), rho.size - 5) + j
     signs = (-1.0) ** j
+    scan = _KL_SCAN.tolist()
+    scale = float(np.max(np.abs(w_data)))
     solves = 0
     while True:
-        theta = _level_solve(theta, rho[ref], w_data[ref], signs)
+        xs, ws, ss = x[ref].tolist(), w_data[ref].tolist(), signs.tolist()
+
+        def level_gap(k):
+            return _level_gap([math.exp(-k * xi) for xi in xs], ws, ss)
+
+        g = _level_gap(np.exp(-np.outer(xs, _KL_SCAN)), ws, ss)[1].tolist()
+        roots = [_brent(lambda k: level_gap(k)[1], scan[i], scan[i + 1], g[i], g[i + 1], 0.0)
+                 for i in range(len(scan) - 1) if (g[i] > 0.0) != (g[i + 1] > 0.0)]
+        if not roots:
+            raise RuntimeError(f"{no_well}: the reference equations have no root "
+                               f"for kappa in [{scan[0] / length:.3g}, "
+                               f"{scan[-1] / length:.3g}]")
+        kl = min(roots, key=lambda k: abs(level_gap(k)[0]))
+        level = level_gap(kl)[0]
         solves += 1
-        resid = _model(theta, rho)[0] - w_data
+        # the quadratic in q through w + s E on samples 0, 2 and 4
+        q = np.exp(-kl * x[ref[::2]])
+        c = np.linalg.solve(np.vander(q, 3, increasing=True),
+                            w_data[ref[::2]] + signs[::2] * level)
+        q = np.exp(-kl * x)
+        resid = (c[2] * q + c[1]) * q + c[0] - w_data
         peak = float(np.max(np.abs(resid)))
-        converged = (peak < _ZERO_RESIDUAL
+        converged = (peak < _ZERO_RESIDUAL * scale
                      or peak - float(np.min(np.abs(resid[ref]))) < cfg.step_tol * peak)
         if converged or solves == cfg.max_iters:
             break
         ref = alternation_set(resid)
         signs = np.sign(resid[ref])
 
-    return FitReport(params=_theta_to_params(theta),
+    c0, c1, c2 = c.tolist()
+    kappa = kl / length
+    if not c1 * c2 < 0.0:
+        raise RuntimeError(f"{no_well}: c1 c2 = {c1 * c2:.3g} >= 0 at kappa = {kappa:.6g}")
+    G = -c1 * c1 / (4.0 * c2)
+    return FitReport(params=MorseParams(G=G, V0=-c0 - G - QUARTER_BETA, kappa=kappa,
+                                        b=rho0 + math.log(-2.0 * c2 / c1) / kappa),
                      rms_residual=float(np.sqrt(np.mean(resid ** 2))),
                      max_abs_residual=peak,
                      iterations=solves,

@@ -1,9 +1,8 @@
 """Adaptive one-dimensional quadrature for Born's potential.
 
-Gauss-Kronrod 7/15 pairs with greedy interval bisection.  A
-semi-infinite upper limit is mapped onto a finite interval by
-r = t/(1-t) before adaptive refinement begins.  The only library caller
-is bic_potential.born_phi; Z(rho) has its own fixed-node kernel.
+Gauss-Kronrod 7/15 pairs with greedy interval bisection on a finite
+interval.  The only library caller is bic_potential.born_phi, which
+integrates finite ranges only; Z(rho) has its own fixed-node kernel.
 
 The error estimator is the QUADPACK rescaling of |K15 - G7|, so the
 reported abs_err_estimate is conservative for non-smooth panels.
@@ -55,10 +54,7 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Integration request: bounds and tolerances.
-
-    upper may be math.inf for a semi-infinite range; lower must be finite.
-    """
+    """Integration request: finite bounds and tolerances."""
 
     lower: float
     upper: float
@@ -70,8 +66,8 @@ class QuadSpec:
             raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if math.isinf(self.lower):
-            raise ValueError("lower bound must be finite")
+        if math.isinf(self.lower) or math.isinf(self.upper):
+            raise ValueError("bounds must be finite")
 
 
 @dataclass(frozen=True)
@@ -142,16 +138,4 @@ def integrate(f, spec: QuadSpec) -> QuadResult:
     QuadratureError when the subdivision budget is exhausted or f returns
     non-finite values.
     """
-    a, b = spec.lower, spec.upper
-
-    if math.isinf(b):
-        # r = t/(1-t) maps t in [t0, 1) onto [a, inf)
-        t0 = a / (1.0 + a) if a != 0.0 else 0.0
-
-        def g(t):
-            om = 1.0 - t
-            return f(t / om) / (om * om)
-
-        return _adaptive(g, t0, 1.0, spec.abs_tol, spec.rel_tol)
-
-    return _adaptive(f, a, b, spec.abs_tol, spec.rel_tol)
+    return _adaptive(f, spec.lower, spec.upper, spec.abs_tol, spec.rel_tol)

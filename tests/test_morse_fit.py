@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from bicatom import morse_fit
 from bicatom.bic_potential import PotentialKind, PotentialTable, QUARTER_BETA, tabulate
@@ -18,7 +20,6 @@ from bicatom.morse_fit import (
     FitConfig,
     FitReport,
     MorseParams,
-    _model,
     alternation_set,
     fit,
     morse_w,
@@ -147,29 +148,62 @@ class TestFitValidation:
             fit(table, FitConfig(rho_min=0.0, rho_max=0.5))
 
     def test_degenerate_kappa_raises(self):
-        table = _synthetic_table(REFERENCE_MORSE)
-        bad_init = MorseParams(G=-2.0, V0=0.0, kappa=1e-160, b=-0.5)
-        with pytest.raises(RuntimeError):
-            fit(table, FitConfig(init=bad_init))
+        # a quadratic in rho is the kappa -> 0 limit of a quadratic in
+        # e^{-kappa rho}: no kappa > 0 solves a reference exactly
+        rho = np.linspace(0.0, 10.0, 200)
+        table = PotentialTable(rho, 0.03 * rho ** 2 - 0.2 * rho + 0.5,
+                               PotentialKind.MORSE_SURROGATE)
+        with pytest.raises(RuntimeError, match="no Morse well with real b: the "
+                                               "reference equations have no root"):
+            fit(table, FitConfig())
+
+    @pytest.mark.parametrize("window", [(2.0, 8.0), (2.0, 10.0)])
+    def test_window_off_the_origin_has_no_morse_well(self, window):
+        # on [2, 8] the best quadratic in q has c1 c2 > 0; on [2, 10] some
+        # reference of the exchange has no root in kappa at all
+        table = tabulate(PotentialKind.EXACT_BIC, *window, 200)
+        with pytest.raises(RuntimeError, match=r"on \[2, (8|10)\] has no Morse "
+                                               r"well with real b: (c1 c2 = |the ref)"):
+            fit(table, FitConfig(rho_min=window[0], rho_max=window[1]))
 
 
-class TestInnerOptimizer:
-    @pytest.mark.parametrize("theta", [
-        (-1.83, 0.098, math.log(0.585), -0.457),
-        (-3.0, 0.2, math.log(0.25), -1.1),
-        (2.5, -0.4, math.log(1.7), 0.8),
+class TestNoStart:
+    # starts that stopped the old Newton level solve: small kappa, and
+    # G = 0, subnormal or huge G, huge V0, kappa next to 0, kappa and b far off
+    @pytest.mark.parametrize("init", [
+        (-2.0, 0.0, 0.05, -0.5), (-2.0, 0.0, 0.1, -0.5),
+        (-2.0, 0.0, 0.15, -0.5), (-2.0, 0.0, 0.2, -0.5),
+        (0.0, 0.1, 0.5, -0.5), (1e-310, 0.0, 0.5, -0.5), (1e308, 0.0, 0.5, -0.5),
+        (-2.0, 1e308, 0.5, -0.5), (-2.0, 0.0, 1e-160, -0.5),
+        (-2.0, 0.0, 200.0, 5.0), (-2.0, 0.0, 1.0, 800.0),
     ])
-    def test_jacobian_matches_central_differences(self, theta):
-        rho = np.linspace(0.0, 10.0, 41)
-        theta = np.array(theta)
-        _, jac = _model(theta, rho)
-        for j in range(theta.size):
-            h = 1e-6 * max(1.0, abs(theta[j]))
-            up, down = theta.copy(), theta.copy()
-            up[j] += h
-            down[j] -= h
-            diff = (_model(up, rho)[0] - _model(down, rho)[0]) / (2.0 * h)
-            np.testing.assert_allclose(jac[:, j], diff, rtol=0.0, atol=1e-8)
+    def test_any_init_gives_the_default_fit(self, exact_table, init):
+        got = fit(exact_table, FitConfig(init=MorseParams(*init)))
+        assert got == fit(exact_table, FitConfig())
+
+    def test_global_kappa_not_the_local_minimum(self, exact_table):
+        # the window's max error over kappa has a local minimum near 0.113
+        # and its global one near 0.5839; a start at the first ends at the second
+        init = MorseParams(-2.0, 0.0, 0.113, -0.5)
+        assert fit(exact_table, FitConfig(init=init)).params.kappa == pytest.approx(
+            0.5839, abs=1e-4)
+
+    # wells whose Morse term stays well above rounding on [0, 10]
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(G=st.floats(-5.0, -0.2), V0=st.floats(0.01, 1.0),
+           V0_sign=st.sampled_from([1.0, -1.0]), kappa=st.floats(0.2, 2.0),
+           b=st.floats(0.05, 2.0), b_sign=st.sampled_from([1.0, -1.0]),
+           init=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+                          st.floats(1e-3, 10.0), st.floats(-10.0, 10.0)))
+    def test_recovers_drawn_morse_tables_from_any_init(self, G, V0, V0_sign, kappa,
+                                                         b, b_sign, init):
+        true = MorseParams(G=G, V0=V0_sign * V0, kappa=kappa, b=b_sign * b)
+        report = fit(_synthetic_table(true), FitConfig(init=MorseParams(*init)))
+        assert report.converged
+        for field in ("G", "V0", "kappa", "b"):
+            assert getattr(report.params, field) == pytest.approx(
+                getattr(true, field), rel=1e-8, abs=0.0)
 
 
 # the three documented starts: the default, --init-reference (20% off the
@@ -252,22 +286,20 @@ class TestMinimaxCertificate:
     def test_few_exchanges(self, documented_fits):
         assert all(r.iterations <= 4 for r in documented_fits.values())
 
-    def test_one_window_evaluation_per_reference_solve(self, exact_table,
-                                                       monkeypatch):
-        # the level solves evaluate the model on 5 samples; the whole window
-        # is evaluated once per solve, for the residual, and nowhere else
-        calls = []
-        model = morse_fit._model
+    def test_one_kappa_scan_per_reference_solve(self, exact_table, monkeypatch):
+        # each reference solve scans the kappa L grid once, as arrays, and
+        # evaluates its level gap at single kappa L values after that
+        scans = []
+        level_gap = morse_fit._level_gap
 
-        def counting_model(theta, rho):
-            calls.append(rho.size)
-            return model(theta, rho)
+        def counting_level_gap(q, w, s):
+            scans.append(isinstance(q, np.ndarray))
+            return level_gap(q, w, s)
 
-        monkeypatch.setattr(morse_fit, "_model", counting_model)
-        for init in DOCUMENTED_INITS.values():
-            calls.clear()
-            report = fit(exact_table, FitConfig(init=init))
-            assert calls.count(exact_table.rho_grid.size) == report.iterations
+        monkeypatch.setattr(morse_fit, "_level_gap", counting_level_gap)
+        report = fit(exact_table, FitConfig())
+        assert scans.count(True) == report.iterations
+        assert scans[0] and len(scans) > 2 * report.iterations
 
     def test_fewer_than_five_sign_runs_raises(self):
         resid = np.array([0.3, 0.2, -0.1, -0.4, 0.5, 0.1])
@@ -282,13 +314,17 @@ class TestMinimaxCertificate:
         resid[1] = -0.05
         np.testing.assert_array_equal(alternation_set(resid[1:]), [1, 3, 4, 5, 7])
 
-    def test_singular_reference_system_names_the_parameters(self):
-        # G = 0 zeroes the kappa and b columns of the 5 x 5 system
-        rho = np.linspace(0.0, 10.0, 5)
-        signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
-        theta = np.array([0.0, 0.1, math.log(0.5), -0.5])
-        with pytest.raises(RuntimeError, match="singular Jacobian at G = 0,"):
-            morse_fit._level_solve(theta, rho, morse_w(REFERENCE_MORSE, rho), signs)
+    def test_level_gap_of_a_surrogate_reference_vanishes_at_its_kappa(self):
+        # at the generating kappa L the level is the ripple E that was added
+        # with alternating signs, and the gap is 0; elsewhere it is not
+        p = MorseParams(G=-1.5, V0=0.05, kappa=0.7, b=-0.3)
+        x = np.array([0.0, 0.1, 0.3, 0.6, 1.0])
+        signs = [1.0, -1.0, 1.0, -1.0, 1.0]
+        w = (morse_w(p, 10.0 * x) - 0.01 * np.array(signs)).tolist()
+        level, gap = morse_fit._level_gap(np.exp(-7.0 * x), w, signs)
+        assert level == pytest.approx(0.01, abs=1e-13)
+        assert abs(gap) <= 1e-13
+        assert abs(morse_fit._level_gap(np.exp(-5.0 * x), w, signs)[1]) > 1e-4
 
 
 class TestExactFit:

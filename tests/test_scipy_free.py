@@ -18,7 +18,7 @@ from hypothesis import example, given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import bicatom  # noqa: E402
-from bicatom.analytic_solver import _brent  # noqa: E402
+from bicatom.roots import _brent  # noqa: E402
 
 reproducible = settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 

@@ -5,13 +5,20 @@ W(rho) = -Z(rho)/rho at a few landmark radii, locates the maximum of Z,
 and shows the approach to the Coulomb limit Z -> 1 at large rho.
 
 Run:  python3 demos/tabulate_potential.py
-
-Needs scipy (the package's ``test`` extra) for minimize_scalar.
 """
 
-from scipy.optimize import minimize_scalar
-
 from bicatom.bic_potential import QUARTER_BETA, w_of_rho, z_of_rho
+
+
+def z_peak(lo: float = 1.5, hi: float = 3.0, h: float = 1e-5) -> float:
+    """Bisect the central difference Z(r + h) - Z(r - h), positive below the peak."""
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if z_of_rho(mid + h) > z_of_rho(mid - h):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def main() -> None:
@@ -29,10 +36,9 @@ def main() -> None:
         print(f"{rho:>10g} {z:>16.10f} {w:>16.10f}")
     print()
 
-    peak = minimize_scalar(lambda r: -z_of_rho(r), bounds=(1.5, 3.0),
-                           method="bounded", options={"xatol": 1e-10})
+    peak = z_peak()
     print(f"Z crosses 1 near rho = 0.654988: Z = {z_of_rho(0.654988):.10f}")
-    print(f"Z peaks at rho = {peak.x:.8f} with Z = {-peak.fun:.10f}")
+    print(f"Z peaks at rho = {peak:.8f} with Z = {z_of_rho(peak):.10f}")
     print(f"Z(1000) = {z_of_rho(1000.0):.10f} -> pure-Coulomb limit Z = 1")
 
 

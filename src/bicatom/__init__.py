@@ -3,8 +3,8 @@
 Library layout:
 
 - specfun: Kummer 1F1 and Whittaker M for z > 0 (from scratch)
-- quadrature: adaptive Gauss-Kronrod on finite ranges (Born's phi)
-- bic_potential: Born's potential, the screening function Z, and W = -Z/rho
+- bic_potential: the screening function Z, W = -Z/rho, and Born's
+  potential by a fixed Kronrod rule
 - morse_fit: Morse-type surrogate W_s and its four-parameter fit
 - roots: Brent's bracketed root refinement, shared by the fit and solver
 - analytic_solver: Whittaker quantization, alpha*beta and energy closed forms
@@ -24,7 +24,6 @@ from .morse_fit import (FitConfig, FitReport, MorseParams, REFERENCE_MORSE,
                         fit, morse_w)
 from .numerov_oracle import (OracleResult, RadialProblem, bic_interpolator,
                              ground_state, shoot)
-from .quadrature import QuadratureError, QuadResult, QuadSpec, integrate
 from .specfun import SeriesNonConvergence, kummer_m, whittaker_m
 
 __version__ = "0.1.0"
@@ -38,7 +37,6 @@ __all__ = [
     "morse_w",
     "OracleResult", "RadialProblem", "bic_interpolator", "ground_state",
     "shoot",
-    "QuadratureError", "QuadResult", "QuadSpec", "integrate",
     "SeriesNonConvergence", "kummer_m", "whittaker_m",
     "__version__",
 ]

@@ -220,8 +220,9 @@ class TestBornPhi:
         assert vals[-1] > 0.0
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            born_phi(-0.1)
+        for r in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                born_phi(r)
 
 
 class TestTabulate:

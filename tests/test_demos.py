@@ -1,8 +1,7 @@
 """Each demo script runs to completion with exit 0 and nothing on stderr.
 
 The demos import the public library names; running them here catches a
-renamed or deleted name they still use.  tabulate_potential.py also needs
-scipy (a test-only dependency) and is skipped without it.
+renamed or deleted name they still use.  They need numpy only.
 """
 
 import os
@@ -15,7 +14,6 @@ import pytest
 import bicatom
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
-NEEDS_SCIPY = {"tabulate_potential.py"}
 
 
 def test_all_demos_found():
@@ -25,8 +23,6 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_runs_clean(demo, tmp_path):
-    if demo.name in NEEDS_SCIPY:
-        pytest.importorskip("scipy.optimize")
     src = os.path.dirname(os.path.dirname(bicatom.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))

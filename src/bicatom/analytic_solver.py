@@ -122,7 +122,12 @@ class ModelConstants:
 
 
 def _boundary_z(a: float, morse: MorseParams) -> float:
-    return 2.0 * a * math.exp(morse.kappa * morse.b)
+    """X(a) = 2a e^{kappa b}; inf when e^{kappa b} overflows, which
+    kummer_m then rejects as beyond its range."""
+    try:
+        return 2.0 * a * math.exp(morse.kappa * morse.b)
+    except OverflowError:
+        return math.inf
 
 
 def quantization_residual(a: float, nu: float, morse: MorseParams) -> float:

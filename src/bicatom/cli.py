@@ -218,17 +218,8 @@ def _run_potential(args: argparse.Namespace) -> int:
 
 
 def _run_fit(args: argparse.Namespace) -> int:
-    if args.init is not None:
-        init = MorseParams(*args.init)
-    elif args.init_reference:
-        r = REFERENCE_MORSE
-        init = MorseParams(G=1.2 * r.G, V0=0.8 * r.V0,
-                           kappa=1.2 * r.kappa, b=0.8 * r.b)
-    else:
-        init = FitConfig().init
     fit_cfg = FitConfig(rho_min=args.rho_min, rho_max=args.rho_max,
-                        max_iters=args.max_iters, step_tol=args.step_tol,
-                        init=init)
+                        max_iters=args.max_iters, step_tol=args.step_tol)
     table = tabulate(PotentialKind.EXACT_BIC, args.rho_min, args.rho_max,
                      args.samples)
     report = fit(table, fit_cfg)
@@ -255,7 +246,7 @@ def _run_fit(args: argparse.Namespace) -> int:
               args.residuals_out)
     if not report.converged:
         _error_line("fit-not-converged",
-                    f"no convergence in {report.iterations} exchanges "
+                    f"no convergence in {report.iterations} reference solves "
                     f"(step_tol {_fmt_float(fit_cfg.step_tol)})")
         return 1
     return 0
@@ -395,16 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--max-iters", type=int, default=120)
     p.add_argument("--step-tol", type=float, default=5e-5)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--init-reference", action="store_true",
-                       help="a 20%% perturbation of the reference parameters "
-                            "as the start; accepted, but the fit needs no "
-                            "start and the result does not change")
-    group.add_argument("--init", type=float, nargs=4,
-                       metavar=("G", "V0", "KAPPA", "B"),
-                       help="explicit starting parameters; validated, but "
-                            "the fit needs no start and the result does "
-                            "not change")
     p.add_argument("--residuals-out", default=None, metavar="PATH",
                    help="also write per-sample residuals as CSV to PATH")
     p.set_defaults(run=_run_fit)

@@ -101,8 +101,10 @@ class FitConfig:
     relative ripple spread, (max |r| - min |r| on the 5 reference
     samples) / max |r|, below which the fit is declared converged.
 
-    ``init`` is accepted and must be a valid MorseParams, but it does not
-    change the result: the fit needs no start (see the module docstring).
+    ``init`` is not read: the fit needs no start (see the module
+    docstring).  It stays only because the benchmark's worker
+    (perfbench/worker.py) builds ``FitConfig(init=...)`` and reads
+    ``FitConfig().init``; the next change to the benchmark drops it.
 
     A window whose best quadratic in q = e^{-kappa rho} has no Morse well
     with real b, such as one with rho_min = 2 and rho_max >= 8, makes
@@ -141,9 +143,11 @@ class FitReport:
 
 
 def morse_w(p: MorseParams, rho):
-    """Evaluate W_s at scalar or array rho."""
+    """Evaluate W_s at scalar or array rho; an overflow gives inf (or NaN
+    where G = 0) without a warning, for the caller to reject."""
     r = np.asarray(rho, dtype=float)
-    out = -(p.G * (1.0 - np.exp(-p.kappa * (r - p.b))) ** 2 + p.V0 + QUARTER_BETA)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = -(p.G * (1.0 - np.exp(-p.kappa * (r - p.b))) ** 2 + p.V0 + QUARTER_BETA)
     if np.ndim(rho) == 0:
         return float(out)
     return out
@@ -197,8 +201,9 @@ def fit(table: PotentialTable, cfg: FitConfig = FitConfig()) -> FitReport:
     (see module docstring): the converged flag reports whether the
     residual vanished to rounding, or its relative ripple spread dropped
     below ``cfg.step_tol``, within ``cfg.max_iters`` reference solves.
-    ``cfg.init`` is not read.  Raises RuntimeError when the window has no
-    Morse well with real b, and for a residual with fewer than 5 sign runs.
+    ``cfg.init`` is not read (see FitConfig).  Raises RuntimeError when the
+    window has no Morse well with real b, and for a residual with fewer
+    than 5 sign runs.
     """
     grid = table.rho_grid
     if grid[0] > cfg.rho_min or grid[-1] < cfg.rho_max:

@@ -94,7 +94,9 @@ def whittaker_m(a: float, nu: float, z):
     """Whittaker function of the first kind M_{a,nu}(z), z > 0, nu > 0.
 
     Computed through the Kummer representation (single code path); z may
-    be a scalar or ndarray (an empty array gives an empty array).
+    be a scalar or ndarray (an empty array gives an empty array).  1F1
+    is taken first, so a z beyond kummer_m's range raises its ValueError
+    before z^(nu+1/2) can overflow.
     """
     a = float(a)
     nu = float(nu)
@@ -104,10 +106,10 @@ def whittaker_m(a: float, nu: float, z):
         zf = float(z)
         if not zf > 0.0:
             raise ValueError(f"whittaker_m requires z > 0, got {zf!r}")
-        pref = math.exp(-0.5 * zf) * zf ** (nu + 0.5)
-        return pref * kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, zf)
+        m = kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, zf)
+        return math.exp(-0.5 * zf) * zf ** (nu + 0.5) * m
     za = np.asarray(z, dtype=float)
     if za.size and not float(za.min()) > 0.0:
         raise ValueError("whittaker_m requires z > 0")
-    pref = np.exp(-0.5 * za) * za ** (nu + 0.5)
-    return pref * kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, za)
+    m = kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, za)
+    return np.exp(-0.5 * za) * za ** (nu + 0.5) * m

@@ -165,26 +165,6 @@ def test_fit_default_report(capsys):
         assert abs(params[key] - ref) <= 0.05 * abs(ref)
 
 
-def test_fit_init_reference(capsys):
-    code, out, _ = run_cli(capsys, ["fit", "--init-reference"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["converged"] is True
-    assert doc["iterations"] <= 50
-    assert doc["max_abs_residual"] <= REFERENCE_MAXRES
-
-
-def test_fit_explicit_init_same_minimum(capsys):
-    code_a, out_a, _ = run_cli(
-        capsys, ["fit", "--init", "-1.83", "0.098", "0.585", "-0.457"])
-    code_b, out_b, _ = run_cli(capsys, ["fit"])
-    assert code_a == 0 and code_b == 0
-    pa = json.loads(out_a)["params"]
-    pb = json.loads(out_b)["params"]
-    for key in ("G", "V0", "kappa", "b"):
-        assert abs(pa[key] - pb[key]) < 1e-5
-
-
 def test_fit_residuals_csv(capsys, tmp_path):
     resid_path = tmp_path / "residuals.csv"
     code, out, _ = run_cli(capsys, ["fit", "--residuals-out",
@@ -214,49 +194,22 @@ def test_fit_nonconvergence_exits_nonzero(capsys):
     code, out, err = run_cli(capsys, ["fit", "--max-iters", "1",
                                       "--step-tol", "1e-12"])
     assert code == 1
-    assert err.startswith("error:fit-not-converged: no convergence in 1 exchanges")
+    assert err.startswith("error:fit-not-converged: no convergence in 1 reference solves")
     assert "\n" not in err.strip()
     doc = json.loads(out)  # the report is still emitted
     assert doc["converged"] is False
     assert doc["iterations"] == 1
 
 
-@pytest.mark.parametrize("init", [
-    ("-2", "0", "0", "-0.5"),
-    ("-2", "0", "-0.5", "-0.5"),
-    ("-2", "0", "1e-400", "-0.5"),  # kappa underflows to 0
-    ("nan", "0", "0.5", "-0.5"),
-    ("-2", "inf", "0.5", "-0.5"),
-    ("-2", "0", "0.5", "1e999"),  # b overflows to inf
-])
-def test_fit_degenerate_or_overflowing_start_fails_cleanly(capsys, init):
-    # the start is not read by the fit, but it must still be valid parameters
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, ["fit", "--init", *init])
+@pytest.mark.parametrize("argv", [["fit", "--init", "-2", "0", "0.5", "-0.5"],
+                                  ["fit", "--init-reference"]])
+def test_fit_start_options_are_gone(capsys, argv):
+    # the fit needs no start, so it takes none
+    code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     lines = err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error:invalid-input:")
-
-
-@pytest.mark.parametrize("init", [
-    ("0", "0.1", "0.5", "-0.5"),
-    ("-2", "0", "200", "5"),
-    ("-2", "0", "1", "800"),
-    ("1e308", "0", "0.5", "-0.5"),
-    ("-2", "1e308", "0.5", "-0.5"),
-    ("1e-310", "0", "0.5", "-0.5"),
-    ("-2", "0", "0.05", "-0.5"),
-    ("-2", "0", "0.2", "-0.5"),
-])
-def test_fit_start_does_not_change_the_output(capsys, init):
-    # starts that stopped the old Newton level solve print the default fit
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, ["fit", "--init", *init])
-    assert (code, err) == (0, "")
-    assert out == run_cli(capsys, ["fit"])[1]
+    assert lines[0].startswith("error:usage:")
 
 
 def test_fit_window_off_the_origin_keeps_the_error_contract(capsys):
@@ -370,14 +323,12 @@ def test_repulsive_depth_is_rejected(capsys, command):
 
 
 # argparse reads only -1 and -1.5 as negative numbers; these printed
-# "error:usage: ... expected one argument" (or "expected 4 arguments")
+# "error:usage: ... expected one argument"
 @pytest.mark.parametrize("argv, plain", [
     (["calibrate", "--target", "-4.9973e-1"], ["calibrate", "--target", "-0.49973"]),
     (["calibrate", "--target=-4.9973e-1"], ["calibrate", "--target", "-0.49973"]),
-    (["fit", "--init", "-1.83e0", "0.098", "0.585", "-0.457"],
-     ["fit", "--init", "-1.83", "0.098", "0.585", "-0.457"]),
     (["solve", "--nu", "2.9", "--G", "-1.83e0"], ["solve", "--nu", "2.9", "--G", "-1.83"]),
-], ids=["calibrate", "calibrate-equals", "fit", "solve"])
+], ids=["calibrate", "calibrate-equals", "solve"])
 def test_negative_numbers_with_an_exponent(capsys, argv, plain):
     code, out, err = run_cli(capsys, argv)
     assert code == 0
@@ -575,9 +526,18 @@ def test_ten_significant_digits(capsys):
     ["solve", "--nu", "2", "--kappa", "1e-160"],
     ["calibrate", "--G=-1e300"],
     ["calibrate", "--kappa", "1e-160"],
+    # z0 = 2a e^(kappa b) > 200: z^(nu+1/2) overflowed before 1F1 checked z
+    ["solve", "--nu", "2.9", "--b", "800"],
+    ["calibrate", "--b", "800"],
+    # e^(kappa b) itself overflowed
+    ["solve", "--nu", "2.9", "--b", "1e6"],
+    # morse_w's square overflowed with a RuntimeWarning
+    ["oracle", "--potential", "morse", "--alpha-beta", "1", "--b", "1000"],
 ])
 def test_extreme_morse_parameters_fail_cleanly(capsys, argv):
-    code, out, err = run_cli(capsys, argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv)
     assert code != 0
     assert out == ""
     assert len(err.splitlines()) == 1

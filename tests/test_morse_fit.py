@@ -206,8 +206,9 @@ class TestNoStart:
                 getattr(true, field), rel=1e-8, abs=0.0)
 
 
-# the three documented starts: the default, --init-reference (20% off the
-# reference) and an explicit start next to the reference
+# the three starts the fit command once took: the default, the former
+# --init-reference (20% off the reference) and an explicit start next to
+# the reference
 DOCUMENTED_INITS = {
     "default": FitConfig().init,
     "init-reference": MorseParams(1.2 * REF_TUPLE[0], 0.8 * REF_TUPLE[1],

@@ -23,7 +23,7 @@ def main() -> None:
     sol = observables(nu, a, c)
     rows = (
         ("a (quantization parameter)", sol.a, 4.414424),
-        ("X = 2 a exp(-kappa |b|)", sol.X, 6.756270935),
+        ("X = 2 a exp(kappa b)", sol.X, 6.756270935),
         ("|A| = a^2 / 2", sol.A_abs, None),
         ("E = -nu^2 / 2", sol.E, None),
         ("alpha*beta", sol.alpha_beta, 1.823373498),

@@ -79,6 +79,11 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be a positive real, got {v!r}")
 
 
+def _require_well(morse: MorseParams) -> None:
+    if not morse.G < 0.0:
+        raise ValueError(f"the Morse depth G must be negative, got {morse.G!r}")
+
+
 @dataclass(frozen=True)
 class AnalyticSolution:
     """Ground-state solution bundle.
@@ -117,13 +122,11 @@ class ModelConstants:
     morse: MorseParams = REFERENCE_MORSE
 
     def __post_init__(self) -> None:
-        if not self.morse.G < 0.0:
-            raise ValueError(f"the Morse depth G must be negative, got {self.morse.G!r}")
+        _require_well(self.morse)
 
 
 def _boundary_z(a: float, morse: MorseParams) -> float:
-    """X(a) = 2a e^{kappa b}; inf when e^{kappa b} overflows, which
-    kummer_m then rejects as beyond its range."""
+    """X(a) = 2a e^{kappa b}; inf when e^{kappa b} overflows."""
     try:
         return 2.0 * a * math.exp(morse.kappa * morse.b)
     except OverflowError:
@@ -134,10 +137,15 @@ def quantization_residual(a: float, nu: float, morse: MorseParams) -> float:
     """M_{a,nu} evaluated at the boundary point z0 = 2a e^{kappa b}.
 
     A root in a (together with z0 being the first root of M) enforces
-    u = 0 at rho = 0 for a nodeless interior solution.
+    u = 0 at rho = 0 for a nodeless interior solution.  Raises ValueError,
+    naming kappa and b, when z0 lies beyond 1F1's range z <= 200.
     """
     _require_positive(a=a, nu=nu)
-    return whittaker_m(a, nu, _boundary_z(a, morse))
+    x = _boundary_z(a, morse)
+    if not x <= _Z_CAP:
+        raise ValueError(f"kappa = {morse.kappa!r}, b = {morse.b!r} put X = 2a e^(kappa b) = "
+                         f"{x:.6g} at a = {a:.6g} beyond 1F1's range z <= {_Z_CAP:g}")
+    return whittaker_m(a, nu, x)
 
 
 def first_root(a: float, nu: float) -> float:
@@ -238,9 +246,11 @@ def solve_a(nu: float, morse: MorseParams) -> float:
     """Smallest a > 0 whose first Whittaker root sits at X(a) = 2a e^{kappa b}.
 
     a marches up from 0.1 to 50 in steps of 0.1; the first sign change of
-    M_{a,nu}(X(a)) is refined to 1e-10 and certified (_march).
+    M_{a,nu}(X(a)) is refined to 1e-10 and certified (_march).  Like
+    ModelConstants, raises ValueError unless G < 0.
     """
     _require_positive(nu=nu)
+    _require_well(morse)
     return _march(lambda a: (nu, a), (round(0.1 * k, 10) for k in range(1, 501)), morse,
                   1e-10, f"no ground-state a in (0, {_A_CAP:g}] for nu = {nu!r}")[1]
 

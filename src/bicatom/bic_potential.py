@@ -245,11 +245,6 @@ def _w_kernel(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _z_kernel(rho: np.ndarray) -> np.ndarray:
-    """Z = -rho W on a 1-d array of rho in [0, 1e6]."""
-    return -rho * _w_kernel(rho)
-
-
 def _checked_rho(rho: float) -> np.ndarray:
     """[rho] as an array, once 0 <= rho <= 1e6 is checked."""
     rho = float(rho)
@@ -268,7 +263,8 @@ def z_of_rho(rho: float) -> float:
     Gauss-Legendre, split at min(1/rho, sqrt(2)/8) because for large rho
     the integrand drops sharply past y ~ 1/rho.
     """
-    return float(_z_kernel(_checked_rho(rho))[0])
+    r = _checked_rho(rho)
+    return float(-r[0] * _w_kernel(r)[0])
 
 
 def w_of_rho(rho: float) -> float:
@@ -324,10 +320,14 @@ def born_phi(r: float) -> float:
             + integrate(_born_integrand, 0.0, 1.0))
 
 
-def tabulate(kind: PotentialKind, rho_min: float, rho_max: float, n: int,
-             morse=None) -> PotentialTable:
-    """Uniform-grid table of W, exact or Morse surrogate, n <= 1e6 points."""
-    kind = PotentialKind(kind)
+def tabulate(kind: PotentialKind, rho_min: float, rho_max: float, n: int) -> PotentialTable:
+    """Uniform-grid table of the exact W, 2 <= n <= 1e6 points on [rho_min, rho_max].
+
+    Any other kind raises ValueError: a Morse surrogate table is
+    PotentialTable(rho, morse_w(params, rho), PotentialKind.MORSE_SURROGATE).
+    """
+    if PotentialKind(kind) is not PotentialKind.EXACT_BIC:
+        raise ValueError(f"tabulate builds exact tables only, got {kind!r}")
     rho_min = float(rho_min)
     rho_max = float(rho_max)
     if not (0.0 <= rho_min < rho_max):
@@ -336,15 +336,8 @@ def tabulate(kind: PotentialKind, rho_min: float, rho_max: float, n: int,
         raise ValueError("need n >= 2")
     if n > _MAX_POINTS:
         raise ValueError(f"need n <= {_MAX_POINTS}, got {n}")
-    if kind is PotentialKind.EXACT_BIC and rho_max > _RHO_CAP:
+    if rho_max > _RHO_CAP:
         raise ValueError(f"rho beyond the supported cap {_RHO_CAP:g} "
                          "(cancellation budget exceeded)")
     grid = np.linspace(rho_min, rho_max, int(n))
-    if kind is PotentialKind.EXACT_BIC:
-        vals = _w_kernel(grid)
-    else:
-        if morse is None:
-            raise ValueError("MorseSurrogate tabulation requires morse parameters")
-        from .morse_fit import morse_w  # deferred: morse_fit imports this module
-        vals = np.asarray(morse_w(morse, grid), dtype=float)
-    return PotentialTable(grid, vals, kind)
+    return PotentialTable(grid, _w_kernel(grid), PotentialKind.EXACT_BIC)

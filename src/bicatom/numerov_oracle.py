@@ -48,7 +48,6 @@ from .bic_potential import _MAX_POINTS, PotentialKind, tabulate
 __all__ = [
     "RadialProblem",
     "OracleResult",
-    "shoot",
     "ground_state",
     "bic_interpolator",
 ]
@@ -272,22 +271,6 @@ def _sweep(w: np.ndarray, alpha_beta: float, h: float, lam: float):
                 + (1.0 - t_after) * in_prev / in_m)
     norm = s_out / (out * out) + s_in / (in_m * in_m) - 1.0
     return 0, -residual / (2.0 * h * h * norm)
-
-
-def shoot(p: RadialProblem, lam: float):
-    """Propagate once at trial eigenvalue lam < 0.
-
-    Returns (endpoint_value, node_count): u at rho_max (up to a positive
-    renormalization scale) and the number of sign changes of u on
-    (0, rho_max].  Raises RuntimeError when h is too coarse for Numerov
-    at lam (h^2 f / 12 reaches 1 on the grid).
-    """
-    if not (lam < 0.0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be a negative real, got {lam!r}")
-    w = _w_grid(p)
-    _check_step(w, p.alpha_beta, p.h, lam)
-    _, end, _, nodes = _propagate(_t_grid(w, p.alpha_beta, p.h, lam), p.h)
-    return end, nodes
 
 
 def _search(w: np.ndarray, alpha_beta: float, h: float, lam: float | None):

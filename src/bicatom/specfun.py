@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = [
     "SeriesNonConvergence",
     "kummer_m",
@@ -35,7 +33,30 @@ class SeriesNonConvergence(RuntimeError):
     """Raised when the 1F1 series does not converge within _MAX_TERMS terms."""
 
 
-def _kummer_series(alpha: float, gamma: float, z: float) -> float:
+def kummer_m(alpha: float, gamma: float, z: float) -> float:
+    """Kummer's confluent hypergeometric 1F1(alpha; gamma; z), 0 <= z <= 200.
+
+    Forward term recurrence t_{n+1} = t_n (alpha+n) z / ((gamma+n)(n+1)),
+    stopped once |t_n| is below 1e-14 times the accumulated term
+    magnitude sum |t_k| for two consecutive terms that are zero or
+    shrinking (tiny but growing leading terms, as for alpha near 0 or a
+    negative integer, do not end the sum).  The stop is relative to that
+    magnitude, not to the partial sum: near a zero of the function the
+    sum itself is small through cancellation and a sum-relative test
+    would never trigger.  Negative z, where the alternating series
+    cancels catastrophically, is rejected.
+
+    Raises ValueError for gamma in {0, -1, -2, ...} or any z outside
+    [0, 200] (NaN included), and SeriesNonConvergence when 5000 terms do
+    not converge.
+    """
+    alpha = float(alpha)
+    gamma = float(gamma)
+    z = float(z)
+    if gamma <= 0.0 and gamma == math.floor(gamma):
+        raise ValueError(f"kummer_m undefined for gamma = {gamma} (non-positive integer)")
+    if not 0.0 <= z <= _Z_CAP:
+        raise ValueError(f"kummer_m supports 0 <= z <= {_Z_CAP:g}, got {z!r}")
     rel_tol, max_terms = _REL_TOL, _MAX_TERMS
     term = 1.0
     total = 1.0
@@ -56,60 +77,18 @@ def _kummer_series(alpha: float, gamma: float, z: float) -> float:
         f"1F1({alpha}, {gamma}, {z}) did not converge in {max_terms} terms")
 
 
-def kummer_m(alpha: float, gamma: float, z):
-    """Kummer's confluent hypergeometric 1F1(alpha; gamma; z), 0 <= z <= 200.
-
-    Forward term recurrence t_{n+1} = t_n (alpha+n) z / ((gamma+n)(n+1)),
-    stopped once |t_n| is below 1e-14 times the accumulated term
-    magnitude sum |t_k| for two consecutive terms that are zero or
-    shrinking (tiny but growing leading terms, as for alpha near 0 or a
-    negative integer, do not end the sum).  The stop is relative to that
-    magnitude, not to the partial sum: near a zero of the function the
-    sum itself is small through cancellation and a sum-relative test
-    would never trigger.  z may be a scalar or ndarray, summed element by
-    element (an empty array gives an empty array); negative z, where the
-    alternating series cancels catastrophically, is rejected.
-
-    Raises ValueError for gamma in {0, -1, -2, ...} or any z outside
-    [0, 200] (NaN included), and SeriesNonConvergence when 5000 terms do
-    not converge.
-    """
-    alpha = float(alpha)
-    gamma = float(gamma)
-    if gamma <= 0.0 and gamma == math.floor(gamma):
-        raise ValueError(f"kummer_m undefined for gamma = {gamma} (non-positive integer)")
-    if np.ndim(z) == 0:
-        zf = float(z)
-        if not 0.0 <= zf <= _Z_CAP:
-            raise ValueError(f"kummer_m supports 0 <= z <= {_Z_CAP:g}, got {zf!r}")
-        return _kummer_series(alpha, gamma, zf)
-    za = np.asarray(z, dtype=float)
-    if not np.all((za >= 0.0) & (za <= _Z_CAP)):
-        raise ValueError(f"kummer_m supports 0 <= z <= {_Z_CAP:g}")
-    return np.array([_kummer_series(alpha, gamma, zi) for zi in za.ravel().tolist()],
-                    dtype=float).reshape(za.shape)
-
-
-def whittaker_m(a: float, nu: float, z):
+def whittaker_m(a: float, nu: float, z: float) -> float:
     """Whittaker function of the first kind M_{a,nu}(z), z > 0, nu > 0.
 
-    Computed through the Kummer representation (single code path); z may
-    be a scalar or ndarray (an empty array gives an empty array).  1F1
-    is taken first, so a z beyond kummer_m's range raises its ValueError
-    before z^(nu+1/2) can overflow.
+    Computed through the Kummer representation.  1F1 is taken first, so
+    a z beyond kummer_m's range raises its ValueError before z^(nu+1/2)
+    can overflow.
     """
-    a = float(a)
     nu = float(nu)
+    z = float(z)
     if not nu > 0.0:
         raise ValueError(f"whittaker_m requires nu > 0, got {nu!r}")
-    if np.ndim(z) == 0:
-        zf = float(z)
-        if not zf > 0.0:
-            raise ValueError(f"whittaker_m requires z > 0, got {zf!r}")
-        m = kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, zf)
-        return math.exp(-0.5 * zf) * zf ** (nu + 0.5) * m
-    za = np.asarray(z, dtype=float)
-    if za.size and not float(za.min()) > 0.0:
-        raise ValueError("whittaker_m requires z > 0")
-    m = kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, za)
-    return np.exp(-0.5 * za) * za ** (nu + 0.5) * m
+    if not z > 0.0:
+        raise ValueError(f"whittaker_m requires z > 0, got {z!r}")
+    m = kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, z)
+    return math.exp(-0.5 * z) * z ** (nu + 0.5) * m

@@ -152,7 +152,7 @@ def test_ac7_validation_invariants(monkeypatch):
     a = solve_a(2.89873, C.morse)
     sol = observables(2.89873, a, C)
     zs = np.linspace(sol.X / 1000.0, sol.X * (1.0 - 1.0 / 1000.0), 1000)
-    nodeless_ok = bool(np.all(whittaker_m(a, 2.89873, zs) > 0.0))
+    nodeless_ok = all(whittaker_m(a, 2.89873, z) > 0.0 for z in zs.tolist())
 
     ok = reduction_ok and poly_ok and order_ok and nodeless_ok
     _report("AC7", ok,

@@ -66,6 +66,15 @@ class TestQuantizationResidual:
         with pytest.raises(ValueError):
             quantization_residual(math.nan, 1.0, REFERENCE_MORSE)
 
+    @pytest.mark.parametrize("b", [800.0, 1e6])
+    def test_boundary_point_beyond_1f1_range_is_named(self, b):
+        # X = 2a e^(kappa b) is 1.4e204 at b = 800 and overflows at 1e6;
+        # the error named kummer_m and a z the caller never gave
+        morse = replace(REFERENCE_MORSE, b=b)
+        with pytest.raises(ValueError, match=rf"kappa = 0\.5852, b = {b!r} put .* "
+                                             r"beyond 1F1's range z <= 200$"):
+            quantization_residual(3.4, 2.9, morse)
+
 
 class TestFirstRoot:
     @pytest.mark.parametrize("nu", [0.7, 1.0, 1.3, 2.2])
@@ -116,6 +125,13 @@ class TestSolveA:
             solve_a(0.0, REFERENCE_MORSE)
         with pytest.raises(ValueError):
             solve_a(math.inf, REFERENCE_MORSE)
+
+    def test_non_negative_depth_rejected(self):
+        # solve_a returned 4.414424360046274 for G = 1.83 and for G = 0, as
+        # if G were -1.83: the Whittaker reduction needs G < 0
+        for g in (1.83, 0.0):
+            with pytest.raises(ValueError, match="G must be negative"):
+                solve_a(2.89873, replace(REFERENCE_MORSE, G=g))
 
 
 class TestObservables:
@@ -262,8 +278,7 @@ class TestGroundStateGeometry:
         a = solve_a(NU_REF, REFERENCE_MORSE)
         sol = observables(NU_REF, a, C)
         zs = np.linspace(sol.X / 1000.0, sol.X * (1.0 - 1.0 / 1000.0), 1000)
-        vals = whittaker_m(a, NU_REF, zs)
-        assert np.all(vals > 0.0)
+        assert all(whittaker_m(a, NU_REF, z) > 0.0 for z in zs.tolist())
 
     def test_domain_mapping_endpoints(self):
         m = REFERENCE_MORSE

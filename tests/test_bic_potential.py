@@ -238,14 +238,17 @@ class TestTabulate:
         assert tab.kind is PotentialKind.EXACT_BIC
 
     def test_morse_surrogate_endpoints_closed_form(self):
-        tab = tabulate(PotentialKind.MORSE_SURROGATE, 0.0, 10.0, 2,
-                       morse=REFERENCE_MORSE)
-        assert tab.values[0] == pytest.approx(morse_w(REFERENCE_MORSE, 0.0), abs=0.0)
-        assert tab.values[1] == pytest.approx(morse_w(REFERENCE_MORSE, 10.0), abs=0.0)
+        # a surrogate table is built from morse_w directly, not by tabulate
+        rho = np.linspace(0.0, 10.0, 2)
+        tab = PotentialTable(rho, morse_w(REFERENCE_MORSE, rho),
+                             PotentialKind.MORSE_SURROGATE)
+        assert tab.values[0] == morse_w(REFERENCE_MORSE, 0.0)
+        assert tab.values[1] == morse_w(REFERENCE_MORSE, 10.0)
 
-    def test_morse_requires_params(self):
-        with pytest.raises(ValueError):
-            tabulate(PotentialKind.MORSE_SURROGATE, 0.0, 10.0, 5)
+    def test_exact_tables_only(self):
+        for kind in (PotentialKind.MORSE_SURROGATE, "morse"):
+            with pytest.raises(ValueError, match="exact tables only"):
+                tabulate(kind, 0.0, 10.0, 5)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -544,6 +544,25 @@ def test_extreme_morse_parameters_fail_cleanly(capsys, argv):
     assert err.startswith(("error:invalid-input:", "error:computation-failed:"))
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["solve", "--nu", "2.9", "--b", "800"],
+     "kappa = 0.5852, b = 800.0 put X = 2a e^(kappa b) = 1.41845e+204 at a = 3.4 "
+     "beyond 1F1's range z <= 200"),
+    (["calibrate", "--b", "800"],
+     "kappa = 0.5852, b = 800.0 put X = 2a e^(kappa b) = 2.47213e+204 at a = 5.92565 "
+     "beyond 1F1's range z <= 200"),
+    (["solve", "--nu", "2.9", "--b", "1e6"],
+     "kappa = 0.5852, b = 1000000.0 put X = 2a e^(kappa b) = inf at a = 3.4 "
+     "beyond 1F1's range z <= 200"),
+])
+def test_boundary_point_beyond_1f1_range_names_kappa_and_b(capsys, argv, detail):
+    # these said "kummer_m supports 0 <= z <= 200, got 1.4184484613417063e+204"
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error:invalid-input: {detail}\n"
+
+
 def test_unknown_format_usage_error(capsys):
     code, out, err = run_cli(capsys, ["solve", "--nu", "2.9", "--format", "yaml"])
     assert code == 2

@@ -12,7 +12,6 @@ otherwise dominate the comparison.  mpmath and hypothesis are test-only
 dependencies.
 """
 
-import numpy as np
 import pytest
 
 mp = pytest.importorskip("mpmath")
@@ -81,5 +80,3 @@ def test_kummer_sums_past_tiny_leading_terms(alpha, gamma):
             want = float(mp.hyp1f1(alpha, gamma, z))
         tol = 1e-13 * max(1.0, abs(want))
         assert abs(kummer_m(alpha, gamma, z) - want) <= tol
-        # one point per array: the array sum stops only when all points may
-        assert abs(kummer_m(alpha, gamma, np.array([z]))[0] - want) <= tol

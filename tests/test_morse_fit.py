@@ -103,8 +103,8 @@ class TestConfigAndReport:
 
 
 def _synthetic_table(params, rho_min=0.0, rho_max=10.0, n=200):
-    return tabulate(PotentialKind.MORSE_SURROGATE, rho_min, rho_max, n,
-                    morse=params)
+    rho = np.linspace(rho_min, rho_max, n)
+    return PotentialTable(rho, morse_w(params, rho), PotentialKind.MORSE_SURROGATE)
 
 
 class TestZeroResidualRecovery:

@@ -22,7 +22,6 @@ from bicatom.numerov_oracle import (
     RadialProblem,
     bic_interpolator,
     ground_state,
-    shoot,
 )
 
 AB_CHAIN = 1.823373498
@@ -64,17 +63,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             RadialProblem(potential=42.0, alpha_beta=1.0)
 
-    def test_shoot_requires_negative_lambda(self, morse_problem):
-        with pytest.raises(ValueError):
-            shoot(morse_problem, 0.0)
-        with pytest.raises(ValueError):
-            shoot(morse_problem, 0.5)
-
     def test_non_finite_potential_rejected(self):
         bad = RadialProblem(potential=lambda r: np.where(r > 20.0, np.nan, -1.0 / r),
                             alpha_beta=1.0)
-        with pytest.raises(ValueError):
-            shoot(bad, -0.5)
+        with pytest.raises(ValueError, match="finite"):
+            ground_state(bad)
 
     def test_oracle_result_invariants(self):
         with pytest.raises(ValueError):
@@ -82,25 +75,33 @@ class TestValidation:
                          iterations=10, grid_points=100)
 
 
+def shoot_out(p, lam):
+    """u at rho_max (up to a positive scale) and its node count, propagated
+    once outward from the origin across the whole grid at lam."""
+    t = numerov_oracle._t_grid(numerov_oracle._w_grid(p), p.alpha_beta, p.h, lam)
+    _, end, _, nodes = numerov_oracle._propagate(t, p.h)
+    return end, nodes
+
+
 class TestShoot:
     def test_coulomb_endpoint_flips_across_eigenvalue(self):
         p = RadialProblem(potential=coulomb, alpha_beta=1.0)
-        below, _ = shoot(p, -0.5001)
-        above, _ = shoot(p, -0.4999)
+        below, _ = shoot_out(p, -0.5001)
+        above, _ = shoot_out(p, -0.4999)
         assert math.copysign(1.0, below) != math.copysign(1.0, above)
 
     def test_deep_lambda_divergent_and_nodeless(self, morse_problem):
-        end, nodes = shoot(morse_problem, -8.0)
+        end, nodes = shoot_out(morse_problem, -8.0)
         assert nodes == 0
         assert end > 0.0
 
     def test_morse_endpoint_near_sign_change_at_chain_lambda(self, morse_problem):
-        lo, _ = shoot(morse_problem, -1.6615)
-        hi, _ = shoot(morse_problem, -1.6610)
+        lo, _ = shoot_out(morse_problem, -1.6615)
+        hi, _ = shoot_out(morse_problem, -1.6610)
         assert math.copysign(1.0, lo) != math.copysign(1.0, hi)
 
     def test_above_ground_state_has_nodes(self, morse_problem):
-        _, nodes = shoot(morse_problem, -1.3)
+        _, nodes = shoot_out(morse_problem, -1.3)
         assert nodes >= 1
 
 
@@ -200,7 +201,7 @@ class TestGroundState:
         for pot in (lambda r: -1.0, lambda r: -1.0 / r[:-1]):
             p = RadialProblem(potential=pot, alpha_beta=AB_CHAIN, h=0.01)
             with pytest.raises(ValueError, match="shape"):
-                shoot(p, -0.5)
+                ground_state(p)
 
 
 def harmonic(r):
@@ -430,7 +431,6 @@ class TestPropagation:
         t = numerov_oracle._t_grid(numerov_oracle._w_grid(p), alpha_beta, p.h, lam)
         nodes = scalar_numerov(t, p.h)[3]
         assert numerov_oracle._propagate(t, p.h)[3] == nodes
-        assert shoot(p, lam)[1] == nodes
         assert nodes >= 1 and expected in (None, nodes)
 
     def test_exact_zero_counts_as_in_the_scalar_loop(self):
@@ -494,8 +494,9 @@ class TestPropagation:
     def test_shoot_rejects_too_coarse_grid(self):
         # h^2 f / 12 reaches 1.7 at lambda = -1e7, where the loop divided by
         # 1 - t < 0 and reported 39 999 nodes
+        p = RadialProblem(potential=coulomb, alpha_beta=1.0)
         with pytest.raises(RuntimeError, match="too coarse"):
-            shoot(RadialProblem(potential=coulomb, alpha_beta=1.0), -1e7)
+            numerov_oracle._check_step(numerov_oracle._w_grid(p), p.alpha_beta, p.h, -1e7)
 
     def test_unresolved_state_rejected(self):
         # Coulomb at alpha_beta = 300: the Bohr radius is 3.3 steps, the

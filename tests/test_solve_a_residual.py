@@ -68,7 +68,7 @@ def roots_of_m(a: float, nu: float):
 
     roots = [first_root(a, nu)]
     zs = np.arange(roots[0] + 0.05, 200.0, 0.1)
-    flips = np.flatnonzero(np.diff(f(zs) > 0.0))
+    flips = np.flatnonzero(np.diff([f(z) > 0.0 for z in zs.tolist()]))
     return roots + [brentq(f, zs[i], zs[i + 1], xtol=1e-13) for i in flips]
 
 

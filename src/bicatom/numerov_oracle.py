@@ -11,15 +11,16 @@ linearly at the origin; W(0) itself is never used, which also admits the
 singular pure-Coulomb test potential) and with u(rho_max) = 0.  The
 eigenvalue is found by Cooley's matching-point search (J. W. Cooley,
 Math. Comp. 15, 363 (1961)): each sweep propagates out to the outermost
-classical turning point and in from rho_max, glues the halves there and
-corrects lambda by the Rayleigh quotient of the glued solution.  A bracket
-on lambda, narrowed by each sweep's node count and the sign of its
-correction, catches the steps that leave it, so the search finds the
-lowest eigenvalue regardless of how many bound states exist.  The search
-runs first on the stride-8 subgrid, whose eigenvalue then starts it on
-the full grid (nested iteration, A. Brandt, Math. Comp. 31, 333 (1977)):
-coarse sweeps cost about a third of a full one, and from that start the
-full grid converges in one to three sweeps.
+classical turning point and in from where the state has decayed below
+rounding (see _sweep), glues the halves there and corrects lambda by the
+Rayleigh quotient of the glued solution.  A bracket on lambda, narrowed
+by each sweep's node count and the sign of its correction, catches the
+steps that leave it, so the search finds the lowest eigenvalue
+regardless of how many bound states exist.  The search runs first on the
+stride-8 subgrid, whose eigenvalue then starts it on the full grid
+(nested iteration, A. Brandt, Math. Comp. 31, 333 (1977)): a coarse
+sweep costs about a third of a full one, and from that start the full
+grid converges in one to three sweeps.
 
 Each propagation is blocked numpy work with no per-point Python loop:
 two basis solutions advance through every block of the grid at once, in
@@ -59,8 +60,8 @@ _MIN_EDGE_DECAY = 15.0
 # sweeps one search may spend, on either grid
 _MAX_SWEEPS = 100
 # the coarse pass searches every this-many-th grid point: a sweep there
-# costs about 0.7 ms against 2.3 ms on 40 001 points, and 8 gave the
-# lowest median time per request of 4, 8, 16 and 32 on coupling-scan's mix
+# costs 0.25 ms against 0.74 ms on 40 001 points, and 8 gave the lowest
+# median time per request of 4, 8, 16 and 32 on coupling-scan's mix
 _COARSE_STRIDE = 8
 # least number of steps from the origin to the outermost classical turning
 # point: below it h does not resolve the state (Coulomb at h = 1e-3 is off
@@ -68,6 +69,11 @@ _COARSE_STRIDE = 8
 _MIN_ALLOWED_STEPS = 100
 # no basis state of a propagation block grows past exp(this) = 1e100
 _LOG_BLOCK_GROWTH = 100.0 * math.log(10.0)
+# the inward half starts where a lower bound on the WKB exponent S from the
+# turning point, taken per _CUT_BLOCK points, reaches this: u = 0 there
+# moves the glued solution by e^(-2S) < 6e-19 of u_m, below double rounding
+_CUT_EXPONENT = 21.0
+_CUT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -229,6 +235,11 @@ def _propagate(t: np.ndarray, h: float):
     return value(n - 2) if n > 1 else 0.0, value(n - 1), s, int(nodes)
 
 
+def _log_growth(t: np.ndarray) -> np.ndarray:
+    """sqrt(12 t) rounded down: at most Numerov's ln mu = arccosh(1 + 6t/(1 - t)) a step."""
+    return np.sqrt(12.0 * t) * (1.0 - 1e-15)
+
+
 def _turning_index(t: np.ndarray) -> int:
     """The outermost classical turning point: the last i in [1, n - 1] with t_i <= 0, else 1."""
     allowed = t[1:-1] <= 0.0
@@ -250,19 +261,26 @@ def _check_step(w: np.ndarray, alpha_beta: float, h: float, lam: float) -> None:
 def _sweep(w: np.ndarray, alpha_beta: float, h: float, lam: float):
     """One matched sweep at trial eigenvalue lam; returns (nodes, dlam).
 
-    Propagates out from the origin and in from u(rho_max) = 0 to the
-    matching index m, the outermost classical turning point clamped to
-    [1, n - 1], so that neither half runs into the forbidden region where
-    the wanted solution decays and rounding errors grow.  With both
+    Propagates out from the origin and in from u_c = 0 to the matching
+    index m, the outermost classical turning point clamped to [1, n - 1],
+    so that neither half runs into the forbidden region where the wanted
+    solution decays and rounding errors grow.  Past m, t > 0 and the
+    inward half grows monotonically; c is the first block end at which a
+    lower bound on S = sum of ln mu_i from m, _CUT_BLOCK _log_growth(t) at
+    each block's smallest t, reaches _CUT_EXPONENT, else n.  With both
     halves scaled to u_m = 1, nodes counts the sign changes of the glued
-    solution (outward on (0, m], inward on [m, rho_max)), and dlam is
-    Cooley's correction -u_m R_m / (2 h^2 sum u^2), R_m being the Numerov
-    residual of the glued solution at m; dlam is 0 when there are nodes.
+    solution (outward on (0, m], inward on [m, c)), and dlam is Cooley's
+    correction -u_m R_m / (2 h^2 sum u^2), R_m being the Numerov residual
+    of the glued solution at m; dlam is 0 when there are nodes.
     """
     t = _t_grid(w, alpha_beta, h, lam)
     m = _turning_index(t)
+    tail = t[m + 1:-1]
+    t_min = tail[:len(tail) - len(tail) % _CUT_BLOCK].reshape(-1, _CUT_BLOCK).min(axis=1)
+    blocks = np.searchsorted(np.cumsum(_log_growth(t_min)), _CUT_EXPONENT / _CUT_BLOCK)
+    c = min(m + 1 + (int(blocks) + 1) * _CUT_BLOCK, len(t) - 1)
     out_prev, out, s_out, nodes_out = _propagate(t[:m + 1], h)
-    in_prev, in_m, s_in, nodes_in = _propagate(t[m:][::-1], h)
+    in_prev, in_m, s_in, nodes_in = _propagate(t[m:c + 1][::-1], h)
     nodes = nodes_out + nodes_in
     if nodes:
         return nodes, 0.0
@@ -278,7 +296,8 @@ def _search(w: np.ndarray, alpha_beta: float, h: float, lam: float | None):
 
     Returns (lam, nodes, sweeps): the last trial eigenvalue, the node count
     of its matched solution and the number of sweeps spent.  The search
-    runs inside the bracket (alpha_beta * min W, ~0-) and starts at lam
+    runs inside the bracket (alpha_beta * min W, max(0, alpha_beta *
+    W(rho_max))-) and starts at lam
     clamped into it, or, when lam is None, at min over rho of 1/(2 rho^2)
     + alpha_beta W(rho), exact for hydrogen.  Each sweep (see _sweep)
     narrows the bracket: one with nodes or a downward correction lies
@@ -300,7 +319,7 @@ def _search(w: np.ndarray, alpha_beta: float, h: float, lam: float | None):
         if w_min >= 0.0:
             raise RuntimeError("potential is nowhere attractive: no bound state")
         lam_lo = alpha_beta * w_min
-        lam_hi = -1e-9 * max(1.0, abs(lam_lo))
+        lam_hi = max(0.0, alpha_beta * float(w[-1])) - 1e-9 * max(1.0, abs(lam_lo))
         _check_step(w, alpha_beta, h, lam_lo)
         lo, hi, bound = lam_lo, lam_hi, False
         if lam is None:

@@ -16,7 +16,7 @@ import pytest
 from bicatom import numerov_oracle
 from bicatom.analytic_solver import ModelConstants, observables, solve_a
 from bicatom.bic_potential import PotentialKind, _w_kernel, tabulate, w_of_rho
-from bicatom.morse_fit import REFERENCE_MORSE, morse_w
+from bicatom.morse_fit import REFERENCE_MORSE, MorseParams, morse_w
 from bicatom.numerov_oracle import (
     OracleResult,
     RadialProblem,
@@ -188,6 +188,21 @@ class TestGroundState:
             ground_state(problem(30.0))
         lam = ground_state(problem(33.0)).lam
         assert lam == pytest.approx(ground_state(problem(100.0)).lam, rel=1e-9)
+
+    def test_well_with_a_positive_asymptote(self):
+        # W_s tends to -(G + V0 + B/4) = +0.85: the ground state lies above 0
+        # and below alpha_beta W(rho_max), so the search's bracket must reach
+        # past 0
+        well = MorseParams(G=-2.5272374745880346, V0=-0.17783027266171597,
+                           kappa=0.7530205937882298, b=-0.7759767841708094)
+        ab = 1.6190
+        res = [ground_state(RadialProblem(potential=lambda r: morse_w(well, r),
+                                          alpha_beta=ab, h=h)) for h in (1e-3, 5e-4)]
+        assert abs(res[0].lam - res[1].lam) <= 1e-9
+        assert res[0].node_count == res[1].node_count == 0
+        rho = np.arange(1, 40001) * 1e-3
+        assert ab * morse_w(well, rho).min() < res[0].lam < ab * morse_w(well, 40.0)
+        assert res[0].lam == pytest.approx(0.308937421, abs=1e-9)
 
     def test_scalar_only_potential_rejected(self):
         # the potential is called once, on the whole grid array
@@ -419,6 +434,84 @@ class TestPropagation:
             assert nodes == ref_nodes == 0
             assert abs(dlam - ref_dlam) <= 1e-11
 
+    @pytest.mark.skipif(not LONG_DOUBLE, reason="np.longdouble is a plain double here")
+    @pytest.mark.parametrize("name, alpha_beta, h", [
+        ("bic", 1.5, 1e-3), ("bic", 1.5, 5e-4),
+        ("bic", AB_BIC, 1e-3), ("bic", AB_BIC, 5e-4),
+        ("bic", 2.2, 1e-3), ("bic", 2.2, 5e-4),
+        ("morse", AB_CHAIN, 1e-3),
+        ("coulomb", 1.0, 1e-3), ("coulomb", 2.0, 1e-3),
+        # S never reaches _CUT_EXPONENT: the inward half starts at rho_max
+        ("coulomb", 0.45, 1e-3),
+    ])
+    def test_cut_changes_no_answer(self, name, alpha_beta, h):
+        # _sweep starts its inward half where the state has decayed below
+        # rounding; the reference propagates in from rho_max
+        p = RadialProblem(potential=named_potential(name), alpha_beta=alpha_beta, h=h)
+        w = numerov_oracle._w_grid(p)
+        lam = ground_state(p).lam
+        for trial in (lam - 1e-3, lam + 1e-3):
+            nodes, dlam = numerov_oracle._sweep(w, alpha_beta, h, trial)
+            ref_nodes, ref_dlam = reference_sweep(w, alpha_beta, h, trial, np.longdouble)
+            assert nodes == ref_nodes
+            assert abs(dlam - ref_dlam) <= 1e-11
+
+    @pytest.mark.parametrize("name, alpha_beta, cut", [("bic", AB_BIC, True),
+                                                       ("coulomb", 0.45, False)])
+    def test_inward_half_length(self, monkeypatch, name, alpha_beta, cut):
+        p = RadialProblem(potential=named_potential(name), alpha_beta=alpha_beta)
+        w = numerov_oracle._w_grid(p)
+        lam = ground_state(p).lam
+        lengths = []
+        propagate = numerov_oracle._propagate
+
+        def measured(t, h):
+            lengths.append(len(t))
+            return propagate(t, h)
+
+        monkeypatch.setattr(numerov_oracle, "_propagate", measured)
+        numerov_oracle._sweep(w, alpha_beta, p.h, lam)
+        m = numerov_oracle._turning_index(numerov_oracle._t_grid(w, alpha_beta, p.h, lam))
+        # the outward half is t_0 ... t_m, the inward one t_c ... t_m
+        assert lengths[0] == m + 1
+        if cut:
+            # 38 000 points lie past the turning point
+            assert lengths[1] < 16000
+        else:
+            assert lengths[1] == len(w) - m
+
+    def test_log_growth_is_a_lower_bound(self):
+        # Numerov's growth per step at constant t > 0 is ln mu with mu + 1/mu
+        # = 2 + 12 t/(1 - t); sqrt(12 t) agrees with it to O(t^2) relative,
+        # so its rounding alone can put it above: float arccosh(1 + x) cannot
+        # be the reference, as 1 + x itself rounds.  arccosh(1 + x) is
+        # log1p(x + sqrt(x (2 + x))), which keeps its digits at tiny x
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2201)
+        t = np.concatenate((10.0 ** rng.uniform(-300, 0, 2000),
+                            1.0 - 10.0 ** rng.uniform(-16, -1, 200),
+                            1e-9 * (1.0 + rng.uniform(-0.1, 0.1, 200)),
+                            [np.nextafter(1.0, 0.0), 5e-324 * 2 ** 60]))
+        got = numerov_oracle._log_growth(t)
+        with mp.workdps(40):
+            for x, bound in zip(t.tolist(), got.tolist()):
+                x = 6 * mp.mpf(x) / (1 - mp.mpf(x))
+                assert mp.mpf(bound) <= mp.log1p(x + mp.sqrt(x * (2 + x)))
+
+    def test_growth_past_the_double_range_rescales(self):
+        # constant t: u_i ~ mu^i, e^(0.35 * 3000) ~ 1e456 at the end, so the
+        # carried state is rescaled, and the first blocks underflow in s
+        t0, n = 0.01, 3000
+        mu = math.exp(math.acosh(1.0 + 6.0 * t0 / (1.0 - t0)))
+        assert n * math.log(mu) > 710.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u_prev, u, s, nodes = numerov_oracle._propagate(np.full(n + 1, t0), 1e-3)
+        assert nodes == 0
+        assert math.isfinite(u) and u > 0.0
+        assert u_prev / u == pytest.approx(1.0 / mu, rel=1e-13)
+        assert s / (u * u) == pytest.approx(1.0 / (1.0 - mu ** -2), rel=1e-12)
+
     @pytest.mark.parametrize("name, alpha_beta, rho_max, lam, expected", [
         ("morse", AB_CHAIN, 40.0, -1.3, None),
         # between the s-wave oscillator levels -10 + 3.5 and -10 + 5.5
@@ -443,9 +536,9 @@ class TestPropagation:
         assert numerov_oracle._propagate(t, 1.0)[3] == scalar_numerov(t, 1.0)[3] == 8
 
     def test_growth_past_the_double_range(self):
-        # inward from rho_max = 400, u grows by about e^(2 * 399) ~ 1e346: the
-        # blocks near the edge underflow against the largest one, and must
-        # count no nodes
+        # the inward half starts near rho = 14 at rho_max = 400 as at 40,
+        # where the state has decayed below rounding; the growth past the
+        # double range is test_growth_past_the_double_range_rescales's
         def problem(rho_max):
             return RadialProblem(potential=coulomb, alpha_beta=2.0, rho_max=rho_max,
                                  h=1e-2)

@@ -11,31 +11,45 @@ Library layout:
 - numerov_oracle: Numerov ground state by a matching-point search, the cross-check
 - cli: CSV/JSON emitters for all of the above
 
-The names most callers need are re-exported here.
+The names most callers need are re-exported here, each resolved on first
+access (PEP 562).  specfun, roots and analytic_solver need the standard
+library only, so ``import bicatom`` loads no numpy; the first touch of a
+name from bic_potential, morse_fit or numerov_oracle imports numpy.
 """
 
-from .analytic_solver import (AnalyticSolution, ModelConstants, calibrate_nu,
-                              first_root, observables, quantization_residual,
-                              solve_a)
-from .bic_potential import (PotentialKind, PotentialTable, QUARTER_BETA,
-                            born_phi, tabulate, w_of_rho, z_integrand,
-                            z_of_rho)
-from .morse_fit import (FitConfig, FitReport, MorseParams, REFERENCE_MORSE,
-                        fit, morse_w)
-from .numerov_oracle import (OracleResult, RadialProblem, bic_interpolator,
-                             ground_state)
-from .specfun import SeriesNonConvergence, kummer_m, whittaker_m
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalyticSolution", "ModelConstants", "calibrate_nu", "first_root",
-    "observables", "quantization_residual", "solve_a",
-    "PotentialKind", "PotentialTable", "QUARTER_BETA", "born_phi",
-    "tabulate", "w_of_rho", "z_integrand", "z_of_rho",
-    "FitConfig", "FitReport", "MorseParams", "REFERENCE_MORSE", "fit",
-    "morse_w",
-    "OracleResult", "RadialProblem", "bic_interpolator", "ground_state",
-    "SeriesNonConvergence", "kummer_m", "whittaker_m",
-    "__version__",
-]
+# each re-exported name and the module that defines it
+_HOMES = {
+    "AnalyticSolution": "analytic_solver", "ModelConstants": "analytic_solver",
+    "calibrate_nu": "analytic_solver", "first_root": "analytic_solver",
+    "observables": "analytic_solver", "quantization_residual": "analytic_solver",
+    "solve_a": "analytic_solver",
+    "PotentialKind": "bic_potential", "PotentialTable": "bic_potential",
+    "QUARTER_BETA": "specfun", "born_phi": "bic_potential",
+    "tabulate": "bic_potential", "w_of_rho": "bic_potential",
+    "z_integrand": "bic_potential", "z_of_rho": "bic_potential",
+    "FitConfig": "morse_fit", "FitReport": "morse_fit",
+    "MorseParams": "analytic_solver", "REFERENCE_MORSE": "analytic_solver",
+    "fit": "morse_fit", "morse_w": "morse_fit",
+    "OracleResult": "numerov_oracle", "RadialProblem": "numerov_oracle",
+    "bic_interpolator": "numerov_oracle", "ground_state": "numerov_oracle",
+    "SeriesNonConvergence": "specfun", "kummer_m": "specfun",
+    "whittaker_m": "specfun",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES})

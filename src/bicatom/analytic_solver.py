@@ -54,14 +54,14 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Optional, Tuple
 
-from .bic_potential import QUARTER_BETA
-from .morse_fit import REFERENCE_MORSE, MorseParams
 from .roots import _brent, _first_crossing
-from .specfun import _Z_CAP, kummer_m, whittaker_m
+from .specfun import _Z_CAP, QUARTER_BETA, kummer_m, whittaker_m
 
 __all__ = [
     "AnalyticSolution",
     "ModelConstants",
+    "MorseParams",
+    "REFERENCE_MORSE",
     "quantization_residual",
     "first_root",
     "solve_a",
@@ -79,6 +79,29 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be a positive real, got {v!r}")
 
 
+@dataclass(frozen=True)
+class MorseParams:
+    """Surrogate parameters: well depth G (< 0 when attractive), offset V0,
+    inverse-range kappa > 0, and shift b (expected negative)."""
+
+    G: float
+    V0: float
+    kappa: float
+    b: float
+
+    def __post_init__(self) -> None:
+        vals = (self.G, self.V0, self.kappa, self.b)
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("MorseParams fields must be finite")
+        if self.kappa <= 0.0:
+            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
+
+
+#: Reference surrogate parameters reproduced by the acceptance fit and used
+#: as CLI defaults for the analytic stage.
+REFERENCE_MORSE = MorseParams(G=-1.8300, V0=0.09805, kappa=0.58520, b=-0.45720)
+
+
 def _require_well(morse: MorseParams) -> None:
     if not morse.G < 0.0:
         raise ValueError(f"the Morse depth G must be negative, got {morse.G!r}")
@@ -90,6 +113,8 @@ class AnalyticSolution:
 
     |A| = a^2/2 and E = -nu^2/2 are derived from a and nu on access; a, X
     and alpha_beta are positive (a bound state needs a well, a > 0).
+    eps_over_alpha2 takes either sign: a well whose potential tends to a
+    positive value, V0 + B/4 + G < 0, can bind its ground state above 0.
     """
 
     nu: float
@@ -100,8 +125,6 @@ class AnalyticSolution:
 
     def __post_init__(self) -> None:
         _require_positive(nu=self.nu, a=self.a, X=self.X, alpha_beta=self.alpha_beta)
-        if not self.eps_over_alpha2 < 0.0:
-            raise ValueError("eps_over_alpha2 must be negative")
 
     @property
     def A_abs(self) -> float:
@@ -114,7 +137,7 @@ class AnalyticSolution:
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """Surrogate parameters (B(1/4,1/4)/4 and alpha are bic_potential constants).
+    """Surrogate parameters (B(1/4,1/4)/4 is specfun.QUARTER_BETA).
 
     The Whittaker reduction needs an attractive well: G >= 0 raises ValueError.
     """

@@ -47,6 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import QUARTER_BETA
+
 __all__ = [
     "QUARTER_BETA",
     "Y_STAR",
@@ -60,10 +62,6 @@ __all__ = [
     "born_phi",
     "tabulate",
 ]
-
-# B(1/4,1/4)/4 = Gamma(1/4)^2/(4 sqrt(pi)) (DLMF 5.12.1), correctly rounded;
-# the tests check it against mpmath and against born_phi(0), its quadrature
-QUARTER_BETA = 1.8540746773013719
 
 # upper endpoint of the screening integral
 Y_STAR = math.sqrt(2.0) / 4.0

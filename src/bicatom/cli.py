@@ -41,11 +41,19 @@ single line
 to stderr, where ``<code>`` is one of ``usage``, ``invalid-input``,
 ``computation-failed``, ``io-error``, ``fit-not-converged`` or
 ``table1-row-failed``.
+
+Imports
+-------
+``solve`` and ``calibrate`` need the standard library and
+analytic_solver only, and load no numpy.  ``potential``, ``fit``,
+``oracle`` and ``table1`` import bic_potential, morse_fit and
+numerov_oracle, and so numpy, when they run.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import re
 import sys
@@ -53,13 +61,34 @@ from collections.abc import Iterable, Iterator
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-import numpy as np
+from .analytic_solver import (REFERENCE_MORSE, ModelConstants, MorseParams,
+                              calibrate_nu, observables, solve_a)
 
-from .analytic_solver import ModelConstants, calibrate_nu, observables, solve_a
-from .bic_potential import (FINE_STRUCTURE_ALPHA, UNIT_CONVENTIONS,
-                            PotentialKind, tabulate)
-from .morse_fit import FitConfig, MorseParams, REFERENCE_MORSE, fit, morse_w
-from .numerov_oracle import RadialProblem, bic_interpolator, ground_state
+# The numpy-backed names, by module.  _numeric binds them as module globals
+# when potential, fit, oracle or table1 runs, or on first attribute access
+# (such as a test's monkeypatch), so solve and calibrate import no numpy.
+_NUMERIC = {
+    "bic_potential": ("FINE_STRUCTURE_ALPHA", "UNIT_CONVENTIONS",
+                      "PotentialKind", "tabulate"),
+    "morse_fit": ("FitConfig", "fit", "morse_w"),
+    "numerov_oracle": ("RadialProblem", "bic_interpolator", "ground_state"),
+}
+
+
+def _numeric() -> None:
+    """Bind _NUMERIC's names; one already set (replaced by a caller) is kept."""
+    for module, names in _NUMERIC.items():
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _NUMERIC.values()):
+        _numeric()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _FORMATS = ("csv", "json")
 
@@ -119,12 +148,12 @@ _json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
 
 def _json_scalar(v) -> Optional[str]:
     """JSON text of a scalar; None for a dict, list, tuple or iterator."""
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float):  # numpy's float64 included
         return _fmt_float(v)
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if isinstance(v, int):
+        return str(v)
     if v is None:
         return "null"
     if isinstance(v, _JSON_NESTED):
@@ -201,6 +230,7 @@ def _morse_from(args: argparse.Namespace) -> MorseParams:
 
 
 def _run_potential(args: argparse.Namespace) -> int:
+    _numeric()
     table = tabulate(PotentialKind.EXACT_BIC, args.rho_min, args.rho_max,
                      args.points)
     rho = table.rho_grid
@@ -218,6 +248,7 @@ def _run_potential(args: argparse.Namespace) -> int:
 
 
 def _run_fit(args: argparse.Namespace) -> int:
+    _numeric()
     fit_cfg = FitConfig(rho_min=args.rho_min, rho_max=args.rho_max,
                         max_iters=args.max_iters, step_tol=args.step_tol)
     table = tabulate(PotentialKind.EXACT_BIC, args.rho_min, args.rho_max,
@@ -289,6 +320,7 @@ def _oracle_potential(name: str, morse: MorseParams, rho_max: float) -> Callable
 
 
 def _run_oracle(args: argparse.Namespace) -> int:
+    _numeric()
     problem = RadialProblem(
         potential=_oracle_potential(args.potential, _morse_from(args),
                                     args.rho_max),
@@ -309,6 +341,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
 
 
 def _run_table1(args: argparse.Namespace) -> int:
+    _numeric()
     constants = ModelConstants()
     nu = 2.89873
     sol = observables(nu, solve_a(nu, constants.morse), constants)

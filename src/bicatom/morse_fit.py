@@ -39,6 +39,9 @@ near the origin and lands ~40% off in V0 with a worse peak residual, so
 the minimax objective is what reproduces the reference parameters; for
 zero-residual (synthetic) data the first solve already recovers the
 generating parameters to machine precision.
+
+MorseParams and REFERENCE_MORSE are defined in analytic_solver, which
+needs no numpy, and re-exported here.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytic_solver import REFERENCE_MORSE, MorseParams
 from .bic_potential import QUARTER_BETA, PotentialTable
 from .roots import _brent
 
@@ -67,29 +71,6 @@ _KL_SCAN = np.geomspace(0.05, 60.0, 48)
 # 0.35 took the fewest reference solves on windows [0, 8..12]
 _FIRST_KAPPA = 0.35
 _ZERO_RESIDUAL = 1e-12  # relative to the window's largest |W|
-
-
-@dataclass(frozen=True)
-class MorseParams:
-    """Surrogate parameters: well depth G (< 0 when attractive), offset V0,
-    inverse-range kappa > 0, and shift b (expected negative)."""
-
-    G: float
-    V0: float
-    kappa: float
-    b: float
-
-    def __post_init__(self) -> None:
-        vals = (self.G, self.V0, self.kappa, self.b)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("MorseParams fields must be finite")
-        if self.kappa <= 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
-
-
-#: Reference surrogate parameters reproduced by the acceptance fit and used
-#: as CLI defaults for the analytic stage.
-REFERENCE_MORSE = MorseParams(G=-1.8300, V0=0.09805, kappa=0.58520, b=-0.45720)
 
 
 @dataclass(frozen=True)

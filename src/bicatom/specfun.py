@@ -11,6 +11,9 @@ routines work in double precision; the 1F1 series is summed by forward
 term recurrence, which is adequate for the moderate arguments used here
 (0 <= z <= 200 is enforced rather than switching to asymptotic
 expansions; M needs only z > 0).
+
+Also the constant B(1/4,1/4)/4, the screened potential's depth at the
+origin, which the surrogate and its closed-form solution share.
 """
 
 from __future__ import annotations
@@ -18,10 +21,15 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "QUARTER_BETA",
     "SeriesNonConvergence",
     "kummer_m",
     "whittaker_m",
 ]
+
+# B(1/4,1/4)/4 = Gamma(1/4)^2/(4 sqrt(pi)) (DLMF 5.12.1), correctly rounded;
+# the tests check it against mpmath and against born_phi(0), its quadrature
+QUARTER_BETA = 1.8540746773013719
 
 _Z_CAP = 200.0
 # 1F1 series truncation: relative tolerance and term budget

@@ -194,9 +194,7 @@ class TestObservables:
 
 class TestAnalyticSolutionType:
     def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ValueError):
-            AnalyticSolution(nu=2.0, a=1.0, X=1.5,
-                             alpha_beta=0.1, eps_over_alpha2=0.5)
+        # eps_over_alpha2 takes either sign (see test_routes_agree)
         with pytest.raises(ValueError):
             AnalyticSolution(nu=-2.0, a=1.0, X=1.5,
                              alpha_beta=0.1, eps_over_alpha2=-0.5)

@@ -38,6 +38,10 @@ Numerov at its coupling must find the same energy.  On wells at
 b = 1.25 and 1.5 its march meets the first root's crossing within the
 step in which M gets that root, as solve_a's does.  The largest gap seen
 there is 1.8e-14, under the same bound 2e-10.
+
+A well whose potential tends to a positive value binds its ground state
+above 0.  On the one tested, solve's printed eps/alpha^2 = +0.1178635667
+and Numerov's agree to 5.8e-14, under the bound 1e-10.
 """
 
 from dataclasses import replace
@@ -55,7 +59,8 @@ from bicatom.analytic_solver import (  # noqa: E402
     solve_a,
 )
 from bicatom.bic_potential import PotentialKind, tabulate  # noqa: E402
-from bicatom.morse_fit import REFERENCE_MORSE, FitConfig, fit, morse_w  # noqa: E402
+from bicatom.morse_fit import (REFERENCE_MORSE, FitConfig, MorseParams,  # noqa: E402
+                               fit, morse_w)
 from bicatom.numerov_oracle import RadialProblem, ground_state  # noqa: E402
 
 ROUTE_GAP = 1e-10
@@ -118,3 +123,14 @@ def test_calibration_agrees_on_wells_far_past_the_origin(target, b):
                                          alpha_beta=whittaker.alpha_beta, h=1e-3))
     assert abs(whittaker.eps_over_alpha2 - target) <= 1e-12
     assert abs(numerov.eps_over_alpha2 - whittaker.eps_over_alpha2) <= SHIFTED_ROUTE_GAP
+
+
+def test_routes_agree_on_a_well_with_a_positive_asymptote():
+    # W_s tends to -(G + V0 + B/4) = +0.85 and the ground state lies above
+    # 0, so eps/alpha^2 > 0; the values are solve's printed digits
+    well = MorseParams(G=-2.5272374745880346, V0=-0.17783027266171597,
+                       kappa=0.7530205937882298, b=-0.7759767841708094)
+    sol = observables(1.9416, solve_a(1.9416, well), ModelConstants(morse=well))
+    assert sol.alpha_beta == pytest.approx(1.618996425, abs=5e-10)
+    assert sol.eps_over_alpha2 == pytest.approx(0.1178635667, abs=5e-11)
+    assert route_gap(1.9416, well) <= ROUTE_GAP

@@ -1,14 +1,21 @@
-"""The runtime is numpy only: Brent against scipy, and no scipy on import.
+"""The runtime is numpy only: Brent against scipy, no scipy on import, and
+no numpy on the analytic route.
 
 scipy is a test-only dependency (the ``test`` extra).  Brent is the only
 in-house routine compared with scipy: it is a port of
 scipy.optimize.brentq and must return the same bits.
+
+``import bicatom`` and the CLI's ``solve`` and ``calibrate`` load the
+standard library and specfun, roots and analytic_solver only: the
+package's names, and the CLI's numpy-backed ones, resolve on first access.
 """
 
+import importlib.util
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,12 +92,61 @@ def test_brent_bisects_where_the_extrapolation_divides_by_zero(scale):
     assert _brent(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12) == want
 
 
-def test_import_loads_no_scipy():
+def _python(code, *args):
+    """A fresh interpreter that has the package on its path runs code."""
     src = os.path.dirname(os.path.dirname(bicatom.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, bicatom; print([m for m in sys.modules if m.startswith('scipy')])"],
-        capture_output=True, text=True, env=env, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_import_loads_no_scipy():
+    # the star import loads every module behind the package's lazy names
+    out = _python("import sys; from bicatom import *; "
+                  "print([m for m in sys.modules if m.startswith('scipy')])").stdout
     assert out.strip() == "[]"
+
+
+# python -m bicatom ARGS, then whether numpy was loaded, on the last line
+RUN_CLI = """
+import runpy, sys
+try:
+    runpy.run_module("bicatom", run_name="__main__")
+except SystemExit as exc:
+    print("exit", exc.code)
+print("numpy" in sys.modules)
+"""
+
+
+def _tracer_cli_attributes():
+    """The bicatom.cli attributes that the benchmark's tracer replaces."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [p.rsplit(".", 1)[1] for _, paths in tracer.TARGETS for p in paths
+            if p.startswith("bicatom.cli.")]
+
+
+def test_analytic_route_loads_no_numpy():
+    out = _python("import sys, bicatom; print('numpy' in sys.modules)").stdout
+    assert out == "False\n"
+    for args, code in ((["solve", "--nu", "2.89873"], 0), (["calibrate"], 0),
+                       (["solve", "--nu", "2.9", "--b", "800"], 2)):
+        proc = _python(RUN_CLI, *args)
+        lines = proc.stdout.splitlines()
+        assert lines[-2:] == [f"exit {code}", "False"], (args, proc.stderr)
+    # every lazy name resolves, the CLI's to the library's own objects
+    attrs = _tracer_cli_attributes()
+    assert attrs
+    proc = _python(
+        "import sys, bicatom\n"
+        "from bicatom import cli\n"
+        "names = {n: getattr(bicatom, n) for n in bicatom.__all__}\n"
+        "star = {}\n"
+        "exec('from bicatom import *', star)\n"
+        "assert all(star[n] is v for n, v in names.items())\n"
+        "assert all(getattr(cli, a) is names[a] for a in sys.argv[1:])\n",
+        *attrs)
+    assert proc.returncode == 0, proc.stderr

@@ -17,22 +17,22 @@ Coulomb level is within 1e-5 of -1/2, and the exact one within 5e-4 of
 Run:  python3 demos/numerov_crosscheck.py
 """
 
-from bicatom.analytic_solver import ModelConstants, observables, solve_a
+from bicatom.analytic_solver import REFERENCE_MORSE, observables, solve_a
 from bicatom.morse_fit import morse_w
 from bicatom.numerov_oracle import (RadialProblem, bic_interpolator,
                                     ground_state)
 
 
 def main() -> None:
-    c = ModelConstants()
-    analytic = observables(2.89873, solve_a(2.89873, c.morse), c)
+    m = REFERENCE_MORSE
+    analytic = observables(2.89873, solve_a(2.89873, m), m)
 
     print("Numerov shooting solver cross-checks")
     print("====================================")
     print()
 
     runs = (
-        ("Morse surrogate", lambda rho: morse_w(c.morse, rho),
+        ("Morse surrogate", lambda rho: morse_w(m, rho),
          analytic.alpha_beta, analytic.eps_over_alpha2, 1e-10),
         ("Coulomb -1/rho", lambda rho: -1.0 / rho, 1.0, -0.5, 1e-5),
         ("exact screened", bic_interpolator(), 1.83297, -0.50000, 5e-4),

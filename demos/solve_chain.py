@@ -9,18 +9,18 @@ the empirical target eps/alpha^2 = -0.49973, recover nu.
 Run:  python3 demos/solve_chain.py
 """
 
-from bicatom.analytic_solver import (ModelConstants, calibrate_nu,
+from bicatom.analytic_solver import (REFERENCE_MORSE, calibrate_nu,
                                      observables, solve_a)
 
 
 def main() -> None:
-    c = ModelConstants()
+    m = REFERENCE_MORSE
     nu = 2.89873
 
     print("Forward chain at nu = 2.89873")
     print("=============================")
-    a = solve_a(nu, c.morse)
-    sol = observables(nu, a, c)
+    a = solve_a(nu, m)
+    sol = observables(nu, a, m)
     rows = (
         ("a (quantization parameter)", sol.a, 4.414424),
         ("X = 2 a exp(kappa b)", sol.X, 6.756270935),
@@ -39,7 +39,7 @@ def main() -> None:
     print("Inverse problem: calibrate nu to the empirical level")
     print("====================================================")
     target = -0.49973
-    cal = calibrate_nu(target, c)
+    cal = calibrate_nu(target, m)
     print(f"  target eps/alpha^2 = {target}")
     print(f"  recovered nu       = {cal.nu:.10f}   (forward run used {nu})")
     print(f"  alpha*beta         = {cal.alpha_beta:.10f}")

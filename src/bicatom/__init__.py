@@ -23,14 +23,13 @@ __version__ = "0.1.0"
 
 # each re-exported name and the module that defines it
 _HOMES = {
-    "AnalyticSolution": "analytic_solver", "ModelConstants": "analytic_solver",
-    "calibrate_nu": "analytic_solver", "first_root": "analytic_solver",
+    "AnalyticSolution": "analytic_solver", "calibrate_nu": "analytic_solver",
     "observables": "analytic_solver", "quantization_residual": "analytic_solver",
     "solve_a": "analytic_solver",
     "PotentialKind": "bic_potential", "PotentialTable": "bic_potential",
     "QUARTER_BETA": "specfun", "born_phi": "bic_potential",
     "tabulate": "bic_potential", "w_of_rho": "bic_potential",
-    "z_integrand": "bic_potential", "z_of_rho": "bic_potential",
+    "z_of_rho": "bic_potential",
     "FitConfig": "morse_fit", "FitReport": "morse_fit",
     "MorseParams": "analytic_solver", "REFERENCE_MORSE": "analytic_solver",
     "fit": "morse_fit", "morse_w": "morse_fit",

@@ -41,9 +41,9 @@ chain's own numbers and is deliberately not implemented (the regression
 suite pins this down).
 
 calibrate_nu closes the loop: it marches nu down the curve on which
-eps_over_alpha2 equals a target (by default the empirical hydrogen value
--0.49973); when V0 + B/4 + G > 0 the first sign change is the ground
-state (see calibrate_nu).
+eps_over_alpha2 equals a target below 0 (by default the empirical
+hydrogen value -0.49973); when V0 + B/4 + G > 0 the first sign change is
+the ground state (see calibrate_nu).
 """
 
 from __future__ import annotations
@@ -59,11 +59,9 @@ from .specfun import _Z_CAP, QUARTER_BETA, kummer_m, whittaker_m
 
 __all__ = [
     "AnalyticSolution",
-    "ModelConstants",
     "MorseParams",
     "REFERENCE_MORSE",
     "quantization_residual",
-    "first_root",
     "solve_a",
     "observables",
     "calibrate_nu",
@@ -81,8 +79,9 @@ def _require_positive(**values: float) -> None:
 
 @dataclass(frozen=True)
 class MorseParams:
-    """Surrogate parameters: well depth G (< 0 when attractive), offset V0,
-    inverse-range kappa > 0, and shift b (expected negative)."""
+    """Surrogate parameters: depth G, offset V0, inverse range kappa > 0 and
+    signed shift b, all finite.  The closed form (solve_a, observables,
+    calibrate_nu) needs an attractive well, G < 0."""
 
     G: float
     V0: float
@@ -135,17 +134,10 @@ class AnalyticSolution:
         return -0.5 * self.nu ** 2
 
 
-@dataclass(frozen=True)
-class ModelConstants:
-    """Surrogate parameters (B(1/4,1/4)/4 is specfun.QUARTER_BETA).
-
-    The Whittaker reduction needs an attractive well: G >= 0 raises ValueError.
-    """
-
-    morse: MorseParams = REFERENCE_MORSE
-
-    def __post_init__(self) -> None:
-        _require_well(self.morse)
+# Kept only for perfbench/worker.py, which calls ModelConstants(morse=m);
+# it goes with the next benchmark change (ROADMAP item 1).
+def ModelConstants(morse: MorseParams = REFERENCE_MORSE) -> MorseParams:
+    return morse
 
 
 def _boundary_z(a: float, morse: MorseParams) -> float:
@@ -269,8 +261,8 @@ def solve_a(nu: float, morse: MorseParams) -> float:
     """Smallest a > 0 whose first Whittaker root sits at X(a) = 2a e^{kappa b}.
 
     a marches up from 0.1 to 50 in steps of 0.1; the first sign change of
-    M_{a,nu}(X(a)) is refined to 1e-10 and certified (_march).  Like
-    ModelConstants, raises ValueError unless G < 0.
+    M_{a,nu}(X(a)) is refined to 1e-10 and certified (_march).  Raises
+    ValueError unless G < 0.
     """
     _require_positive(nu=nu)
     _require_well(morse)
@@ -278,18 +270,18 @@ def solve_a(nu: float, morse: MorseParams) -> float:
                   1e-10, f"no ground-state a in (0, {_A_CAP:g}] for nu = {nu!r}")[1]
 
 
-def observables(nu: float, a: float, c: ModelConstants) -> AnalyticSolution:
-    """Assemble the solution bundle from (nu, a), both positive.
+def observables(nu: float, a: float, morse: MorseParams) -> AnalyticSolution:
+    """Assemble the solution bundle from (nu, a), both positive, on the well morse.
 
-    Raises ValueError when eps is not finite, as when alpha_beta =
-    -kappa^2 a^2 / (2 G) squared underflows to 0.
+    Raises ValueError unless G < 0, and when eps is not finite, as when
+    alpha_beta = -kappa^2 a^2 / (2 G) squared underflows to 0.
     """
     _require_positive(nu=nu, a=a)
-    m = c.morse
-    alpha_beta = (m.kappa * m.kappa) * (a * a) / (-2.0 * m.G)
+    _require_well(morse)
+    alpha_beta = (morse.kappa * morse.kappa) * (a * a) / (-2.0 * morse.G)
     ab2 = alpha_beta * alpha_beta
-    eps = (-(0.5 * (m.kappa * m.kappa) * (nu * nu)
-             + alpha_beta * (m.V0 + QUARTER_BETA + m.G)) / ab2
+    eps = (-(0.5 * (morse.kappa * morse.kappa) * (nu * nu)
+             + alpha_beta * (morse.V0 + QUARTER_BETA + morse.G)) / ab2
            if 0.0 < ab2 < math.inf else math.nan)
     if not math.isfinite(eps):
         raise ValueError(
@@ -297,14 +289,14 @@ def observables(nu: float, a: float, c: ModelConstants) -> AnalyticSolution:
     return AnalyticSolution(
         nu=nu,
         a=a,
-        X=_boundary_z(a, m),
+        X=_boundary_z(a, morse),
         alpha_beta=alpha_beta,
         eps_over_alpha2=eps,
     )
 
 
-def calibrate_nu(target_eps: float, c: ModelConstants) -> AnalyticSolution:
-    """The nu in (0.5, 10] whose ground state has eps_over_alpha2 = target_eps.
+def calibrate_nu(target_eps: float, morse: MorseParams) -> AnalyticSolution:
+    """The nu in (0.5, 10] whose ground state has eps_over_alpha2 = target_eps < 0.
 
     With c0 = V0 + B/4 + G, alpha_beta is the positive root of
     -target ab^2 - c0 ab - kappa^2 nu^2 / 2 = 0, which gives a_T(nu) on
@@ -314,23 +306,27 @@ def calibrate_nu(target_eps: float, c: ModelConstants) -> AnalyticSolution:
     ground-state eps exceeds the target (it increases with nu), and eps
     increases with a, so a_T lies below the ground-state a and M has no
     root in (0, X]; a first crossing at a later root then means the target
-    lies above the ground-state curve at every nu.  RuntimeError when the
-    target is not attainable.
+    lies above the ground-state curve at every nu.  ValueError unless
+    G < 0; RuntimeError for a target >= 0, which the march does not
+    search, and when the target is not attainable.
     """
+    _require_well(morse)
     if not math.isfinite(target_eps):
         raise ValueError("target_eps must be finite")
-    m = c.morse
-    t = -target_eps  # > 0 for a bound state; a target >= 0 gets an empty march
-    c0 = m.V0 + QUARTER_BETA + m.G
+    if not target_eps < 0.0:
+        raise RuntimeError(
+            f"target eps/alpha^2 = {target_eps!r} is not below 0: calibrate_nu searches "
+            "only for targets below 0, and its march is proved only for V0 + B/4 + G > 0")
+    t = -target_eps
+    c0 = morse.V0 + QUARTER_BETA + morse.G
 
     def on_target(nu: float) -> Tuple[float, float]:
-        k = m.kappa * nu
+        k = morse.kappa * nu
         s = math.hypot(c0, k * math.sqrt(2.0 * t))
         alpha_beta = (c0 + s) / (2.0 * t) if c0 >= 0.0 else k * k / (s - c0)
-        return nu, math.sqrt(-2.0 * m.G * alpha_beta) / m.kappa
+        return nu, math.sqrt(-2.0 * morse.G * alpha_beta) / morse.kappa
 
-    steps = (round(10.0 - 0.1 * k, 10) for k in range(96)) if t > 0.0 else ()
     return observables(*_march(
-        on_target, steps, m, 1e-12,
+        on_target, (round(10.0 - 0.1 * k, 10) for k in range(96)), morse, 1e-12,
         f"target eps/alpha^2 = {target_eps!r} not attainable for nu in (0.5, 10]",
-        later_root_missing=c0 > 0.0), c)
+        later_root_missing=c0 > 0.0), morse)

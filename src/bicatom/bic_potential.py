@@ -56,7 +56,6 @@ __all__ = [
     "UNIT_CONVENTIONS",
     "PotentialKind",
     "PotentialTable",
-    "z_integrand",
     "z_of_rho",
     "w_of_rho",
     "born_phi",
@@ -79,16 +78,14 @@ UNIT_CONVENTIONS = ("hbar = m_e = c = 1; lengths in Compton wavelengths "
 
 class PotentialKind(enum.Enum):
     EXACT_BIC = "bic"
-    MORSE_SURROGATE = "morse"
 
 
 @dataclass(frozen=True)
 class PotentialTable:
-    """Sampled (rho, W) pairs tagged with the generating potential kind."""
+    """Sampled (rho, W) pairs, of the exact W (tabulate) or any other."""
 
     rho_grid: np.ndarray
     values: np.ndarray
-    kind: PotentialKind
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.rho_grid, dtype=float)
@@ -101,9 +98,6 @@ class PotentialTable:
             raise ValueError("table entries must be finite")
         if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
             raise ValueError("rho_grid must be non-negative and strictly increasing")
-        if self.kind is PotentialKind.EXACT_BIC and grid[0] == 0.0:
-            if abs(vals[0] + QUARTER_BETA) > 1e-9:
-                raise ValueError("exact table must start at W(0) = -B(1/4,1/4)/4")
 
 
 def _screen(y):
@@ -321,10 +315,11 @@ def born_phi(r: float) -> float:
 def tabulate(kind: PotentialKind, rho_min: float, rho_max: float, n: int) -> PotentialTable:
     """Uniform-grid table of the exact W, 2 <= n <= 1e6 points on [rho_min, rho_max].
 
-    Any other kind raises ValueError: a Morse surrogate table is
-    PotentialTable(rho, morse_w(params, rho), PotentialKind.MORSE_SURROGATE).
+    kind is PotentialKind.EXACT_BIC or its value "bic"; any other kind
+    raises ValueError.  A Morse surrogate table is
+    PotentialTable(rho, morse_w(params, rho)).
     """
-    if PotentialKind(kind) is not PotentialKind.EXACT_BIC:
+    if kind not in (PotentialKind.EXACT_BIC, "bic"):
         raise ValueError(f"tabulate builds exact tables only, got {kind!r}")
     rho_min = float(rho_min)
     rho_max = float(rho_max)
@@ -338,4 +333,4 @@ def tabulate(kind: PotentialKind, rho_min: float, rho_max: float, n: int) -> Pot
         raise ValueError(f"rho beyond the supported cap {_RHO_CAP:g} "
                          "(cancellation budget exceeded)")
     grid = np.linspace(rho_min, rho_max, int(n))
-    return PotentialTable(grid, _w_kernel(grid), PotentialKind.EXACT_BIC)
+    return PotentialTable(grid, _w_kernel(grid))

@@ -61,8 +61,8 @@ from collections.abc import Iterable, Iterator
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from .analytic_solver import (REFERENCE_MORSE, ModelConstants, MorseParams,
-                              calibrate_nu, observables, solve_a)
+from .analytic_solver import (REFERENCE_MORSE, MorseParams, calibrate_nu,
+                              observables, solve_a)
 
 # The numpy-backed names, by module.  _numeric binds them as module globals
 # when potential, fit, oracle or table1 runs, or on first attribute access
@@ -297,14 +297,13 @@ def _solution_fields(sol) -> dict:
 
 def _run_solve(args: argparse.Namespace) -> int:
     morse = _morse_from(args)
-    sol = observables(args.nu, solve_a(args.nu, morse),
-                      ModelConstants(morse=morse))
+    sol = observables(args.nu, solve_a(args.nu, morse), morse)
     _write(args, "solve", _solution_fields(sol))
     return 0
 
 
 def _run_calibrate(args: argparse.Namespace) -> int:
-    sol = calibrate_nu(args.target, ModelConstants(morse=_morse_from(args)))
+    sol = calibrate_nu(args.target, _morse_from(args))
     _write(args, "calibrate", {"target": args.target, **_solution_fields(sol)})
     return 0
 
@@ -342,9 +341,8 @@ def _run_oracle(args: argparse.Namespace) -> int:
 
 def _run_table1(args: argparse.Namespace) -> int:
     _numeric()
-    constants = ModelConstants()
     nu = 2.89873
-    sol = observables(nu, solve_a(nu, constants.morse), constants)
+    sol = observables(nu, solve_a(nu, REFERENCE_MORSE), REFERENCE_MORSE)
     eps_analytic = -sol.eps_over_alpha2
     ab_analytic = sol.alpha_beta
     pass1 = (abs(eps_analytic - _T1_EPS_ANALYTIC) <= _T1_TOL_EPS_ANALYTIC

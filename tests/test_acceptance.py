@@ -15,8 +15,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from bicatom import numerov_oracle
-from bicatom.analytic_solver import (ModelConstants, calibrate_nu,
-                                     observables, solve_a)
+from bicatom.analytic_solver import calibrate_nu, observables, solve_a
 from bicatom.bic_potential import (PotentialKind, QUARTER_BETA, born_phi,
                                    tabulate, w_of_rho, z_of_rho)
 from bicatom.morse_fit import REFERENCE_MORSE, fit, morse_w
@@ -24,7 +23,7 @@ from bicatom.numerov_oracle import (RadialProblem, bic_interpolator,
                                     ground_state)
 from bicatom.specfun import whittaker_m
 
-C = ModelConstants()
+C = REFERENCE_MORSE
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -81,7 +80,7 @@ def test_ac3_morse_fit():
 
 
 def test_ac4_analytic_chain():
-    sol = observables(2.89873, solve_a(2.89873, C.morse), C)
+    sol = observables(2.89873, solve_a(2.89873, C), C)
     ok = (abs(sol.a - 4.414424) <= 1e-3
           and abs(sol.X - 6.756270935) <= 2e-3
           and abs(sol.alpha_beta - 1.823373498) <= 1e-3
@@ -99,9 +98,9 @@ def test_ac5_calibration():
 
 def test_ac6_numerov_cross_checks():
     start = time.perf_counter()
-    analytic = observables(2.89873, solve_a(2.89873, C.morse), C)
+    analytic = observables(2.89873, solve_a(2.89873, C), C)
     morse = ground_state(RadialProblem(
-        potential=lambda rho: morse_w(C.morse, rho),
+        potential=lambda rho: morse_w(C, rho),
         alpha_beta=1.823373498))
     coulomb = ground_state(RadialProblem(
         potential=lambda rho: -1.0 / rho, alpha_beta=1.0))
@@ -141,7 +140,7 @@ def test_ac7_validation_invariants(monkeypatch):
     # Numerov step-halving signature: error ratio near h^4 (16); the
     # differences (~5e-11, ~3e-12) need a bracket far below the default 1e-10
     monkeypatch.setattr(numerov_oracle, "_LAMBDA_TOL", 1e-13)
-    morse_pot = lambda rho: morse_w(C.morse, rho)  # noqa: E731
+    morse_pot = lambda rho: morse_w(C, rho)  # noqa: E731
     lams = [ground_state(RadialProblem(potential=morse_pot,
                                        alpha_beta=1.823373498, h=h)).lam
             for h in (0.01, 0.005, 0.0025)]
@@ -149,7 +148,7 @@ def test_ac7_validation_invariants(monkeypatch):
     order_ok = 12.0 <= ratio <= 20.0
 
     # nodeless ground state across the mapped domain
-    a = solve_a(2.89873, C.morse)
+    a = solve_a(2.89873, C)
     sol = observables(2.89873, a, C)
     zs = np.linspace(sol.X / 1000.0, sol.X * (1.0 - 1.0 / 1000.0), 1000)
     nodeless_ok = all(whittaker_m(a, 2.89873, z) > 0.0 for z in zs.tolist())
@@ -162,7 +161,7 @@ def test_ac7_validation_invariants(monkeypatch):
 
 
 def test_ac8_energy_identity_discrepancy():
-    m = C.morse
+    m = C
     sol = observables(2.89873, solve_a(2.89873, m), C)
     ab = sol.alpha_beta
     eps_printed = (0.5 * m.kappa ** 2 * 2.89873 ** 2

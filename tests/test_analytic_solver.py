@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from bicatom import analytic_solver
 from bicatom.analytic_solver import (
     AnalyticSolution,
-    ModelConstants,
     calibrate_nu,
     first_root,
     observables,
@@ -27,7 +27,7 @@ from bicatom.bic_potential import QUARTER_BETA, PotentialKind, tabulate
 from bicatom.morse_fit import REFERENCE_MORSE, FitConfig, fit
 from bicatom.specfun import whittaker_m
 
-C = ModelConstants()
+C = REFERENCE_MORSE
 
 NU_REF = 2.89873
 # reference chain, published values
@@ -163,7 +163,7 @@ class TestObservables:
         # was silently solved as -|G|
         for g in (0.0, 1.83):
             with pytest.raises(ValueError, match="G must be negative"):
-                observables(2.6, 1.0, ModelConstants(morse=replace(REFERENCE_MORSE, G=g)))
+                observables(2.6, 1.0, replace(REFERENCE_MORSE, G=g))
 
     def test_underflowing_alpha_beta_rejected(self):
         # alpha_beta = -kappa^2 a^2 / (2 G) is 0.0 at a = 1e-200, and eps
@@ -201,8 +201,20 @@ class TestAnalyticSolutionType:
 
 
 class TestModelConstants:
+    # a function kept for the benchmark's worker, which still calls it
     def test_defaults(self):
-        assert C.morse == REFERENCE_MORSE
+        assert analytic_solver.ModelConstants() is REFERENCE_MORSE
+        assert "ModelConstants" not in analytic_solver.__all__
+
+    def test_returns_its_well_and_the_same_bits(self):
+        m = replace(REFERENCE_MORSE, G=-2.0, b=0.1)
+        assert analytic_solver.ModelConstants(morse=m) is m
+        for morse in (m, REFERENCE_MORSE):
+            shim = analytic_solver.ModelConstants(morse=morse)
+            nu = 2.89873
+            a = solve_a(nu, morse)
+            assert observables(nu, a, shim) == observables(nu, a, morse)
+            assert calibrate_nu(-0.49973, shim) == calibrate_nu(-0.49973, morse)
 
 
 class TestEnergyRelationSign:
@@ -251,9 +263,8 @@ class TestCalibrateNu:
                          FitConfig(rho_max=rho_max))
             assert report.converged
             morse = report.params
-        c = ModelConstants(morse=morse)
-        target = observables(nu, solve_a(nu, morse), c).eps_over_alpha2
-        assert abs(calibrate_nu(target, c).nu - nu) <= self.NU_ROUND_TRIP
+        target = observables(nu, solve_a(nu, morse), morse).eps_over_alpha2
+        assert abs(calibrate_nu(target, morse).nu - nu) <= self.NU_ROUND_TRIP
 
     def test_eps_monotone_increasing_in_nu(self):
         eps = [observables(nu, solve_a(nu, REFERENCE_MORSE), C).eps_over_alpha2

@@ -228,25 +228,23 @@ class TestBornPhi:
 class TestTabulate:
     def test_exact_table_starts_at_origin_limit(self):
         tab = tabulate(PotentialKind.EXACT_BIC, 0.0, 10.0, 3)
-        assert tab.kind is PotentialKind.EXACT_BIC
         assert tab.rho_grid[0] == 0.0 and tab.rho_grid[-1] == 10.0
         assert tab.values[0] == -QUARTER_BETA
         assert tab.values[2] == pytest.approx(w_of_rho(10.0), abs=1e-14)
 
     def test_kind_accepts_enum_values(self):
-        tab = tabulate("bic", 0.0, 1.0, 4)
-        assert tab.kind is PotentialKind.EXACT_BIC
+        want = tabulate(PotentialKind.EXACT_BIC, 0.0, 1.0, 4)
+        assert tabulate("bic", 0.0, 1.0, 4).values.tobytes() == want.values.tobytes()
 
     def test_morse_surrogate_endpoints_closed_form(self):
         # a surrogate table is built from morse_w directly, not by tabulate
         rho = np.linspace(0.0, 10.0, 2)
-        tab = PotentialTable(rho, morse_w(REFERENCE_MORSE, rho),
-                             PotentialKind.MORSE_SURROGATE)
+        tab = PotentialTable(rho, morse_w(REFERENCE_MORSE, rho))
         assert tab.values[0] == morse_w(REFERENCE_MORSE, 0.0)
         assert tab.values[1] == morse_w(REFERENCE_MORSE, 10.0)
 
     def test_exact_tables_only(self):
-        for kind in (PotentialKind.MORSE_SURROGATE, "morse"):
+        for kind in ("morse", "coulomb", None):
             with pytest.raises(ValueError, match="exact tables only"):
                 tabulate(kind, 0.0, 10.0, 5)
 
@@ -269,34 +267,21 @@ class TestTabulate:
 class TestPotentialTable:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
-            PotentialTable(np.array([0.0, 2.0, 1.0]), np.array([-1.0, -0.5, -0.3]),
-                           PotentialKind.MORSE_SURROGATE)
+            PotentialTable(np.array([0.0, 2.0, 1.0]), np.array([-1.0, -0.5, -0.3]))
 
     def test_rejects_length_mismatch_and_short(self):
         with pytest.raises(ValueError):
-            PotentialTable(np.array([0.0, 1.0]), np.array([-1.0]),
-                           PotentialKind.MORSE_SURROGATE)
+            PotentialTable(np.array([0.0, 1.0]), np.array([-1.0]))
         with pytest.raises(ValueError):
-            PotentialTable(np.array([1.0]), np.array([-1.0]),
-                           PotentialKind.MORSE_SURROGATE)
+            PotentialTable(np.array([1.0]), np.array([-1.0]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            PotentialTable(np.array([0.0, 1.0]), np.array([np.nan, -0.5]),
-                           PotentialKind.MORSE_SURROGATE)
+            PotentialTable(np.array([0.0, 1.0]), np.array([np.nan, -0.5]))
 
     def test_rejects_negative_rho(self):
         with pytest.raises(ValueError):
-            PotentialTable(np.array([-0.5, 1.0]), np.array([-1.0, -0.5]),
-                           PotentialKind.MORSE_SURROGATE)
-
-    def test_exact_table_origin_value_checked(self):
-        with pytest.raises(ValueError):
-            PotentialTable(np.array([0.0, 1.0]), np.array([-1.7, -1.35]),
-                           PotentialKind.EXACT_BIC)
-        PotentialTable(np.array([0.0, 1.0]),
-                       np.array([-QUARTER_BETA, -1.3554321692471504]),
-                       PotentialKind.EXACT_BIC)
+            PotentialTable(np.array([-0.5, 1.0]), np.array([-1.0, -0.5]))
 
 
 class TestUnitsNote:

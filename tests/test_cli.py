@@ -367,6 +367,19 @@ def test_calibrate_target_out_of_reach(capsys, target):
     assert len(err.splitlines()) == 1
 
 
+def test_calibrate_refuses_a_target_at_or_above_zero_by_name(capsys):
+    # the well's ground state at nu = 1.9416 has eps/alpha^2 = +0.1178635667
+    # (test_routes_agree), but the march searches only below 0
+    code, out, err = run_cli(capsys, [
+        "calibrate", "--target", "0.1178635667", "--G", "-2.5272374745880346",
+        "--V0", "-0.17783027266171597", "--kappa", "0.7530205937882298",
+        "--b", "-0.7759767841708094"])
+    assert (code, out) == (1, "")
+    assert err == ("error:computation-failed: target eps/alpha^2 = 0.1178635667 is not "
+                   "below 0: calibrate_nu searches only for targets below 0, and its "
+                   "march is proved only for V0 + B/4 + G > 0\n")
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

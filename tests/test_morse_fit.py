@@ -104,7 +104,7 @@ class TestConfigAndReport:
 
 def _synthetic_table(params, rho_min=0.0, rho_max=10.0, n=200):
     rho = np.linspace(rho_min, rho_max, n)
-    return PotentialTable(rho, morse_w(params, rho), PotentialKind.MORSE_SURROGATE)
+    return PotentialTable(rho, morse_w(params, rho))
 
 
 class TestZeroResidualRecovery:
@@ -151,8 +151,7 @@ class TestFitValidation:
         # a quadratic in rho is the kappa -> 0 limit of a quadratic in
         # e^{-kappa rho}: no kappa > 0 solves a reference exactly
         rho = np.linspace(0.0, 10.0, 200)
-        table = PotentialTable(rho, 0.03 * rho ** 2 - 0.2 * rho + 0.5,
-                               PotentialKind.MORSE_SURROGATE)
+        table = PotentialTable(rho, 0.03 * rho ** 2 - 0.2 * rho + 0.5)
         with pytest.raises(RuntimeError, match="no Morse well with real b: the "
                                                "reference equations have no root"):
             fit(table, FitConfig())

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bicatom import numerov_oracle
-from bicatom.analytic_solver import ModelConstants, observables, solve_a
+from bicatom.analytic_solver import observables, solve_a
 from bicatom.bic_potential import PotentialKind, _w_kernel, tabulate, w_of_rho
 from bicatom.morse_fit import REFERENCE_MORSE, MorseParams, morse_w
 from bicatom.numerov_oracle import (
@@ -121,8 +121,7 @@ class TestGroundState:
         assert morse_result.grid_points == 40001
 
     def test_morse_agrees_with_analytic_solver(self, morse_result):
-        c = ModelConstants()
-        analytic = observables(2.89873, solve_a(2.89873, c.morse), c)
+        analytic = observables(2.89873, solve_a(2.89873, REFERENCE_MORSE), REFERENCE_MORSE)
         assert abs(morse_result.eps_over_alpha2
                    - analytic.eps_over_alpha2) <= 1e-3
         # measured agreement is far tighter than the required bound

@@ -53,7 +53,6 @@ from hypothesis import example, given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bicatom.analytic_solver import (  # noqa: E402
-    ModelConstants,
     calibrate_nu,
     observables,
     solve_a,
@@ -72,7 +71,7 @@ nus = st.floats(min_value=1.0, max_value=8.0)
 
 
 def route_gap(nu, morse):
-    whittaker = observables(nu, solve_a(nu, morse), ModelConstants(morse=morse))
+    whittaker = observables(nu, solve_a(nu, morse), morse)
     numerov = ground_state(RadialProblem(potential=lambda rho: morse_w(morse, rho),
                                          alpha_beta=whittaker.alpha_beta, h=1e-3))
     return abs(numerov.eps_over_alpha2 - whittaker.eps_over_alpha2)
@@ -118,7 +117,7 @@ def test_routes_agree_on_wells_far_from_the_origin(nu, b):
 @pytest.mark.parametrize("target", [-0.8, -0.49973, -0.3])
 def test_calibration_agrees_on_wells_far_past_the_origin(target, b):
     morse = replace(REFERENCE_MORSE, b=b)
-    whittaker = calibrate_nu(target, ModelConstants(morse=morse))
+    whittaker = calibrate_nu(target, morse)
     numerov = ground_state(RadialProblem(potential=lambda rho: morse_w(morse, rho),
                                          alpha_beta=whittaker.alpha_beta, h=1e-3))
     assert abs(whittaker.eps_over_alpha2 - target) <= 1e-12
@@ -130,7 +129,7 @@ def test_routes_agree_on_a_well_with_a_positive_asymptote():
     # 0, so eps/alpha^2 > 0; the values are solve's printed digits
     well = MorseParams(G=-2.5272374745880346, V0=-0.17783027266171597,
                        kappa=0.7530205937882298, b=-0.7759767841708094)
-    sol = observables(1.9416, solve_a(1.9416, well), ModelConstants(morse=well))
+    sol = observables(1.9416, solve_a(1.9416, well), well)
     assert sol.alpha_beta == pytest.approx(1.618996425, abs=5e-10)
     assert sol.eps_over_alpha2 == pytest.approx(0.1178635667, abs=5e-11)
     assert route_gap(1.9416, well) <= ROUTE_GAP

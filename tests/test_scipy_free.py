@@ -119,14 +119,14 @@ print("numpy" in sys.modules)
 """
 
 
-def _tracer_cli_attributes():
-    """The bicatom.cli attributes that the benchmark's tracer replaces."""
+def _tracer_targets():
+    """The module attributes that the benchmark's tracer replaces, one
+    comma-joined argument per span."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return [p.rsplit(".", 1)[1] for _, paths in tracer.TARGETS for p in paths
-            if p.startswith("bicatom.cli.")]
+    return [",".join(paths) for _, paths in tracer.TARGETS]
 
 
 def test_analytic_route_loads_no_numpy():
@@ -137,16 +137,19 @@ def test_analytic_route_loads_no_numpy():
         proc = _python(RUN_CLI, *args)
         lines = proc.stdout.splitlines()
         assert lines[-2:] == [f"exit {code}", "False"], (args, proc.stderr)
-    # every lazy name resolves, the CLI's to the library's own objects
-    attrs = _tracer_cli_attributes()
-    assert attrs
+    # every lazy name resolves, and so does every attribute the tracer
+    # replaces: a span's paths, the CLI's included, to one library object
+    targets = _tracer_targets()
+    assert any("bicatom.cli." in t for t in targets)
     proc = _python(
-        "import sys, bicatom\n"
-        "from bicatom import cli\n"
+        "import importlib, sys, bicatom\n"
         "names = {n: getattr(bicatom, n) for n in bicatom.__all__}\n"
         "star = {}\n"
         "exec('from bicatom import *', star)\n"
         "assert all(star[n] is v for n, v in names.items())\n"
-        "assert all(getattr(cli, a) is names[a] for a in sys.argv[1:])\n",
-        *attrs)
+        "for span in sys.argv[1:]:\n"
+        "    paths = [p.rpartition('.') for p in span.split(',')]\n"
+        "    objs = [getattr(importlib.import_module(m), a) for m, _, a in paths]\n"
+        "    assert all(o is objs[0] for o in objs), span\n",
+        *targets)
     assert proc.returncode == 0, proc.stderr

@@ -27,7 +27,6 @@ from scipy.optimize import brentq  # noqa: E402
 
 from bicatom import analytic_solver  # noqa: E402
 from bicatom.analytic_solver import (  # noqa: E402
-    ModelConstants,
     calibrate_nu,
     first_root,
     solve_a,
@@ -101,7 +100,7 @@ class Count:
 # the residual evaluations the march made while first_root checked its answer
 @pytest.mark.parametrize("solve, budget", [
     (lambda: solve_a(2.89873, REFERENCE_MORSE), 17),
-    (lambda: calibrate_nu(-0.49973, ModelConstants()), 32),
+    (lambda: calibrate_nu(-0.49973, REFERENCE_MORSE), 32),
 ], ids=["solve_a", "calibrate_nu"])
 def test_residual_budget_and_no_scan(monkeypatch, solve, budget):
     residuals = Count(monkeypatch, "quantization_residual")
@@ -151,5 +150,5 @@ def test_solve_a_returns_float(nu):
 
 @pytest.mark.parametrize("target", [-0.49973, -0.4999])
 def test_calibrate_nu_returns_floats(target):
-    sol = calibrate_nu(target, ModelConstants())
+    sol = calibrate_nu(target, REFERENCE_MORSE)
     assert type(sol.nu) is float and type(sol.a) is float

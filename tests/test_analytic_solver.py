@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from bicatom import analytic_solver
 from bicatom.analytic_solver import (
     AnalyticSolution,
+    MorseParams,
     calibrate_nu,
     first_root,
     observables,
@@ -207,14 +208,21 @@ class TestModelConstants:
         assert "ModelConstants" not in analytic_solver.__all__
 
     def test_returns_its_well_and_the_same_bits(self):
-        m = replace(REFERENCE_MORSE, G=-2.0, b=0.1)
+        m = replace(REFERENCE_MORSE, G=-2.0, b=0.1)  # V0 + B/4 + G = -0.048
         assert analytic_solver.ModelConstants(morse=m) is m
         for morse in (m, REFERENCE_MORSE):
             shim = analytic_solver.ModelConstants(morse=morse)
             nu = 2.89873
             a = solve_a(nu, morse)
             assert observables(nu, a, shim) == observables(nu, a, morse)
-            assert calibrate_nu(-0.49973, shim) == calibrate_nu(-0.49973, morse)
+        shim = analytic_solver.ModelConstants(morse=REFERENCE_MORSE)
+        assert calibrate_nu(-0.49973, shim) == calibrate_nu(-0.49973, REFERENCE_MORSE)
+        refusals = []
+        for morse in (analytic_solver.ModelConstants(morse=m), m):
+            with pytest.raises(RuntimeError, match=r"^V0 \+ B/4 \+ G = -0\.04") as exc:
+                calibrate_nu(-0.49973, morse)
+            refusals.append(str(exc.value))
+        assert refusals[0] == refusals[1]
 
 
 class TestEnergyRelationSign:
@@ -280,6 +288,27 @@ class TestCalibrateNu:
     def test_validation(self):
         with pytest.raises(ValueError):
             calibrate_nu(math.nan, C)
+
+    def test_refuses_a_well_whose_eps_meets_a_target_twice(self):
+        # W_s tends to -(V0 + B/4 + G) = +0.851; eps/alpha^2 falls below
+        # -0.03 near nu = 3.8 and rises above it again near 8.75, and the
+        # march returned nu = 8.7456 without saying so
+        well = MorseParams(G=-2.5272374745880346, V0=-0.17783027266171597,
+                           kappa=0.7530205937882298, b=-0.7759767841708094)
+        eps = [observables(nu, solve_a(nu, well), well).eps_over_alpha2
+               for nu in (3.5, 5.0, 10.0)]
+        assert eps[0] > -0.03 > eps[1] and eps[1] < -0.03 < eps[2]
+        with pytest.raises(RuntimeError, match=r"^V0 \+ B/4 \+ G = -0\.8509930699483788 is "
+                                               r"not above 0: calibrate_nu's march is proved "
+                                               r"only for V0 \+ B/4 \+ G > 0"):
+            calibrate_nu(-0.03, well)
+
+    def test_refuses_a_well_with_a_zero_asymptote(self):
+        # V0 + B/4 + G = 0.0 exactly; the march is proved only above 0
+        well = replace(REFERENCE_MORSE, G=-2.0, V0=2.0 - QUARTER_BETA)
+        assert well.V0 + QUARTER_BETA + well.G == 0.0
+        with pytest.raises(RuntimeError, match=r"^V0 \+ B/4 \+ G = 0\.0 is not above 0"):
+            calibrate_nu(-0.49973, well)
 
 
 class TestGroundStateGeometry:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from bicatom import cli
+from bicatom import cli, morse_fit
 from bicatom.cli import main
 
 QUARTER_BETA_REF = 1.8540746773013712
@@ -190,21 +190,22 @@ def test_fit_csv_format(capsys):
     assert rows[0][-1] == "true"
 
 
-def test_fit_nonconvergence_exits_nonzero(capsys):
-    code, out, err = run_cli(capsys, ["fit", "--max-iters", "1",
-                                      "--step-tol", "1e-12"])
-    assert code == 1
-    assert err.startswith("error:fit-not-converged: no convergence in 1 reference solves")
-    assert "\n" not in err.strip()
-    doc = json.loads(out)  # the report is still emitted
-    assert doc["converged"] is False
-    assert doc["iterations"] == 1
+def test_fit_nonconvergence_exits_nonzero(capsys, monkeypatch):
+    monkeypatch.setattr(morse_fit, "_MAX_SOLVES", 1)
+    monkeypatch.setattr(morse_fit, "_RIPPLE_TOL", 1e-12)
+    code, out, err = run_cli(capsys, ["fit"])
+    assert (code, out) == (1, "")  # no report for a fit that failed
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"error:computation-failed: no convergence in 1 reference solves: "
+                        r"the relative ripple spread \S+ is not below 1e-12", lines[0])
 
 
 @pytest.mark.parametrize("argv", [["fit", "--init", "-2", "0", "0.5", "-0.5"],
-                                  ["fit", "--init-reference"]])
+                                  ["fit", "--init-reference"],
+                                  ["fit", "--max-iters", "2"]])
 def test_fit_start_options_are_gone(capsys, argv):
-    # the fit needs no start, so it takes none
+    # the fit needs no start, and its solve cap is fixed
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     lines = err.splitlines()
@@ -226,15 +227,20 @@ def test_fit_window_off_the_origin_keeps_the_error_contract(capsys):
 
 
 def test_fit_rejects_bad_step_tol(capsys):
-    code, _, err = run_cli(capsys, ["fit", "--step-tol=-1e-5"])
-    assert code == 2
-    assert err.startswith("error:invalid-input:")
+    # the ripple tolerance is fixed, so any --step-tol is a usage error
+    code, out, err = run_cli(capsys, ["fit", "--step-tol=-1e-5"])
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:usage:")
 
 
 def test_fit_rejects_nan_step_tol(capsys):
-    code, _, err = run_cli(capsys, ["fit", "--step-tol", "nan"])
-    assert code == 2
-    assert err.startswith("error:invalid-input:")
+    code, out, err = run_cli(capsys, ["fit", "--step-tol", "nan"])
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:usage:")
 
 
 # ---------------------------------------------------------------------------

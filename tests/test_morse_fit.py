@@ -6,6 +6,7 @@ independent 30-digit quadrature for W; a faithful fit must do at least as
 well as the parameters it is meant to reproduce.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -85,16 +86,14 @@ class TestConfigAndReport:
         cfg = FitConfig()
         assert cfg.rho_min == 0.0 and cfg.rho_max == 10.0
         assert cfg.init.kappa > 0
+        # the ripple tolerance and the solve cap are module constants
+        assert [f.name for f in dataclasses.fields(FitConfig)] == ["rho_min", "rho_max", "init"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FitConfig(rho_min=-1.0)
         with pytest.raises(ValueError):
             FitConfig(rho_min=5.0, rho_max=5.0)
-        with pytest.raises(ValueError):
-            FitConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            FitConfig(step_tol=0.0)
 
     def test_report_invariant(self):
         with pytest.raises(ValueError):
@@ -165,6 +164,22 @@ class TestFitValidation:
                                                r"well with real b: (c1 c2 = |the ref)"):
             fit(table, FitConfig(rho_min=window[0], rho_max=window[1]))
 
+    def test_raises_at_the_cap_and_returns_no_report(self, exact_table, monkeypatch):
+        solves = fit(exact_table, FitConfig()).iterations
+        assert 1 < solves < morse_fit._MAX_SOLVES
+        monkeypatch.setattr(morse_fit, "_MAX_SOLVES", solves - 1)
+        report = None
+        with pytest.raises(RuntimeError, match=rf"^no convergence in {solves - 1} reference "
+                                               r"solves: the relative ripple spread \S+ is "
+                                               r"not below 5e-05$"):
+            report = fit(exact_table, FitConfig())
+        assert report is None
+        # converging on the last solve allowed is no failure
+        monkeypatch.setattr(morse_fit, "_MAX_SOLVES", solves)
+        assert fit(exact_table, FitConfig()).iterations == solves
+        # any ripple passes a tolerance of 1, so the first solve is the fit
+        monkeypatch.setattr(morse_fit, "_RIPPLE_TOL", 1.0)
+        assert fit(exact_table, FitConfig()).iterations == 1
 
 class TestNoStart:
     # starts that stopped the old Newton level solve: small kappa, and

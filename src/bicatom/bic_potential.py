@@ -13,12 +13,7 @@ with the integrand
     q(y; rho) = [2y sqrt(1+y^2) - 2y^2 - 1] /
                 [sqrt(1 + 4y^2 - 4y sqrt(1+y^2)) sqrt(1+y^2) sqrt(1+rho^4 y^4)].
 
-q has an integrable inverse-square-root singularity at y* = sqrt(2)/4:
-the radicand 1 + 4y^2 - 4y sqrt(1+y^2) equals (1 - 8y^2)/(1 + 4y^2 +
-4y sqrt(1+y^2)) identically, so it vanishes linearly at y* (slope
--4 sqrt(2)/3 ~ -1.886) and the stabilized right-hand form is used here to
-avoid cancellation near the endpoint.
-
+q has an integrable inverse-square-root singularity at y* = sqrt(2)/4.
 Z(rho) -> 0 as rho -> 0 and -> 1 from above as rho -> infinity, so W is a
 finite-at-origin screened Coulomb shape: W(0) = -B(1/4,1/4)/4 ~ -1.854.
 
@@ -26,17 +21,12 @@ Also provided: Born's dimensionless point-charge potential
 phi_hat(r) = int_r^inf ds/sqrt(1+s^4), with phi_hat(0) = B(1/4,1/4)/4,
 by a fixed 15-point Kronrod rule on two panels of each finite range.
 
-Accuracy note: Z is assembled from two terms of magnitude ~1.854*rho that
-cancel to O(1), so rounding in the screening integral is amplified by ~rho.
-Z is evaluated by fixed-node composite Gauss-Legendre, 12 nodes a panel on
-an inner, a middle and an end piece of 2, up to 7 and 3 panels, whose
-truncation error lies below that rounding.  The middle piece shrinks to
-zero width as rho falls to 4 sqrt(2); only its panels that carry weight
-are evaluated (at most 3 for rho <= 40).  Against 30-digit mpmath the
-measured absolute error in Z is ~1e-15 up to rho = 10 and grows as
-~1.6e-15*rho beyond: ~1.3e-12 at rho = 1000, ~1.4e-11 at 1e4, ~1.6e-10 at
-1e5 and ~1.6e-9 at the supported cap rho = 1e6; beyond the cap the call is
-rejected.  The tests hold Z to 4e-15*max(1, rho).
+Accuracy note: W is not evaluated from the y-integral, whose two terms of
+size ~1.854*rho cancel to O(1), but from two forms of it that add no terms
+of opposite sign (see _w_kernel), by fixed-node composite Gauss-Legendre
+with 14 nodes a panel.  Against 30-digit mpmath of the y-integral, Z is
+within 1e-15 relative on the supported range 0 <= rho <= 1e6 (the worst
+measured is 8.9e-16); beyond it the call is rejected.
 """
 
 from __future__ import annotations
@@ -100,16 +90,6 @@ class PotentialTable:
             raise ValueError("rho_grid must be non-negative and strictly increasing")
 
 
-def _screen(y):
-    """The rho-free factor of q: q(y; rho) = _screen(y) / sqrt(1 + rho^4 y^4)."""
-    root1 = np.sqrt(1.0 + y * y)
-    numer = 2.0 * y * root1 - 2.0 * y * y - 1.0
-    # stabilized radicand: (1 - 8y^2)/(1 + 4y^2 + 4y sqrt(1+y^2)); vanishes
-    # linearly at y* with no subtractive cancellation
-    radicand = (1.0 - 8.0 * y * y) / (1.0 + 4.0 * y * y + 4.0 * y * root1)
-    return numer / (np.sqrt(radicand) * root1)
-
-
 def z_integrand(y, rho: float):
     """The screening integrand q(y; rho); y scalar or ndarray in [0, sqrt2/4)."""
     rho = float(rho)
@@ -118,7 +98,12 @@ def z_integrand(y, rho: float):
     ya = np.asarray(y, dtype=float)
     if ya.size and (float(ya.min()) < 0.0 or float(ya.max()) >= Y_STAR):
         raise ValueError(f"y must lie in [0, {Y_STAR!r})")
-    out = _screen(ya) / np.sqrt(1.0 + rho ** 4 * ya ** 4)
+    root1 = np.sqrt(1.0 + ya * ya)
+    numer = 2.0 * ya * root1 - 2.0 * ya * ya - 1.0
+    # stabilized radicand: (1 - 8y^2)/(1 + 4y^2 + 4y sqrt(1+y^2)); vanishes
+    # linearly at y* with no subtractive cancellation
+    radicand = (1.0 - 8.0 * ya * ya) / (1.0 + 4.0 * ya * ya + 4.0 * ya * root1)
+    out = numer / (np.sqrt(radicand) * root1 * np.sqrt(1.0 + rho ** 4 * ya ** 4))
     if np.ndim(y) == 0:
         return float(out)
     return out
@@ -147,93 +132,75 @@ def _gauss_legendre(n: int):
     return 0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * dp * dp)
 
 
-_GL_X, _GL_W = _gauss_legendre(12)
+# nodes a panel: 14 keep Z within 8.9e-16 relative of mpmath on [0, 1e6]
+_GL_NODES = 14
+_GL_X, _GL_W = _gauss_legendre(_GL_NODES)
 
 
-def _composite(edges):
-    """Nodes and weights of the composite rule on panels between edges (last axis)."""
-    a = edges[..., :-1, None]
-    h = edges[..., 1:, None] - a
-    shape = edges.shape[:-1] + (-1,)
-    return (a + h * _GL_X).reshape(shape), (h * _GL_W).reshape(shape)
+def _rule(edges, far: bool):
+    """(1 + sin s)^2, cos^4 s, sin^2 s / 4 and half the weights on composite
+    nodes s between edges; the far form's weights also carry its P - Q."""
+    edges = np.array(edges)
+    h = np.diff(edges)[:, None]
+    s, w = (edges[:-1, None] + h * _GL_X).ravel(), (h * _GL_W).ravel()
+    sin = np.sin(s)
+    lead = (1.0 + sin) ** 2
+    if far:
+        w = w * lead * sin * (2.0 - sin)
+    return lead, np.cos(s) ** 4, 0.25 * sin * sin, 0.5 * w
 
 
-# Z(rho) splits [0, y*] at s = min(1/rho, y*/2) and y*/2.  Inner piece
-# [0, s] with y = s x: panels in x.
-_INNER_X, _INNER_W = _composite(np.array([0.0, 0.5, 1.0]))
-# Middle piece [s, y*/2] with y = s e^v, v in [0, span], span = log(y*/(2s)):
-# panels in v, graded from the 1/sqrt(1 + rho^4 y^4) branch points at
-# Im v = pi/4 over v = 0.  Only the searchsorted(_MIDDLE_EDGES, span) panels
-# that start below span carry weight; the last of them ends at span.
-_MIDDLE_EDGES = np.array([0.0, 0.5, 1.25, 2.5, 4.0, 6.0, 9.0, np.inf])
+# _RULES[0] is the near form's one panel.  _RULES[m], m >= 1, is the far
+# form's, for m = ceil(log2(pi rho/2)): edges 0, 3 pi/8 and (pi/2) 2^-j for
+# j = 0..m, halving toward its layer of width ~2/rho at s = 0
+_RULES = [_rule([0.0, math.pi / 2.0], far=False)] + [
+    _rule(sorted({0.0, 3.0 * math.pi / 8.0, *(math.pi / 2.0 ** j for j in range(1, m + 2))}),
+          far=True)
+    for m in range(1, math.ceil(math.log2(math.pi / 2.0 * _RHO_CAP)) + 1)]
 
-
-def _end_piece():
-    """Nodes y and weights of the end piece [y*/2, y*] under y = y* - t^2.
-
-    The weights absorb the bounded, rho-free factor 2t _screen(y), with
-    1 - 8y^2 = 8t^2 (y* + y) divided out of the radicand so that no
-    cancellation occurs near y*.
-    """
-    t, w = _composite(math.sqrt(Y_STAR / 2.0) * np.array([0.0, 0.4, 0.75, 1.0]))
-    y = Y_STAR - t * t
-    root1 = np.sqrt(1.0 + y * y)
-    numer = 2.0 * y * root1 - 2.0 * y * y - 1.0
-    radicand_over_t2 = 8.0 * (Y_STAR + y) / (1.0 + 4.0 * y * y + 4.0 * y * root1)
-    return y, 2.0 * w * numer / (np.sqrt(radicand_over_t2) * root1)
-
-
-_END_Y, _END_W = _end_piece()
-
-# rows per kernel block: keeps the (rows x nodes) temporaries small
-_BLOCK_ROWS = 128
-
-
-def _damping(ry):
-    """The rho-dependent factor of q, 1/sqrt(1 + (rho y)^4), from rho*y."""
-    ry2 = ry * ry
-    return 1.0 / np.sqrt(1.0 + ry2 * ry2)
-
-
-# rho-free inner factors.  For rho <= 4 sqrt(2), s = y*/2 fixes the nodes
-# and their _screen; for rho > 4 sqrt(2), s = 1/rho makes rho y = x, which
-# fixes their _damping.
-_NEAR_Y = (Y_STAR / 2.0) * _INNER_X
-_NEAR_W = _INNER_W * _screen(_NEAR_Y)
-_FAR_W = _INNER_W * _damping(_INNER_X)
-
-
-def _w_rows(r: np.ndarray, panels: int) -> np.ndarray:
-    """W on a column r of rho whose middle pieces all have `panels` weighted panels."""
-    if panels == 0:  # rho <= 4 sqrt(2): the middle piece is empty
-        integral = (Y_STAR / 2.0) * np.sum(_NEAR_W * _damping(r * _NEAR_Y), axis=1)
-    else:
-        ratio = r * (Y_STAR / 2.0)  # y*/(2s)
-        s = (Y_STAR / 2.0) / ratio
-        integral = s[:, 0] * np.sum(_FAR_W * _screen(s * _INNER_X), axis=1)
-        v, w = _composite(np.minimum(np.log(ratio), _MIDDLE_EDGES[:panels + 1]))
-        ry = np.exp(v)  # rho y = e^v on the middle piece
-        y = s * ry
-        integral += np.sum(w * y * _screen(y) * _damping(ry), axis=1)
-    integral += np.sum(_END_W * _damping(r * _END_Y), axis=1)
-    return -(r[:, 0] * integral + QUARTER_BETA)
+# rows per kernel block: keeps each (rows x nodes) temporary, at up to 322
+# nodes a row, near 160 KB
+_BLOCK_ROWS = 64
 
 
 def _w_kernel(rho: np.ndarray) -> np.ndarray:
-    """W = -(rho I + B(1/4,1/4)/4) on a 1-d array of rho in [0, 1e6], by fixed
-    composite Gauss-Legendre; no division by rho, so tiny rho loses nothing.
+    """W on a 1-d array of rho in [0, 1e6], by fixed composite Gauss-Legendre.
 
-    Rows are grouped by their number of weighted middle panels, so each row
-    sums the same nodes in the same order whatever else is in the array.
+    With q = rho^2 sin^2 s / 4, P = (1 + sin s)^2 + q^2 and Q = cos^4 s + q^2,
+    both forms integrate over s in [0, pi/2]:
+
+        rho < 1:   W = -B(1/4,1/4)/4 + (rho/2) int ds / sqrt(P),
+        rho >= 1:  W = -(rho/2) int (P - Q) / (sqrt(P) sqrt(Q) (sqrt(P) + sqrt(Q))) ds.
+
+    The first is the screening integral under y = sinh t, v = sqrt(2e^{-2t} - 1)
+    and v = tan((pi/2 - s)/2); the second subtracts it from
+    B/4 = (rho/2) int ds / sqrt(Q), Born's integral under x = (rho/2) tan s.
+    Neither adds terms of opposite sign, and neither divides by rho, so tiny
+    rho loses nothing.  Rows are grouped by rule, so each row sums the same
+    nodes in the same order whatever else is in the array.
     """
     out = np.empty(rho.shape)
-    span = np.log(np.maximum(1.0, rho * (Y_STAR / 2.0)))
-    panels = np.searchsorted(_MIDDLE_EDGES, span)
-    for k in range(len(_MIDDLE_EDGES)):
-        rows = np.flatnonzero(panels == k)
+    far = rho >= 1.0
+    rule = np.zeros(rho.shape, dtype=int)
+    rule[far] = np.ceil(np.log2((math.pi / 2.0) * rho[far]))
+    for m in np.flatnonzero(np.bincount(rule)):  # the rules in use
+        lead, cos4, sin2, w = _RULES[m]
+        rows = np.flatnonzero(rule == m)
         for start in range(0, rows.size, _BLOCK_ROWS):
             block = rows[start:start + _BLOCK_ROWS]
-            out[block] = _w_rows(rho[block, None], k)
+            r = rho[block, None]
+            q2 = r * r * sin2
+            q2 *= q2
+            root_p = np.sqrt(lead + q2)
+            if m == 0:
+                out[block] = r[:, 0] * np.sum(w / root_p, axis=1) - QUARTER_BETA
+            else:
+                root_q = np.sqrt(cos4 + q2)
+                # the denominator, in q2's buffer: one block-sized array fewer
+                np.add(root_p, root_q, out=q2)
+                q2 *= root_p
+                q2 *= root_q
+                out[block] = -r[:, 0] * np.sum(w / q2, axis=1)
     return out
 
 
@@ -244,23 +211,20 @@ def _checked_rho(rho: float) -> np.ndarray:
         raise ValueError(f"rho must be non-negative, got {rho!r}")
     if rho > _RHO_CAP:
         raise ValueError(f"rho beyond the supported cap {_RHO_CAP:g} "
-                         "(cancellation budget exceeded)")
+                         "(the kernel's tested range)")
     return np.array([rho])
 
 
 def z_of_rho(rho: float) -> float:
-    """Screening function Z(rho), 0 <= rho <= 1e6, to 4e-15 max(1, rho) absolute.
-
-    Z(0) = 0 exactly by the decomposition.  Fixed-node composite
-    Gauss-Legendre, split at min(1/rho, sqrt(2)/8) because for large rho
-    the integrand drops sharply past y ~ 1/rho.
-    """
+    """Screening function Z(rho) = -rho W(rho), 0 <= rho <= 1e6, to 1e-15
+    relative; Z(0) = 0 exactly."""
     r = _checked_rho(rho)
     return float(-r[0] * _w_kernel(r)[0])
 
 
 def w_of_rho(rho: float) -> float:
-    """Potential shape W(rho) = -Z(rho)/rho, 0 <= rho <= 1e6, finite at rho = 0."""
+    """Potential shape W(rho) = -Z(rho)/rho, 0 <= rho <= 1e6, to 1e-15 relative;
+    W(0) = -B(1/4,1/4)/4 exactly, as W is never formed by dividing by rho."""
     return float(_w_kernel(_checked_rho(rho))[0])
 
 
@@ -329,8 +293,6 @@ def tabulate(kind: PotentialKind, rho_min: float, rho_max: float, n: int) -> Pot
         raise ValueError("need n >= 2")
     if n > _MAX_POINTS:
         raise ValueError(f"need n <= {_MAX_POINTS}, got {n}")
-    if rho_max > _RHO_CAP:
-        raise ValueError(f"rho beyond the supported cap {_RHO_CAP:g} "
-                         "(cancellation budget exceeded)")
+    _checked_rho(rho_max)
     grid = np.linspace(rho_min, rho_max, int(n))
     return PotentialTable(grid, _w_kernel(grid))

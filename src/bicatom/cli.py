@@ -27,14 +27,11 @@ Subcommands
 
 Output conventions
 ------------------
-Every float is printed with ten significant digits (``%.10g``).  Z's
-absolute accuracy is about 1.6e-15*rho, so from about rho = 1e4 the last
-printed digit of ``potential``'s W, and near rho = 1e6 that of Z, can be
-rounding noise.  The computation is fully deterministic, so repeated runs
-of the same command produce byte-identical output.  CSV output always
-includes a header row; JSON output always carries a top-level
-``"schema": 1`` marker.  All failures exit nonzero after printing a
-single line
+Every float is printed with ten significant digits (``%.10g``).  The
+computation is fully deterministic, so repeated runs of the same command
+produce byte-identical output.  CSV output always includes a header row;
+JSON output always carries a top-level ``"schema": 1`` marker.  All
+failures exit nonzero after printing a single line
 
     error:<code>: <detail>
 

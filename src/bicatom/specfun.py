@@ -19,6 +19,7 @@ origin, which the surrogate and its closed-form solution share.
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = [
     "QUARTER_BETA",
@@ -35,10 +36,16 @@ _Z_CAP = 200.0
 # 1F1 series truncation: relative tolerance and term budget
 _REL_TOL = 1e-14
 _MAX_TERMS = 5000
+# largest rounding floor eps sum |t_n| / max(|sum t_n|, 1) returned: above
+# the 7.9e-13 that the tests' root scans reach, far below the 4.3e-6 of
+# 1F1(-45.2; 1.2; 190)
+_CANCEL_TOL = 1e-11
+_EPS = sys.float_info.epsilon
 
 
 class SeriesNonConvergence(RuntimeError):
-    """Raised when the 1F1 series does not converge within _MAX_TERMS terms."""
+    """Raised when the 1F1 series cannot be summed to its tolerance in double
+    precision: no convergence within _MAX_TERMS terms, or too much cancellation."""
 
 
 def kummer_m(alpha: float, gamma: float, z: float) -> float:
@@ -54,9 +61,19 @@ def kummer_m(alpha: float, gamma: float, z: float) -> float:
     would never trigger.  Negative z, where the alternating series
     cancels catastrophically, is rejected.
 
+    Accuracy: each term carries at most 3n eps relative rounding from its
+    n recurrence steps, and the running sum adds at most (N/2) eps
+    sum |t_n| over its N terms, so the result is within 4 N eps sum |t_n|
+    of the series.  It is returned only when eps sum |t_n| <= 1e-11
+    max(|sum t_n|, 1), so within 4 N 1e-11 max(|1F1|, 1).  On |alpha| <=
+    50, 1 <= gamma <= 21 and 0 <= z <= 200, N stays below 330, which
+    bounds the error by 1.5e-8 max(|1F1|, 1), the truncated tail
+    included.
+
     Raises ValueError for gamma in {0, -1, -2, ...} or any z outside
     [0, 200] (NaN included), and SeriesNonConvergence when 5000 terms do
-    not converge.
+    not converge or when the terms cancel beyond that bound, as for
+    1F1(-45.2; 1.2; 190), whose terms of total size 1.3e50 sum to 6.6e39.
     """
     alpha = float(alpha)
     gamma = float(gamma)
@@ -78,6 +95,10 @@ def kummer_m(alpha: float, gamma: float, z: float) -> float:
         if abs(term) <= rel_tol * magnitude and (term == 0.0 or abs(ratio) < 1.0):
             streak += 1
             if streak >= 2:
+                if _EPS * magnitude > _CANCEL_TOL * max(abs(total), 1.0):
+                    raise SeriesNonConvergence(
+                        f"1F1({alpha}, {gamma}, {z}): terms of total size {magnitude:.3g} "
+                        f"cancel to {total:.3g}, beyond double precision")
                 return total
         else:
             streak = 0

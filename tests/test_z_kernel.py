@@ -1,11 +1,11 @@
-"""Z(rho) against 30-digit mpmath across its whole domain, 0 <= rho <= 1e6.
+"""Z(rho) and W(rho) against 30-digit mpmath across their whole domain, 0 <= rho <= 1e6.
 
-The reference integrates in t = sqrt(sqrt(2)/4 - y) with mpmath's
-tanh-sinh quadrature, split where the integrand drops past y ~ 1/rho; it
-shares nothing with the library's fixed-node Gauss-Legendre kernel.  The
-tolerance is the accuracy schedule of the bic_potential docstring,
-4e-15 * max(1, rho) absolute.  mpmath and hypothesis are test-only
-dependencies (the ``test`` extra).
+The reference is the paper's y-integral, integrated in t = sqrt(sqrt(2)/4 - y)
+with mpmath's tanh-sinh quadrature, split where the integrand drops past
+y ~ 1/rho; it shares nothing with the library's fixed-node Gauss-Legendre
+kernel, which integrates other forms in another variable.  The tolerance
+is the accuracy of the bic_potential docstring, 1e-15 relative to Z and W.
+mpmath and hypothesis are test-only dependencies (the ``test`` extra).
 """
 
 import math
@@ -20,7 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from bicatom.bic_potential import (  # noqa: E402
     _BLOCK_ROWS,
-    _MIDDLE_EDGES,
+    _GL_NODES,
     Y_STAR,
     PotentialKind,
     _gauss_legendre,
@@ -30,25 +30,35 @@ from bicatom.bic_potential import (  # noqa: E402
     z_of_rho,
 )
 
-# rho where the split point min(1/rho, sqrt(2)/8) changes branch
-SPLIT_RHO = 4.0 * math.sqrt(2.0)
-# rho where log(rho y*/2) meets a middle panel edge, so the number of weighted
-# middle panels changes, each with its float neighbours
-PANEL_EDGE_RHO = sorted({
-    r
-    for edge in [SPLIT_RHO] + [(2.0 / Y_STAR) * math.exp(e) for e in _MIDDLE_EDGES[:-1]]
-    for r in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))
-})
 
-log_uniform_rho = st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0 ** e)
+def _with_neighbours(points):
+    return sorted({r for p in points
+                   for r in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))})
+
+
+# rho where the kernel switches from its near form to its far form
+SPLIT_RHO = 1.0
+# rho where ceil(log2(pi rho/2)), the far form's number of panel halvings,
+# steps, and the split itself, each with its float neighbours
+PANEL_EDGE_RHO = _with_neighbours(
+    [SPLIT_RHO] + [2.0 ** (m + 1) / math.pi for m in range(1, 21)])
+# the switch points of the three-piece kernel this one replaced: ordinary
+# points of the new one, kept as samples
+FORMER_SPLIT_RHO = 4.0 * math.sqrt(2.0)
+FORMER_EDGE_RHO = [FORMER_SPLIT_RHO * (1.0 + d) for d in (-1e-12, 1e-12)] + _with_neighbours(
+    [FORMER_SPLIT_RHO]
+    + [(2.0 / Y_STAR) * math.exp(e) for e in (0.0, 0.5, 1.25, 2.5, 4.0, 6.0, 9.0)])
+
+log_uniform_rho = st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0 ** e)
 reproducible = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-def z_mpmath(rho: float) -> float:
+def z_mpmath_y(rho) -> "mp.mpf":
+    """Z = rho^2 int_0^{y*} q(y; rho) dy + (B/4) rho, the paper's form, at 30 digits."""
     with mp.workdps(30):
         rho = mp.mpf(rho)
         if rho == 0:
-            return 0.0
+            return mp.mpf(0)
         y_star = mp.sqrt(2) / 4
 
         def g(t):
@@ -67,26 +77,75 @@ def z_mpmath(rho: float) -> float:
             y *= 4
         ts = sorted({mp.sqrt(y_star - y) for y in ys} | {mp.mpf(0)})
         quarter_beta = mp.beta(mp.mpf(1) / 4, mp.mpf(1) / 4) / 4
-        return float(rho * rho * mp.quad(g, ts) + quarter_beta * rho)
+        return +(rho * rho * mp.quad(g, ts) + quarter_beta * rho)
 
 
-def tolerance(rho: float) -> float:
-    return 4e-15 * max(1.0, rho)
+def z_mpmath_s(rho) -> "mp.mpf":
+    """Z from the kernel's two forms in s, at 30 digits (bic_potential._w_kernel)."""
+    with mp.workdps(30):
+        rho = mp.mpf(rho)
+
+        def p_and_q(s):
+            sin = mp.sin(s)
+            q = rho ** 2 * sin ** 2 / 4
+            return (1 + sin) ** 2 + q ** 2, mp.cos(s) ** 4 + q ** 2
+
+        if rho < 1:
+            j = mp.quad(lambda s: 1 / mp.sqrt(p_and_q(s)[0]), [0, mp.pi / 2])
+            return +(rho * (mp.beta(mp.mpf(1) / 4, mp.mpf(1) / 4) / 4 - rho * j / 2))
+
+        def g(s):
+            p, q = p_and_q(s)
+            return (p - q) / (mp.sqrt(p) * mp.sqrt(q) * (mp.sqrt(p) + mp.sqrt(q)))
+
+        edges = [mp.mpf(0)]
+        edge = 2 / rho  # the layer at s = 0 is about 2/rho wide
+        while edge < mp.pi / 2:
+            edges.append(edge)
+            edge *= 4
+        edges.append(mp.pi / 2)
+        return +(rho ** 2 / 2 * mp.quad(g, edges))
+
+
+def z_mpmath(rho: float) -> float:
+    return float(z_mpmath_y(rho))
+
+
+def close_to_mpmath(z: float, rho: float) -> bool:
+    # Z(0) = 0 exactly, so the relative bound also pins the origin
+    ref = z_mpmath(rho)
+    return abs(z - ref) <= 1e-15 * abs(ref)
+
+
+def assert_z_and_w_match_mpmath(rho: float) -> None:
+    z = z_mpmath_y(rho)
+    assert abs(z_of_rho(rho) - float(z)) <= 1e-15 * float(z)
+    if rho > 0.0:
+        with mp.workdps(30):
+            w = float(-z / rho)
+        assert abs(w_of_rho(rho) - w) <= 1e-15 * abs(w)
 
 
 @reproducible
 @seed(8103)
 @given(log_uniform_rho)
 def test_matches_mpmath_log_uniform(rho):
-    assert abs(z_of_rho(rho) - z_mpmath(rho)) <= tolerance(rho)
+    assert_z_and_w_match_mpmath(rho)
 
 
 @pytest.mark.parametrize("rho", sorted({
-    0.0, 1e-3, SPLIT_RHO * (1.0 - 1e-12), SPLIT_RHO, SPLIT_RHO * (1.0 + 1e-12), 1e5, 1e6,
-    *PANEL_EDGE_RHO,
+    0.0, 1e-6, 1e-3, 1e5, 1e6, math.nextafter(1e6, 0.0), *PANEL_EDGE_RHO, *FORMER_EDGE_RHO,
 }))
 def test_matches_mpmath_at_domain_edges_and_split(rho):
-    assert abs(z_of_rho(rho) - z_mpmath(rho)) <= tolerance(rho)
+    assert_z_and_w_match_mpmath(rho)
+
+
+@pytest.mark.parametrize("rho", list(10.0 ** np.linspace(-6.0, 6.0, 50)) + [1.0])
+def test_kernel_forms_equal_the_paper_integral(rho):
+    # the identity behind the kernel, in 30-digit arithmetic on both sides; the
+    # y-form's own cancellation costs it about log10(rho) of its 30 digits
+    y_form = z_mpmath_y(rho)
+    assert abs(z_mpmath_s(rho) - y_form) <= mp.mpf("1e-18") * y_form
 
 
 @reproducible
@@ -98,12 +157,12 @@ def test_array_path_matches_scalar_path_and_mpmath(rhos):
     for r, z in zip(rhos, got):
         assert abs(z - z_of_rho(r)) <= 1e-14
     for k in (_BLOCK_ROWS - 1, _BLOCK_ROWS):
-        assert abs(got[k] - z_mpmath(rhos[k])) <= tolerance(rhos[k])
+        assert close_to_mpmath(got[k], rhos[k])
 
 
 def test_rows_do_not_depend_on_their_neighbours():
     # a row's W is bit-identical alone, at the end of a sorted table and in a
-    # shuffled array mixing every number of weighted middle panels
+    # shuffled array mixing every rule the kernel groups by
     rhos = PANEL_EDGE_RHO + [1e5, 1e6]
     alone = [w_of_rho(r) for r in rhos]
     in_table = [tabulate(PotentialKind.EXACT_BIC, 0.0, r, 2 * _BLOCK_ROWS + 1).values[-1]
@@ -118,8 +177,8 @@ def test_rows_do_not_depend_on_their_neighbours():
 
 
 def test_gauss_legendre_matches_numpy():
-    x, w = np.polynomial.legendre.leggauss(12)
-    nodes, weights = _gauss_legendre(12)
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    nodes, weights = _gauss_legendre(_GL_NODES)
     order = np.argsort(nodes)
     np.testing.assert_allclose(nodes[order], 0.5 * (x + 1.0), rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(weights[order], 0.5 * w, rtol=0.0, atol=1e-15)

@@ -4,7 +4,7 @@ Library layout:
 
 - specfun: Kummer 1F1 and Whittaker M at a scalar z > 0 (from scratch)
 - bic_potential: the screening function Z, W = -Z/rho, exact tables of W,
-  and Born's potential by a fixed Kronrod rule
+  and Born's potential, every integral by one fixed Gauss-Legendre rule
 - morse_fit: Morse-type surrogate W_s and its four-parameter fit
 - roots: Brent's bracketed root refinement, shared by the fit and solver
 - analytic_solver: Whittaker quantization, alpha*beta and energy closed forms

@@ -19,14 +19,15 @@ finite-at-origin screened Coulomb shape: W(0) = -B(1/4,1/4)/4 ~ -1.854.
 
 Also provided: Born's dimensionless point-charge potential
 phi_hat(r) = int_r^inf ds/sqrt(1+s^4), with phi_hat(0) = B(1/4,1/4)/4,
-by a fixed 15-point Kronrod rule on two panels of each finite range.
+on two panels of each finite range.  Both integrals use one 14-point
+Gauss-Legendre rule, stored as correctly rounded literals.
 
 Accuracy note: W is not evaluated from the y-integral, whose two terms of
 size ~1.854*rho cancel to O(1), but from two forms of it that add no terms
 of opposite sign (see _w_kernel), by fixed-node composite Gauss-Legendre
 with 14 nodes a panel.  Against 30-digit mpmath of the y-integral, Z is
 within 1e-15 relative on the supported range 0 <= rho <= 1e6 (the worst
-measured is 8.9e-16); beyond it the call is rejected.
+measured is 6.7e-16); beyond it the call is rejected.
 """
 
 from __future__ import annotations
@@ -109,40 +110,31 @@ def z_integrand(y, rho: float):
     return out
 
 
-def _legendre(n: int, x):
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    p_prev, p = np.ones_like(x), x
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    return p, n * (x * p - p_prev) / (x * x - 1.0)
+# the 14-point Gauss-Legendre rule on [-1, 1], positive half, mirrored so the
+# rule is exactly symmetric.  Each node and weight is its 50-digit value
+# rounded to double (Newton's method in double leaves them 10-20 ulp off).
+# 14 nodes a panel keep Z within 1e-15 relative of mpmath
+_GL_X = (0.9862838086968123, 0.9284348836635735, 0.827201315069765,
+         0.6872929048116855, 0.5152486363581541, 0.31911236892788974,
+         0.10805494870734367)
+_GL_W = (0.03511946033175186, 0.08015808715976021, 0.12151857068790319,
+         0.15720316715819355, 0.18553839747793782, 0.2051984637212956,
+         0.2152638534631578)
+_NODES = np.array([-x for x in _GL_X] + list(_GL_X[::-1]))
+_WEIGHTS = np.array(_GL_W + _GL_W[::-1])
 
 
-def _gauss_legendre(n: int):
-    """n-point Gauss-Legendre nodes and weights on [0, 1].
-
-    Newton iteration on P_n from Tricomi's initial guesses; this avoids the
-    eigenvalue solver behind numpy.polynomial.legendre.leggauss and the
-    memory it maps on first use.
-    """
-    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(10):  # quadratic convergence: a few steps reach rounding
-        p, dp = _legendre(n, x)
-        x = x - p / dp
-    _, dp = _legendre(n, x)
-    return 0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * dp * dp)
-
-
-# nodes a panel: 14 keep Z within 8.9e-16 relative of mpmath on [0, 1e6]
-_GL_NODES = 14
-_GL_X, _GL_W = _gauss_legendre(_GL_NODES)
+def _panels(edges):
+    """Composite nodes and weights of the rule on the panels between edges."""
+    edges = np.array(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    return ((edges[:-1, None] + half) + half * _NODES).ravel(), (half * _WEIGHTS).ravel()
 
 
 def _rule(edges, far: bool):
     """(1 + sin s)^2, cos^4 s, sin^2 s / 4 and half the weights on composite
     nodes s between edges; the far form's weights also carry its P - Q."""
-    edges = np.array(edges)
-    h = np.diff(edges)[:, None]
-    s, w = (edges[:-1, None] + h * _GL_X).ravel(), (h * _GL_W).ravel()
+    s, w = _panels(edges)
     sin = np.sin(s)
     lead = (1.0 + sin) ** 2
     if far:
@@ -228,30 +220,17 @@ def w_of_rho(rho: float) -> float:
     return float(_w_kernel(_checked_rho(rho))[0])
 
 
-# QUADPACK's qk15 rule (R. Piessens et al., QUADPACK, 1983): the 15-point
-# Kronrod nodes on [-1, 1], positive half, and their weights
-_XGK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
-        0.7415311855993944, 0.5860872354676911, 0.4058451513773972,
-        0.2077849550078985, 0.0)
-_WGK = (0.02293532201052922, 0.06309209262997855, 0.1047900103222502,
-        0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
-        0.2044329400752989, 0.2094821410847278)
-_K15_X = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
-_K15_W = np.array(_WGK[:-1] + _WGK[::-1])
-
-
 def integrate(f, lower: float, upper: float) -> float:
-    """int_lower^upper f by the 15-point Kronrod rule on two equal panels.
+    """int_lower^upper f by the kernel's Gauss-Legendre rule on two equal panels.
 
-    f must accept an ndarray.  math.fsum sums the 30 weighted values; a
+    f must accept an ndarray.  math.fsum sums the 28 weighted values; a
     plain sum costs born_phi several ulp.  The rule is fixed, with no error
     estimate, and suits born_phi's integrand, analytic within 1/sqrt(2) of
     [0, 1].  It stays a module-level name because perfbench/tracer.py
     wraps it.
     """
-    h = 0.25 * (upper - lower)  # half-width of each panel
-    centers = np.array([[lower + h], [upper - h]])
-    return math.fsum((h * _K15_W * f(centers + h * _K15_X)).ravel().tolist())
+    s, w = _panels([lower, 0.5 * (lower + upper), upper])
+    return math.fsum((w * f(s)).tolist())
 
 
 def _born_integrand(t):
@@ -277,7 +256,7 @@ def born_phi(r: float) -> float:
 
 
 def tabulate(kind: PotentialKind, rho_min: float, rho_max: float, n: int) -> PotentialTable:
-    """Uniform-grid table of the exact W, 2 <= n <= 1e6 points on [rho_min, rho_max].
+    """Exact W at n uniform grid points on [rho_min, rho_max], n integral in [2, 1e6].
 
     kind is PotentialKind.EXACT_BIC or its value "bic"; any other kind
     raises ValueError.  A Morse surrogate table is
@@ -289,10 +268,8 @@ def tabulate(kind: PotentialKind, rho_min: float, rho_max: float, n: int) -> Pot
     rho_max = float(rho_max)
     if not (0.0 <= rho_min < rho_max):
         raise ValueError("need 0 <= rho_min < rho_max")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if n > _MAX_POINTS:
-        raise ValueError(f"need n <= {_MAX_POINTS}, got {n}")
+    if not (2 <= n <= _MAX_POINTS and float(n).is_integer()):
+        raise ValueError(f"need an integral n from 2 to {_MAX_POINTS}, got {n!r}")
     _checked_rho(rho_max)
     grid = np.linspace(rho_min, rho_max, int(n))
     return PotentialTable(grid, _w_kernel(grid))

@@ -70,14 +70,17 @@ def kummer_m(alpha: float, gamma: float, z: float) -> float:
     bounds the error by 1.5e-8 max(|1F1|, 1), the truncated tail
     included.
 
-    Raises ValueError for gamma in {0, -1, -2, ...} or any z outside
-    [0, 200] (NaN included), and SeriesNonConvergence when 5000 terms do
-    not converge or when the terms cancel beyond that bound, as for
-    1F1(-45.2; 1.2; 190), whose terms of total size 1.3e50 sum to 6.6e39.
+    Raises ValueError for a NaN or infinite alpha or gamma, gamma in
+    {0, -1, -2, ...} or any z outside [0, 200] (NaN included), and
+    SeriesNonConvergence when 5000 terms do not converge or when the
+    terms cancel beyond that bound, as for 1F1(-45.2; 1.2; 190), whose
+    terms of total size 1.3e50 sum to 6.6e39.
     """
     alpha = float(alpha)
     gamma = float(gamma)
     z = float(z)
+    if not (math.isfinite(alpha) and math.isfinite(gamma)):
+        raise ValueError(f"kummer_m needs finite alpha and gamma, got {alpha!r}, {gamma!r}")
     if gamma <= 0.0 and gamma == math.floor(gamma):
         raise ValueError(f"kummer_m undefined for gamma = {gamma} (non-positive integer)")
     if not 0.0 <= z <= _Z_CAP:
@@ -107,14 +110,17 @@ def kummer_m(alpha: float, gamma: float, z: float) -> float:
 
 
 def whittaker_m(a: float, nu: float, z: float) -> float:
-    """Whittaker function of the first kind M_{a,nu}(z), z > 0, nu > 0.
+    """Whittaker function of the first kind M_{a,nu}(z), z > 0, nu > 0, a finite.
 
     Computed through the Kummer representation.  1F1 is taken first, so
     a z beyond kummer_m's range raises its ValueError before z^(nu+1/2)
     can overflow.
     """
+    a = float(a)
     nu = float(nu)
     z = float(z)
+    if not math.isfinite(a):
+        raise ValueError(f"whittaker_m requires a finite a, got {a!r}")
     if not nu > 0.0:
         raise ValueError(f"whittaker_m requires nu > 0, got {nu!r}")
     if not z > 0.0:

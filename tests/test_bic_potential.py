@@ -255,6 +255,18 @@ class TestTabulate:
             tabulate(PotentialKind.EXACT_BIC, -1.0, 10.0, 5)
         with pytest.raises(ValueError):
             tabulate(PotentialKind.EXACT_BIC, 5.0, 5.0, 5)
+        with pytest.raises(ValueError):  # an int beyond any float
+            tabulate(PotentialKind.EXACT_BIC, 0.0, 10.0, 10 ** 400)
+
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+    def test_non_integral_point_count(self, n):
+        with pytest.raises(ValueError, match=f"need an integral n from 2 to 1000000, got {n!r}"):
+            tabulate(PotentialKind.EXACT_BIC, 0.0, 1.0, n)
+
+    def test_numpy_integer_point_count(self):
+        want = tabulate(PotentialKind.EXACT_BIC, 0.0, 1.0, 4)
+        got = tabulate(PotentialKind.EXACT_BIC, 0.0, 1.0, np.int64(4))
+        assert got.values.tobytes() == want.values.tobytes()
 
     def test_exact_values_repeatable_and_pointwise(self):
         first = tabulate(PotentialKind.EXACT_BIC, 0.0, 40.0, 101)

@@ -203,9 +203,11 @@ def test_fit_nonconvergence_exits_nonzero(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["fit", "--init", "-2", "0", "0.5", "-0.5"],
                                   ["fit", "--init-reference"],
-                                  ["fit", "--max-iters", "2"]])
+                                  ["fit", "--max-iters", "2"],
+                                  ["fit", "--step-tol=-1e-5"],
+                                  ["fit", "--step-tol", "nan"]])
 def test_fit_start_options_are_gone(capsys, argv):
-    # the fit needs no start, and its solve cap is fixed
+    # the fit needs no start, and its solve cap and ripple tolerance are fixed
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     lines = err.splitlines()
@@ -224,23 +226,6 @@ def test_fit_window_off_the_origin_keeps_the_error_contract(capsys):
     assert lines[0].startswith(
         "error:computation-failed: the best quadratic in q = e^(-kappa rho) on "
         "[2, 10] has no Morse well with real b: ")
-
-
-def test_fit_rejects_bad_step_tol(capsys):
-    # the ripple tolerance is fixed, so any --step-tol is a usage error
-    code, out, err = run_cli(capsys, ["fit", "--step-tol=-1e-5"])
-    assert (code, out) == (2, "")
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error:usage:")
-
-
-def test_fit_rejects_nan_step_tol(capsys):
-    code, out, err = run_cli(capsys, ["fit", "--step-tol", "nan"])
-    assert (code, out) == (2, "")
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error:usage:")
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,14 @@ class TestKummer:
         with pytest.raises(ValueError):
             kummer_m(1.0, gamma, 1.0)
 
+    @pytest.mark.parametrize("alpha, gamma", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+        (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
+    def test_non_finite_parameters(self, alpha, gamma):
+        # a bad parameter is refused at once, not after the whole term budget
+        with pytest.raises(ValueError, match="finite alpha and gamma"):
+            kummer_m(alpha, gamma, 1.0)
+
     def test_z_cap(self):
         with pytest.raises(ValueError):
             kummer_m(1.0, 1.0, 200.5)
@@ -100,3 +108,8 @@ class TestWhittaker:
     def test_nu_domain(self):
         with pytest.raises(ValueError):
             whittaker_m(1.0, -0.5, 1.0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_a(self, a):
+        with pytest.raises(ValueError, match="finite a"):
+            whittaker_m(a, 1.0, 1.0)

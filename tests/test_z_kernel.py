@@ -20,10 +20,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from bicatom.bic_potential import (  # noqa: E402
     _BLOCK_ROWS,
-    _GL_NODES,
+    _GL_W,
+    _GL_X,
     Y_STAR,
     PotentialKind,
-    _gauss_legendre,
     _w_kernel,
     tabulate,
     w_of_rho,
@@ -176,9 +176,30 @@ def test_rows_do_not_depend_on_their_neighbours():
     np.testing.assert_array_equal(shuffled[:len(rhos)], alone)
 
 
-def test_gauss_legendre_matches_numpy():
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
-    nodes, weights = _gauss_legendre(_GL_NODES)
-    order = np.argsort(nodes)
-    np.testing.assert_allclose(nodes[order], 0.5 * (x + 1.0), rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(weights[order], 0.5 * w, rtol=0.0, atol=1e-15)
+def gauss_legendre_50_digits(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], positive half, as
+    50-digit strings: Newton's method on P_n at 60 digits from numpy's nodes."""
+    with mp.workdps(60):
+        def p_and_dp(x):
+            p_prev, p = mp.mpf(1), x
+            for k in range(2, n + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            return p, n * (x * p - p_prev) / (x * x - 1)
+
+        nodes, weights = [], []
+        for start in sorted(np.polynomial.legendre.leggauss(n)[0], reverse=True)[:n // 2]:
+            x = mp.mpf(start)
+            for _ in range(6):  # quadratic: 16 correct digits pass 60 in two steps
+                p, dp = p_and_dp(x)
+                x -= p / dp
+            _, dp = p_and_dp(x)
+            nodes.append(mp.nstr(x, 50))
+            weights.append(mp.nstr(2 / ((1 - x * x) * dp * dp), 50))
+    return nodes, weights
+
+
+def test_gauss_legendre_literals_are_correctly_rounded():
+    # float() of a decimal string rounds it to the nearest double
+    nodes, weights = gauss_legendre_50_digits(2 * len(_GL_X))
+    assert list(_GL_X) == [float(x) for x in nodes]
+    assert list(_GL_W) == [float(w) for w in weights]

@@ -9,6 +9,7 @@ Library layout:
 - roots: Brent's bracketed root refinement, shared by the fit and solver
 - analytic_solver: Whittaker quantization, alpha*beta and energy closed forms
 - numerov_oracle: Numerov ground state by a matching-point search, the cross-check
+- spectral: the Laguerre-Ritz lowest eigenvalue that starts that search
 - cli: CSV/JSON emitters for all of the above
 
 The names most callers need are re-exported here, each resolved on first

@@ -16,11 +16,10 @@ rounding (see _sweep), glues the halves there and corrects lambda by the
 Rayleigh quotient of the glued solution.  A bracket on lambda, narrowed
 by each sweep's node count and the sign of its correction, catches the
 steps that leave it, so the search finds the lowest eigenvalue
-regardless of how many bound states exist.  The search runs first on the
-stride-8 subgrid, whose eigenvalue then starts it on the full grid
-(nested iteration, A. Brandt, Math. Comp. 31, 333 (1977)): a coarse
-sweep costs about a third of a full one, and from that start the full
-grid converges in one to three sweeps.
+regardless of how many bound states exist.  It starts from the Ritz
+eigenvalue of a 20-function Laguerre basis (see spectral), from which
+it converges in one sweep on the exact and Morse potentials and in two
+on Coulomb, whose Numerov eigenvalue lies 3e-7 above the exact one.
 
 Each propagation is blocked numpy work with no per-point Python loop:
 two basis solutions advance through every block of the grid at once, in
@@ -45,6 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .bic_potential import _MAX_POINTS, PotentialKind, tabulate
+from .spectral import ritz_lowest
 
 __all__ = [
     "RadialProblem",
@@ -57,12 +57,8 @@ __all__ = [
 _LAMBDA_TOL = 1e-10
 # least edge decay kappa*rho_max at which the box no longer moves lambda
 _MIN_EDGE_DECAY = 15.0
-# sweeps one search may spend, on either grid
+# sweeps one search may spend
 _MAX_SWEEPS = 100
-# the coarse pass searches every this-many-th grid point: a sweep there
-# costs 0.25 ms against 0.74 ms on 40 001 points, and 8 gave the lowest
-# median time per request of 4, 8, 16 and 32 on coupling-scan's mix
-_COARSE_STRIDE = 8
 # least number of steps from the origin to the outermost classical turning
 # point: below it h does not resolve the state (Coulomb at h = 1e-3 is off
 # by 1.3e-4 in eps/alpha^2 at 100 steps, by 0.021 at 6)
@@ -82,8 +78,10 @@ class RadialProblem:
 
     ``potential`` maps an array of rho to the array of W(rho); a callable
     that does not return an array of the grid's shape raises ValueError
-    when the grid is tabulated.  Its value at rho = 0 is never evaluated,
-    so an integrable origin singularity (e.g. pure Coulomb) is fine.  The
+    when the grid is tabulated.  It is called twice, on the grid and then
+    on the 60 points of the Ritz start, clamped into [h, rho_max].  Its
+    value at rho = 0 is never evaluated, so an integrable origin
+    singularity (e.g. pure Coulomb) is fine.  The
     grid rho_max/h is capped at 1e6 points, checked before anything is
     allocated.
     """
@@ -111,9 +109,9 @@ class RadialProblem:
 class OracleResult:
     """Converged eigenvalue; ``lam`` is the dimensionless lambda.
 
-    ``iterations`` counts the matched sweeps of the search on both grids,
-    the coarse subgrid's and the full one's; each sweep is one pass across
-    its grid, split into an outward and an inward propagation.
+    ``iterations`` counts the matched sweeps of the search; each sweep is
+    one pass across the grid, split into an outward and an inward
+    propagation.
     """
 
     lam: float
@@ -291,81 +289,65 @@ def _sweep(w: np.ndarray, alpha_beta: float, h: float, lam: float):
     return 0, -residual / (2.0 * h * h * norm)
 
 
-def _search(w: np.ndarray, alpha_beta: float, h: float, lam: float | None):
+def _search(w: np.ndarray, alpha_beta: float, h: float, lam: float):
     """Cooley's matching-point search on the grid w, started at lam.
 
     Returns (lam, nodes, sweeps): the last trial eigenvalue, the node count
     of its matched solution and the number of sweeps spent.  The search
     runs inside the bracket (alpha_beta * min W, max(0, alpha_beta *
-    W(rho_max))-) and starts at lam
-    clamped into it, or, when lam is None, at min over rho of 1/(2 rho^2)
-    + alpha_beta W(rho), exact for hydrogen.  Each sweep (see _sweep)
-    narrows the bracket: one with nodes or a downward correction lies
-    above the ground state, any other below it.  The next trial is lam +
-    dlam when the sweep had no nodes and that lies inside the bracket;
-    otherwise it is the bracket's midpoint, or its top while no sweep has
-    yet been above, and a sweep there that is not above means there is no
-    bound state.  The search stops once |dlam| or the bracket falls below
-    _LAMBDA_TOL (or to the resolution of a double).
+    W(rho_max))-) and starts at lam clamped into it, or at its floor when
+    lam is not finite.  Each sweep (see _sweep) narrows the bracket: one
+    with nodes or a downward correction lies above the ground state, any
+    other below it.  The next trial is lam + dlam when the sweep had no
+    nodes and that lies inside the bracket; otherwise it is the bracket's
+    midpoint, or its top while no sweep has yet been above, and a sweep
+    there that is not above means there is no bound state.  The search
+    stops once |dlam| or the bracket falls below _LAMBDA_TOL (or to the
+    resolution of a double).
 
     Raises RuntimeError when W is nowhere negative, when h is too coarse
     for Numerov at the potential floor, when there is no bound state, or
-    after _MAX_SWEEPS sweeps; the error's ``sweeps`` attribute holds the
-    sweeps spent before it.
+    after _MAX_SWEEPS sweeps.
     """
-    sweeps = 0
-    try:
-        w_min = float(np.min(w[1:]))
-        if w_min >= 0.0:
-            raise RuntimeError("potential is nowhere attractive: no bound state")
-        lam_lo = alpha_beta * w_min
-        lam_hi = max(0.0, alpha_beta * float(w[-1])) - 1e-9 * max(1.0, abs(lam_lo))
-        _check_step(w, alpha_beta, h, lam_lo)
-        lo, hi, bound = lam_lo, lam_hi, False
-        if lam is None:
-            rho = h * np.arange(1, len(w))
-            lam = float(np.min(alpha_beta * w[1:] + 0.5 / rho ** 2))
-        lam = min(hi, max(lo, lam))
-        for sweeps in range(1, _MAX_SWEEPS + 1):
-            nodes, dlam = _sweep(w, alpha_beta, h, lam)
-            if nodes == 0 and abs(dlam) <= _LAMBDA_TOL:
-                return lam + dlam, nodes, sweeps
-            if nodes or dlam < 0.0:
-                hi, bound = lam, True
-            elif lam == lam_hi:
-                raise RuntimeError(
-                    f"no bound state found in ({lam_lo:g}, {lam_hi:g}) "
-                    f"at alpha_beta = {alpha_beta:g}")
-            else:
-                lo = lam
-            if hi - lo <= max(_LAMBDA_TOL, 2.0 * math.ulp(lo)):
-                return lam, nodes, sweeps
-            step = lam + dlam
-            if nodes == 0 and lo < step < hi:
-                lam = step
-            else:
-                lam = 0.5 * (lo + hi) if bound else lam_hi
-        raise RuntimeError(f"no convergence in {_MAX_SWEEPS} sweeps")
-    except RuntimeError as err:
-        err.sweeps = sweeps
-        raise
+    w_min = float(np.min(w[1:]))
+    if w_min >= 0.0:
+        raise RuntimeError("potential is nowhere attractive: no bound state")
+    lam_lo = alpha_beta * w_min
+    lam_hi = max(0.0, alpha_beta * float(w[-1])) - 1e-9 * max(1.0, abs(lam_lo))
+    _check_step(w, alpha_beta, h, lam_lo)
+    lo, hi, bound = lam_lo, lam_hi, False
+    lam = min(hi, max(lo, lam)) if math.isfinite(lam) else lo
+    for sweeps in range(1, _MAX_SWEEPS + 1):
+        nodes, dlam = _sweep(w, alpha_beta, h, lam)
+        if nodes == 0 and abs(dlam) <= _LAMBDA_TOL:
+            return lam + dlam, nodes, sweeps
+        if nodes or dlam < 0.0:
+            hi, bound = lam, True
+        elif lam == lam_hi:
+            raise RuntimeError(
+                f"no bound state found in ({lam_lo:g}, {lam_hi:g}) "
+                f"at alpha_beta = {alpha_beta:g}")
+        else:
+            lo = lam
+        if hi - lo <= max(_LAMBDA_TOL, 2.0 * math.ulp(lo)):
+            return lam, nodes, sweeps
+        step = lam + dlam
+        if nodes == 0 and lo < step < hi:
+            lam = step
+        else:
+            lam = 0.5 * (lo + hi) if bound else lam_hi
+    raise RuntimeError(f"no convergence in {_MAX_SWEEPS} sweeps")
 
 
 def ground_state(p: RadialProblem) -> OracleResult:
     """Lowest eigenvalue by Cooley's matching-point search, to 1e-10.
 
-    The search (see _search) runs twice.  The coarse pass searches the
-    subgrid w[::_COARSE_STRIDE] at step _COARSE_STRIDE h, from the
-    hydrogen start; its points are the grid's own, so W is not evaluated
-    again, and RadialProblem's bounds leave it at least 251 of them.  Its
-    eigenvalue is only a start, clamped into the full grid's own bracket,
-    but close enough that the fine pass there converges in one to three
-    sweeps where it took two to six from the hydrogen start.  When the
-    coarse pass raises or ends with nodes, the fine pass starts from the
-    hydrogen start itself, so every error below comes from the full grid.
-    The fine pass decides the answer: the node count of its final matched
-    solution must be 0, and ``iterations`` reports the sweeps of both
-    passes.
+    The search (see _search) starts from spectral.ritz_lowest on the
+    potential with rho clamped into [h, rho_max], so that the start reads
+    W only where _w_grid has checked it.  The start is never the answer: a
+    poor one costs sweeps, not accuracy, and a non-finite one leaves the
+    search at the bracket's floor.  The node count of the final matched
+    solution must be 0, and ``iterations`` reports the search's sweeps.
 
     Raises RuntimeError when there is no bound state, when h is too coarse
     for Numerov (h^2 f / 12 reaches 1 at the potential floor), after
@@ -377,11 +359,8 @@ def ground_state(p: RadialProblem) -> OracleResult:
     """
     w = _w_grid(p)
     ab, h = p.alpha_beta, p.h
-    try:
-        start, nodes, coarse = _search(w[::_COARSE_STRIDE], ab, h * _COARSE_STRIDE, None)
-    except RuntimeError as err:
-        start, nodes, coarse = None, 0, err.sweeps
-    lam, nodes, sweeps = _search(w, ab, h, None if nodes else start)
+    start = ritz_lowest(lambda rho: p.potential(np.clip(rho, h, p.rho_max)), ab)
+    lam, nodes, sweeps = _search(w, ab, h, start)
     if nodes:
         raise RuntimeError(
             f"the matched solution at lambda = {lam:g} has {nodes} nodes, "
@@ -403,7 +382,7 @@ def ground_state(p: RadialProblem) -> OracleResult:
         lam=lam,
         eps_over_alpha2=lam / ab ** 2,
         node_count=nodes,
-        iterations=coarse + sweeps,
+        iterations=sweeps,
         grid_points=len(w),
     )
 

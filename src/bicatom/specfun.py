@@ -110,7 +110,7 @@ def kummer_m(alpha: float, gamma: float, z: float) -> float:
 
 
 def whittaker_m(a: float, nu: float, z: float) -> float:
-    """Whittaker function of the first kind M_{a,nu}(z), z > 0, nu > 0, a finite.
+    """Whittaker function of the first kind M_{a,nu}(z), z > 0, finite nu > 0 and a.
 
     Computed through the Kummer representation.  1F1 is taken first, so
     a z beyond kummer_m's range raises its ValueError before z^(nu+1/2)
@@ -121,8 +121,8 @@ def whittaker_m(a: float, nu: float, z: float) -> float:
     z = float(z)
     if not math.isfinite(a):
         raise ValueError(f"whittaker_m requires a finite a, got {a!r}")
-    if not nu > 0.0:
-        raise ValueError(f"whittaker_m requires nu > 0, got {nu!r}")
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"whittaker_m requires 0 < nu < inf, got {nu!r}")
     if not z > 0.0:
         raise ValueError(f"whittaker_m requires z > 0, got {z!r}")
     m = kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, z)

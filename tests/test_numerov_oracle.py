@@ -204,7 +204,8 @@ class TestGroundState:
         assert res[0].lam == pytest.approx(0.308937421, abs=1e-9)
 
     def test_scalar_only_potential_rejected(self):
-        # the potential is called once, on the whole grid array
+        # the potential is called on the whole grid array, which it must
+        # accept before the Ritz start calls it again on 60 points
         def scalar_only(r):
             if np.ndim(r) != 0:
                 raise TypeError("scalar only")
@@ -288,9 +289,11 @@ class TestSearch:
             ground_state(p)
 
     def test_sweep_cap(self, monkeypatch):
+        # Coulomb's Numerov eigenvalue lies 3.3e-7 above the exact Ritz
+        # start, so its search needs a second sweep
         monkeypatch.setattr(numerov_oracle, "_MAX_SWEEPS", 1)
         with pytest.raises(RuntimeError, match="^no convergence in 1 sweeps$"):
-            ground_state(RadialProblem(potential=morse_pot, alpha_beta=AB_CHAIN, h=0.01))
+            ground_state(RadialProblem(potential=coulomb, alpha_beta=1.0))
 
     @pytest.mark.parametrize("name, alpha_beta, lam", [
         ("coulomb", 1.0, -0.4999996670215964),
@@ -317,29 +320,54 @@ class TestSearch:
     ])
     def test_coarse_start_keeps_the_eigenvalue(self, name, alpha_beta, h, lam):
         # lambda as the search returned it from the hydrogen start alone,
-        # six full-grid sweeps for bic and Morse, two for Coulomb
+        # before a coarse pass and then the Ritz start replaced it: six
+        # full-grid sweeps for bic and Morse, two for Coulomb.  The Ritz
+        # start keeps it to 1.1e-13
         rho_max = 20.0 if name == "harmonic" else 40.0
         res = ground_state(RadialProblem(potential=named_potential(name),
                                          alpha_beta=alpha_beta, rho_max=rho_max, h=h))
         assert abs(res.lam - lam) <= 1e-12
 
-    @pytest.mark.parametrize("name, alpha_beta, h, fine_limit", [
+    @pytest.mark.parametrize("name, alpha_beta, h, want", [
         ("bic", AB_BIC, 1e-3, 1),
         ("bic", AB_BIC, 5e-4, 1),
         ("morse", AB_CHAIN, 1e-3, 1),
-        # the coarse eigenvalue carries Coulomb's O(h^3) origin error
-        ("coulomb", 1.0, 1e-3, 3),
-        ("coulomb", 2.0, 1e-3, 3),
+        # the Ritz start is Coulomb's exact -alpha_beta^2/2, which the
+        # Numerov eigenvalue lies 3.3e-7 above through its O(h^4) error
+        ("coulomb", 1.0, 1e-3, 2),
+        ("coulomb", 2.0, 1e-3, 2),
     ])
     def test_full_grid_sweeps_after_the_coarse_start(self, sweeps, name, alpha_beta, h,
-                                                     fine_limit):
-        # from the hydrogen start alone bic and Morse took 6 full-grid sweeps
+                                                     want):
+        # every sweep is on the full grid and starts from the Ritz
+        # eigenvalue; a coarse pass of 6 sweeps on w[::8] once found the
+        # start, and the hydrogen start before it took 6 full-grid sweeps
         p = RadialProblem(potential=named_potential(name), alpha_beta=alpha_beta, h=h)
         res = ground_state(p)
-        fine = sum(len(args[0]) == res.grid_points for args in sweeps)
-        assert 1 <= fine <= fine_limit
-        assert len(sweeps) <= 10
-        assert res.iterations == len(sweeps)
+        assert all(len(args[0]) == res.grid_points for args in sweeps)
+        assert res.iterations == len(sweeps) == want
+
+    @pytest.mark.parametrize("name, alpha_beta, rho_max", [
+        ("bic", AB_BIC, 40.0),
+        ("morse", AB_CHAIN, 40.0),
+        ("coulomb", 1.0, 40.0),
+        ("harmonic", 1.0, 20.0),
+    ])
+    def test_any_start_reaches_the_same_eigenvalue(self, name, alpha_beta, rho_max):
+        # a start is never the answer: off by +-1e-3, at either end of the
+        # bracket or NaN (which goes to the floor), the search converges to
+        # the fixed point it reaches from the Ritz start
+        pot = named_potential(name)
+        p = RadialProblem(potential=pot, alpha_beta=alpha_beta, rho_max=rho_max)
+        w = numerov_oracle._w_grid(p)
+        ritz = numerov_oracle.ritz_lowest(lambda r: pot(np.clip(r, p.h, rho_max)), alpha_beta)
+        want, nodes, _ = numerov_oracle._search(w, alpha_beta, p.h, ritz)
+        assert nodes == 0 and want == ground_state(p).lam
+        floor, top = alpha_beta * float(np.min(w[1:])), max(0.0, alpha_beta * float(w[-1]))
+        for start in (ritz - 1e-3, ritz + 1e-3, floor, top, math.nan):
+            lam, nodes, _ = numerov_oracle._search(w, alpha_beta, p.h, start)
+            assert nodes == 0
+            assert abs(lam - want) <= 1e-12, start
 
     @pytest.mark.parametrize("potential, alpha_beta, h, text", [
         pytest.param(coulomb, 0.1, 1e-3,
@@ -352,11 +380,10 @@ class TestSearch:
                      "h = 0.001 does not resolve the state at lambda = -43092.2: its "
                      "outermost classical turning point is 6 steps from the origin, "
                      "fewer than 100; decrease h", id="unresolved"),
-        # the coarse grid fails its h^2 f/12 < 1 check: the full grid starts alone
         pytest.param(coulomb, 1000.0, 1e-3,
                      "h = 0.001 does not resolve the state at lambda = -386887: its "
                      "outermost classical turning point is 2 steps from the origin, "
-                     "fewer than 100; decrease h", id="unresolved-coarse-fails"),
+                     "fewer than 100; decrease h", id="unresolved-2-steps"),
         pytest.param(coulomb, 1e5, 1e-3,
                      "h = 0.001 is too coarse at alpha_beta = 100000: h^2 f/12 reaches "
                      "16.7 at lambda = -1e+08 (Numerov needs < 1)", id="too-coarse"),
@@ -367,7 +394,8 @@ class TestSearch:
                      id="shallow"),
     ])
     def test_errors_come_from_the_full_grid(self, potential, alpha_beta, h, text):
-        # the texts the search raised from the hydrogen start alone
+        # the texts the search raised from the hydrogen start alone, on the
+        # full grid, and raises from the Ritz start
         p = RadialProblem(potential=potential, alpha_beta=alpha_beta, h=h)
         with pytest.raises(RuntimeError) as err:
             ground_state(p)

@@ -8,6 +8,9 @@ scipy.optimize.brentq and must return the same bits.
 ``import bicatom`` and the CLI's ``solve`` and ``calibrate`` load the
 standard library and specfun, roots and analytic_solver only: the
 package's names, and the CLI's numpy-backed ones, resolve on first access.
+``import bicatom.numerov_oracle`` loads numpy but not numpy.polynomial,
+whose import alone costs milliseconds in every oracle and table1 process,
+and it builds no quadrature rule until a ground state needs one.
 """
 
 import importlib.util
@@ -106,6 +109,14 @@ def test_import_loads_no_scipy():
     out = _python("import sys; from bicatom import *; "
                   "print([m for m in sys.modules if m.startswith('scipy')])").stdout
     assert out.strip() == "[]"
+
+
+def test_oracle_import_loads_no_polynomial_module_and_builds_no_rule():
+    proc = _python("import sys, bicatom.numerov_oracle, bicatom.spectral as sp\n"
+                   "print(sorted(m for m in sys.modules\n"
+                   "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
+                   "print(sp._rule.cache_info().currsize)")
+    assert proc.stdout == "[]\n0\n", proc.stderr
 
 
 # python -m bicatom ARGS, then whether numpy was loaded, on the last line

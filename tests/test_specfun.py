@@ -109,6 +109,13 @@ class TestWhittaker:
         with pytest.raises(ValueError):
             whittaker_m(1.0, -0.5, 1.0)
 
+    @pytest.mark.parametrize("nu", [math.inf, math.nan])
+    def test_non_finite_nu_named(self, nu):
+        # an infinite nu once passed this check and was refused by kummer_m
+        # under the names of its alpha and gamma
+        with pytest.raises(ValueError, match=r"^whittaker_m requires 0 < nu < inf, got "):
+            whittaker_m(1.0, nu, 1.0)
+
     @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
     def test_non_finite_a(self, a):
         with pytest.raises(ValueError, match="finite a"):

@@ -27,11 +27,13 @@ summed form, and a short pass over the blocks chains them (see
 _propagate).  A grid so coarse that Numerov's 1 - h^2 f/12 reaches 0,
 or that puts the outermost turning point of the ground state fewer than
 _MIN_ALLOWED_STEPS steps from the origin, raises RuntimeError instead of
-returning a wrong number.
+returning a wrong number.  Besides W, a ground state holds one array of
+the grid's size, t = h^2 f/12, which every sweep rewrites.
 
 The exact screened potential enters through bic_interpolator, a cubic
-Hermite interpolant of its tabulated values whose knot slopes are local
-fourth-order differences (numpy only, no linear solve).
+Hermite interpolant of its values tabulated at 128 knots per unit rho,
+whose knot slopes are local fourth-order differences (numpy only, no
+linear solve).
 """
 
 from __future__ import annotations
@@ -78,12 +80,12 @@ class RadialProblem:
 
     ``potential`` maps an array of rho to the array of W(rho); a callable
     that does not return an array of the grid's shape raises ValueError
-    when the grid is tabulated.  It is called twice, on the grid and then
-    on the 60 points of the Ritz start, clamped into [h, rho_max].  Its
-    value at rho = 0 is never evaluated, so an integrable origin
-    singularity (e.g. pure Coulomb) is fine.  The
-    grid rho_max/h is capped at 1e6 points, checked before anything is
-    allocated.
+    when the grid is tabulated.  It is called twice: on the grid rho_i =
+    i h, i = 0 ... n, with rho_0 given as h, and then on the 60 points of
+    the Ritz start, clamped into [h, rho_max].  Its value at rho = 0 is
+    never evaluated, so an integrable origin singularity (e.g. pure
+    Coulomb) is fine.  The grid rho_max/h is capped at 1e6 points, checked
+    before anything is allocated.
     """
 
     potential: Callable[[np.ndarray], np.ndarray]
@@ -126,21 +128,25 @@ class OracleResult:
 
 
 def _w_grid(p: RadialProblem) -> np.ndarray:
-    """Tabulate W on the shooting grid; index 0 is a never-used placeholder."""
+    """W at rho_i = i h, i = 0 ... n, with rho_0 given as h: index 0 is a
+    placeholder that nothing reads.  _search checks that W is finite."""
     n = int(round(p.rho_max / p.h))
-    rho = np.arange(1, n + 1) * p.h
+    rho = np.arange(n + 1.0)
+    rho *= p.h
+    rho[0] = p.h
     w = np.asarray(p.potential(rho), dtype=float)
     if w.shape != rho.shape:
         raise ValueError(
             f"potential must return an array of shape {rho.shape}, got {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("potential must be finite on (0, rho_max]")
-    return np.concatenate(([0.0], w))
+    return w
 
 
-def _t_grid(w: np.ndarray, alpha_beta: float, h: float, lam: float) -> np.ndarray:
-    """Numerov's t_i = f_i h^2 / 12 with f = 2 (alpha_beta W - lam)."""
-    return (2.0 * (alpha_beta * w - lam)) * (h * h / 12.0)
+def _t_grid(w, alpha_beta: float, h: float, lam: float, out=None):
+    """Numerov's t_i = f_i h^2 / 12 with f = 2 (alpha_beta W - lam), into ``out`` if given."""
+    t = np.multiply(w, alpha_beta, out=out)
+    t -= lam
+    t *= 2.0 * (h * h / 12.0)  # rounds as 2 (alpha_beta W - lam) times h^2/12
+    return t
 
 
 def _propagate(t: np.ndarray, h: float):
@@ -175,7 +181,7 @@ def _propagate(t: np.ndarray, h: float):
     growth = 2.0 + max(-12.0 * t_lo / (1.0 - t_lo), 12.0 * t_hi / (1.0 - t_hi))
     steps = max(1, min(math.isqrt(n // 9) + 1, int(_LOG_BLOCK_GROWTH / math.log(growth))))
     blocks = -(-n // steps)
-    # row k holds e, later 1 - t, at indices k*steps + 1 ... (k + 1)*steps
+    # row k holds e at indices k*steps + 1 ... (k + 1)*steps; v later
     coef = np.empty((blocks, steps))
     flat = coef.reshape(-1)
     np.divide(12.0 * t, 1.0 - t, out=flat[:n])
@@ -210,18 +216,20 @@ def _propagate(t: np.ndarray, h: float):
     rescaled = np.searchsorted(rescales, np.arange(blocks), side="right")
     log_scale = rescaled * math.log(1e100) + np.log(size)
 
-    v, other = basis[:, 0], basis[:, 1]
-    v *= x / size
-    other *= y / size
-    v += other  # block k at scale exp(log_scale[k])
+    # v: block k at scale exp(log_scale[k]), over the spent e; a ufunc copies
+    # an operand that is a strided view of memory it writes, as basis[:, 0] is
+    basis *= np.array((x / size, y / size))
+    v = np.add(basis[:, 0], basis[:, 1], out=flat.reshape(steps, blocks))
     last = n - 1 - (blocks - 1) * steps  # the row of v_n in the last block
-    np.multiply(v[1:], v[:-1], out=other[1:])
-    nodes = (np.count_nonzero(other[1:, :-1] <= 0.0)
-             + np.count_nonzero(other[1:last + 1, -1] <= 0.0)
+    other = np.multiply(v[1:], v[:-1], out=basis[1:, 0])
+    nodes = (np.count_nonzero(other[:, :-1] <= 0.0)
+             + np.count_nonzero(other[:last, -1] <= 0.0)
              + np.count_nonzero(v[0, 1:] * v[-1, :-1] <= 0.0))
-    np.subtract(1.0, t, out=flat[:n])
-    flat[n:] = 1.0
-    u = np.divide(v, coef, out=v)
+    # 1 - t in the layout of e, over the spent basis
+    one_minus_t = basis.reshape(-1)[:blocks * steps]
+    np.subtract(1.0, t, out=one_minus_t[:n])
+    one_minus_t[n:] = 1.0
+    u = np.divide(v, one_minus_t.reshape(blocks, steps).T, out=v)
     u[last + 1:, -1] = 0.0
     scale = np.exp(log_scale - log_scale.max())
     s = float(np.einsum("ik,ik->k", u, u) @ (scale * scale))
@@ -244,19 +252,19 @@ def _turning_index(t: np.ndarray) -> int:
     return len(allowed) - int(np.argmax(allowed[::-1])) if allowed.any() else 1
 
 
-def _check_step(w: np.ndarray, alpha_beta: float, h: float, lam: float) -> None:
-    """Raise RuntimeError unless t = h^2 f/12 < 1 on the grid w[1:] at lam.
+def _check_step(w_max: float, alpha_beta: float, h: float, lam: float) -> None:
+    """Raise RuntimeError unless t = h^2 f/12 < 1 at lam where W peaks at w_max.
 
     Numerov divides by 1 - t; t grows with W, so it peaks where W does.
     """
-    t_max = float(_t_grid(float(np.max(w[1:])), alpha_beta, h, lam))
+    t_max = float(_t_grid(w_max, alpha_beta, h, lam))
     if t_max >= 1.0:
         raise RuntimeError(
             f"h = {h:g} is too coarse at alpha_beta = {alpha_beta:g}: h^2 f/12 reaches "
             f"{t_max:.3g} at lambda = {lam:g} (Numerov needs < 1)")
 
 
-def _sweep(w: np.ndarray, alpha_beta: float, h: float, lam: float):
+def _sweep(w: np.ndarray, alpha_beta: float, h: float, lam: float, buf=None):
     """One matched sweep at trial eigenvalue lam; returns (nodes, dlam).
 
     Propagates out from the origin and in from u_c = 0 to the matching
@@ -269,9 +277,10 @@ def _sweep(w: np.ndarray, alpha_beta: float, h: float, lam: float):
     halves scaled to u_m = 1, nodes counts the sign changes of the glued
     solution (outward on (0, m], inward on [m, c)), and dlam is Cooley's
     correction -u_m R_m / (2 h^2 sum u^2), R_m being the Numerov residual
-    of the glued solution at m; dlam is 0 when there are nodes.
+    of the glued solution at m; dlam is 0 when there are nodes.  t is
+    written into ``buf``, an array of w's shape, when one is given.
     """
-    t = _t_grid(w, alpha_beta, h, lam)
+    t = _t_grid(w, alpha_beta, h, lam, buf)
     m = _turning_index(t)
     tail = t[m + 1:-1]
     t_min = tail[:len(tail) - len(tail) % _CUT_BLOCK].reshape(-1, _CUT_BLOCK).min(axis=1)
@@ -289,7 +298,7 @@ def _sweep(w: np.ndarray, alpha_beta: float, h: float, lam: float):
     return 0, -residual / (2.0 * h * h * norm)
 
 
-def _search(w: np.ndarray, alpha_beta: float, h: float, lam: float):
+def _search(w: np.ndarray, alpha_beta: float, h: float, lam: float, buf=None):
     """Cooley's matching-point search on the grid w, started at lam.
 
     Returns (lam, nodes, sweeps): the last trial eigenvalue, the node count
@@ -303,22 +312,25 @@ def _search(w: np.ndarray, alpha_beta: float, h: float, lam: float):
     midpoint, or its top while no sweep has yet been above, and a sweep
     there that is not above means there is no bound state.  The search
     stops once |dlam| or the bracket falls below _LAMBDA_TOL (or to the
-    resolution of a double).
+    resolution of a double).  Each sweep writes its t into ``buf`` if given.
 
-    Raises RuntimeError when W is nowhere negative, when h is too coarse
+    Raises ValueError when W is not finite on w[1:], which its min and max
+    show, and RuntimeError when W is nowhere negative, when h is too coarse
     for Numerov at the potential floor, when there is no bound state, or
     after _MAX_SWEEPS sweeps.
     """
-    w_min = float(np.min(w[1:]))
+    w_min, w_max = float(np.min(w[1:])), float(np.max(w[1:]))
+    if not (math.isfinite(w_min) and math.isfinite(w_max)):
+        raise ValueError("potential must be finite on (0, rho_max]")
     if w_min >= 0.0:
         raise RuntimeError("potential is nowhere attractive: no bound state")
     lam_lo = alpha_beta * w_min
     lam_hi = max(0.0, alpha_beta * float(w[-1])) - 1e-9 * max(1.0, abs(lam_lo))
-    _check_step(w, alpha_beta, h, lam_lo)
+    _check_step(w_max, alpha_beta, h, lam_lo)
     lo, hi, bound = lam_lo, lam_hi, False
     lam = min(hi, max(lo, lam)) if math.isfinite(lam) else lo
     for sweeps in range(1, _MAX_SWEEPS + 1):
-        nodes, dlam = _sweep(w, alpha_beta, h, lam)
+        nodes, dlam = _sweep(w, alpha_beta, h, lam, buf)
         if nodes == 0 and abs(dlam) <= _LAMBDA_TOL:
             return lam + dlam, nodes, sweeps
         if nodes or dlam < 0.0:
@@ -344,13 +356,16 @@ def ground_state(p: RadialProblem) -> OracleResult:
 
     The search (see _search) starts from spectral.ritz_lowest on the
     potential with rho clamped into [h, rho_max], so that the start reads
-    W only where _w_grid has checked it.  The start is never the answer: a
+    W only where the search checks it.  The start is never the answer: a
     poor one costs sweeps, not accuracy, and a non-finite one leaves the
     search at the bracket's floor.  The node count of the final matched
     solution must be 0, and ``iterations`` reports the search's sweeps.
+    Every sweep, and the turning-point check after the search, writes its
+    t into one buffer of the grid's size.
 
-    Raises RuntimeError when there is no bound state, when h is too coarse
-    for Numerov (h^2 f / 12 reaches 1 at the potential floor), after
+    Raises ValueError when W is not finite on the grid, and RuntimeError
+    when there is no bound state, when h is too coarse for Numerov (h^2 f
+    / 12 reaches 1 at the potential floor), after
     _MAX_SWEEPS sweeps, when h does not resolve the state (its outermost
     classical turning point lies fewer than _MIN_ALLOWED_STEPS steps from
     the origin), or when the box truncates the state: u decays as
@@ -358,14 +373,15 @@ def ground_state(p: RadialProblem) -> OracleResult:
     lambda)), and kappa rho_max must reach 15.
     """
     w = _w_grid(p)
+    t = np.empty_like(w)
     ab, h = p.alpha_beta, p.h
     start = ritz_lowest(lambda rho: p.potential(np.clip(rho, h, p.rho_max)), ab)
-    lam, nodes, sweeps = _search(w, ab, h, start)
+    lam, nodes, sweeps = _search(w, ab, h, start, t)
     if nodes:
         raise RuntimeError(
             f"the matched solution at lambda = {lam:g} has {nodes} nodes, "
             f"so it is not the ground state")
-    m = _turning_index(_t_grid(w, ab, h, lam))
+    m = _turning_index(_t_grid(w, ab, h, lam, t))
     if m < _MIN_ALLOWED_STEPS:
         raise RuntimeError(
             f"h = {h:g} does not resolve the state at lambda = {lam:g}: its "
@@ -390,66 +406,62 @@ def ground_state(p: RadialProblem) -> OracleResult:
 # fourth-order one-sided slopes, in units of 1/dx, at the first and second
 # of 5 consecutive knots; on the last 5 read backwards, at the last two
 _END_STENCILS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
+# knots per unit rho: a power of two, so that floor(rho * 128) is a point's
+# interval with no rounding
+_KNOTS_PER_UNIT = 128
+# points an interpolant evaluates at a time, so its temporaries stay this size
+_CHUNK = 4096
 
 
 class _HermiteCubic:
-    """Cubic Hermite interpolant through (x, y), x uniformly spaced.
+    """Cubic Hermite interpolant through (x, y) on the knots x_k = k / 128.
 
     The knot slopes are fourth-order differences, local to 5 knots: the
     central stencil inside and one-sided stencils on the two knots at each
     end (B. Fornberg, Math. Comp. 51, 699 (1988)), so the interpolant is
-    O(dx^4) accurate and needs no linear solve.  Each interval stores its
-    cubic in powers of (t - x_k).  Calls take a scalar or an array; points
-    outside [x_0, x_{n-1}] are extrapolated with the end cubics.  A point's
-    interval is floor((t - x_0) / dx), moved by one where rounding puts it
-    next door, which is exact while each knot lies within dx/4 of x_0 +
-    k dx; np.linspace's knots, the only ones built here, do to rounding.
+    O(dx^4) accurate and needs no linear solve.  Interval k holds its cubic
+    in s = 128 t - k, from 0 at x_k to 1 at x_{k+1}, and contains t when k =
+    floor(128 t), which no rounding moves.  Calls take a scalar or an array
+    and fill one output array _CHUNK points at a time; points outside
+    [x_0, x_{n-1}] are extrapolated with the end cubics.  ``x`` must be
+    exactly k/128, as np.linspace(0, (n - 1)/128, n) builds it.
     """
 
     def __init__(self, x, y) -> None:
-        x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        n = len(x)
+        n = len(y)
         if n < 5:
             raise ValueError(f"a cubic Hermite interpolant needs n >= 5 points, got {n}")
-        self._dx = (x[-1] - x[0]) / (n - 1)
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
+        # slopes times dx, and the rise of each interval
         s = np.concatenate((_END_STENCILS @ y[:5],
                             (y[:-4] - y[4:] + 8.0 * (y[3:-1] - y[1:-3])) / 12.0,
-                            -(_END_STENCILS @ y[:-6:-1])[::-1])) / self._dx
-        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
-        self._x = x
-        # x_k and x_{k+1} of interval k, with NaN where the end intervals
-        # extend to infinity: a NaN compares false, so k stays in [0, n - 2]
-        self._left = np.concatenate(([math.nan], x[1:-1]))
-        self._right = np.concatenate((x[1:-1], [math.nan]))
-        self._coef = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
+                            -(_END_STENCILS @ y[:-6:-1])[::-1]))
+        rise = np.diff(y)
+        self._x = np.asarray(x, dtype=float)
+        self._coef = (s[:-1] + s[1:] - 2.0 * rise, 3.0 * rise - 2.0 * s[:-1] - s[1:],
+                      s[:-1], y[:-1])
 
     def _interval(self, rho):
         """searchsorted(x, rho, side="right") - 1, clipped to [0, n - 2].
 
-        floor((rho - x_0) / dx) by truncation once it is >= 0; fmin sends
-        NaN to n - 2, as searchsorted does.
+        floor(128 rho), clipped before the cast: NaN goes to n - 2, as in searchsorted.
         """
-        t = np.subtract(rho, self._x[0], out=np.empty_like(rho))
-        t /= self._dx
-        k = np.fmax(np.fmin(t, len(self._left) - 1, out=t), 0.0, out=t).astype(np.intp)
-        # k is in range: mode="clip" only spares take a buffered copy
-        k -= self._left.take(k, out=t, mode="clip") > rho
-        k += self._right.take(k, out=t, mode="clip") <= rho
-        return k
+        return np.fmax(np.fmin(rho * _KNOTS_PER_UNIT, len(self._x) - 2), 0.0).astype(np.intp)
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)
-        k = self._interval(rho)
-        u = rho - self._x.take(k)
+        out = np.empty(rho.shape)
+        points, values = rho.reshape(-1), out.reshape(-1)
         c3, c2, c1, c0 = self._coef
-        # ((c3 u + c2) u + c1) u + c0 in place: one gathered column at a time
-        out = c3.take(k)
-        for c in (c2, c1, c0):
-            out *= u
-            out += c.take(k)
+        for i in range(0, points.size, _CHUNK):
+            chunk, value = points[i:i + _CHUNK], values[i:i + _CHUNK]
+            k = self._interval(chunk)
+            s = chunk * _KNOTS_PER_UNIT - k
+            # ((c3 s + c2) s + c1) s + c0 in place: one gathered column at a time
+            c3.take(k, out=value)
+            for c in (c2, c1, c0):
+                value *= s
+                value += c.take(k)
         return out
 
 
@@ -457,19 +469,22 @@ def bic_interpolator(rho_max: float = 40.0):
     """Cached cubic Hermite interpolant of the exact screened potential.
 
     A ground state evaluates the potential once, on all of its grid
-    (4 x 10^4 points at the default h = 1e-3).  The interpolant of the
-    exact table on max(2000, round(50 rho_max)) points (a knot spacing of
-    at most 0.02) is within 1e-10 of the exact W on the shooting grids,
-    well below the eigenvalue tolerances, and tabulates Z only once per
-    rho_max.  The cache is keyed on float(rho_max), however the call is
-    written, and keeps the four most recent values.  The interpolant (see
-    _HermiteCubic) takes a scalar or an array of rho.
+    (4 x 10^4 points at the default h = 1e-3).  The interpolant (see
+    _HermiteCubic) has its knots at k/128, k = 0 ... max(ceil(128 rho_max),
+    4), covering [0, rho_max]; it is within 2.1e-12 of the exact W on the
+    shooting grids and tabulates Z once per rho_max.  rho_max must be in
+    (0, 7812.49], where the table keeps within tabulate's 10^6 points
+    (ValueError otherwise).  The cache is keyed on float(rho_max), however
+    the call is written, and keeps the four most recent values.
     """
-    return _bic_spline(float(rho_max))
+    rho_max, top = float(rho_max), (_MAX_POINTS - 1) / _KNOTS_PER_UNIT
+    if not 0.0 < rho_max <= top:
+        raise ValueError(f"rho_max must be in (0, {top:.6g}], got {rho_max!r}")
+    return _bic_spline(rho_max)
 
 
 @lru_cache(maxsize=4)
 def _bic_spline(rho_max: float) -> _HermiteCubic:
-    n = max(2000, int(round(50.0 * rho_max)))
-    table = tabulate(PotentialKind.EXACT_BIC, 0.0, rho_max, n)
+    n = max(math.ceil(_KNOTS_PER_UNIT * rho_max), 4) + 1
+    table = tabulate(PotentialKind.EXACT_BIC, 0.0, (n - 1) / _KNOTS_PER_UNIT, n)
     return _HermiteCubic(table.rho_grid, table.values)

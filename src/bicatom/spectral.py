@@ -13,6 +13,7 @@ and only the potential term is a quadrature estimate.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable
 
@@ -72,8 +73,11 @@ def ritz_lowest(potential: Callable[[np.ndarray], np.ndarray], alpha_beta: float
     points rho = x / (2 alpha_beta), from about 0.012 / alpha_beta to
     110 / alpha_beta, and must return an array of their shape
     (ValueError otherwise).  A W that is not finite there gives NaN.
+    alpha_beta must be positive and finite (ValueError otherwise).
     """
     k = float(alpha_beta)
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"alpha_beta must be positive and finite, got {alpha_beta!r}")
     x, _, phi, kinetic = _rule()
     w = np.asarray(potential(x / (2.0 * k)), dtype=float)
     if w.shape != x.shape:

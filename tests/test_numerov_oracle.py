@@ -308,10 +308,14 @@ class TestSearch:
         assert abs(res.lam - lam) <= 1e-10
 
     @pytest.mark.parametrize("name, alpha_beta, h, lam", [
-        ("bic", 1.5, 1e-3, -1.285210515811902),
-        ("bic", AB_BIC, 1e-3, -1.6798903766798954),
-        ("bic", 2.2, 1e-3, -2.1307417673734004),
-        ("bic", 1.7, 5e-4, -1.520426431355175),
+        # the bic rows are re-pinned on the interpolant with 128 knots per
+        # unit rho, 6.4e-13 or less from Numerov on the exact kernel (see
+        # test_interpolant_matches_the_exact_kernel); on 50 knots per unit
+        # they were 7e-12 to 2.4e-11 from these
+        ("bic", 1.5, 1e-3, -1.285210515819009),
+        ("bic", AB_BIC, 1e-3, -1.6798903766945432),
+        ("bic", 2.2, 1e-3, -2.1307417673971956),
+        ("bic", 1.7, 5e-4, -1.520426431366655),
         ("morse", AB_CHAIN, 1e-3, -1.6614578419354131),
         ("coulomb", 1.0, 1e-3, -0.49999966700072845),
         ("coulomb", 2.0, 1e-3, -1.999994677374764),
@@ -327,6 +331,17 @@ class TestSearch:
         res = ground_state(RadialProblem(potential=named_potential(name),
                                          alpha_beta=alpha_beta, rho_max=rho_max, h=h))
         assert abs(res.lam - lam) <= 1e-12
+
+    @pytest.mark.parametrize("alpha_beta, h", [(AB_BIC, 1e-3), (2.2, 1e-3), (1.7, 5e-4)])
+    def test_interpolant_matches_the_exact_kernel(self, alpha_beta, h):
+        # the interpolant is the only difference between the two: 3.6e-13,
+        # 6.4e-13 and 2.7e-13 on 128 knots per unit rho, where 50 knots per
+        # unit gave 1.5e-11, 2.5e-11 and 1.2e-11
+        def lam(potential):
+            return ground_state(RadialProblem(potential=potential, alpha_beta=alpha_beta,
+                                              h=h)).lam
+
+        assert abs(lam(bic_interpolator()) - lam(_w_kernel)) <= 1e-12
 
     @pytest.mark.parametrize("name, alpha_beta, h, want", [
         ("bic", AB_BIC, 1e-3, 1),
@@ -611,12 +626,29 @@ class TestPropagation:
             tracemalloc.stop()
         assert peak <= limit_mib * 2 ** 20
 
+    @pytest.mark.parametrize("h", [1e-3, 5e-4])
+    def test_ground_state_memory(self, h):
+        # at most 4 arrays of the grid's size at once (3.6 and 3.3 measured):
+        # W, t and one propagation's blocks.  A second t after the search,
+        # the concatenated W and the interpolant's grid-sized temporaries
+        # made it 5
+        p = RadialProblem(potential=bic_interpolator(), alpha_beta=AB_BIC, h=h)
+        ground_state(p)  # builds the interpolant and the Ritz rule
+        tracemalloc.start()
+        try:
+            ground_state(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * (int(round(p.rho_max / h)) + 1)
+
     def test_shoot_rejects_too_coarse_grid(self):
         # h^2 f / 12 reaches 1.7 at lambda = -1e7, where the loop divided by
         # 1 - t < 0 and reported 39 999 nodes
         p = RadialProblem(potential=coulomb, alpha_beta=1.0)
+        w_max = float(np.max(numerov_oracle._w_grid(p)[1:]))
         with pytest.raises(RuntimeError, match="too coarse"):
-            numerov_oracle._check_step(numerov_oracle._w_grid(p), p.alpha_beta, p.h, -1e7)
+            numerov_oracle._check_step(w_max, p.alpha_beta, p.h, -1e7)
 
     def test_unresolved_state_rejected(self):
         # Coulomb at alpha_beta = 300: the Bohr radius is 3.3 steps, the
@@ -668,33 +700,51 @@ class TestBicInterpolator:
             bic_interpolator(20.0 + k)
         assert build.cache_info().currsize == maxsize
 
-    # the tables bic_interpolator builds: max(2000, round(50 rho_max)) knots.
-    # Fourth-order slopes keep the error at 7.5e-11 to 8.8e-11 here;
-    # second-order (Catmull-Rom) slopes give 1.7e-8.
-    @pytest.mark.parametrize("rho_max, n", [(40.0, 2000), (38.5, 2000), (120.0, 6000)])
+    @pytest.mark.parametrize("rho_max", [math.nan, math.inf, -1.0, 0.0, 7813.0])
+    def test_bad_rho_max_rejected(self, rho_max):
+        # NaN and inf failed converting the knot count; 7813 needs more than
+        # tabulate's 10^6 points
+        with pytest.raises(ValueError, match="rho_max"):
+            bic_interpolator(rho_max)
+
+    def test_small_rho_max_on_five_knots(self):
+        spline = bic_interpolator(0.01)
+        np.testing.assert_array_equal(spline._x, np.arange(5) / 128)
+        assert float(spline(0.01)) == pytest.approx(w_of_rho(0.01), abs=1e-12)
+
+    # the tables bic_interpolator builds: knots at k/128 for k = 0 ... n - 1,
+    # n - 1 = max(ceil(128 rho_max), 4), reaching rho_max or just past it.
+    # Fourth-order slopes keep the error at 2.03e-12 here, where 50 knots
+    # per unit rho gave 7.5e-11 to 8.8e-11; second-order (Catmull-Rom)
+    # slopes on those gave 1.7e-8.
+    @pytest.mark.parametrize("rho_max, n", [(40.0, 5121), (38.5, 4929), (120.0, 15361),
+                                            (38.7371, 4960)])
     def test_matches_exact_kernel_on_shooting_grids(self, rho_max, n):
-        table = tabulate(PotentialKind.EXACT_BIC, 0.0, rho_max, n)
+        top = (n - 1) / 128
+        table = tabulate(PotentialKind.EXACT_BIC, 0.0, top, n)
         got = bic_interpolator(rho_max)
         np.testing.assert_array_equal(got._x, table.rho_grid)
+        np.testing.assert_array_equal(got._x, np.arange(n) / 128)
+        assert rho_max <= top < rho_max + 1 / 128
         for h in (1e-3, 5e-4):
             rho = np.arange(1, int(round(rho_max / h)) + 1) * h
-            assert np.max(np.abs(got(rho) - _w_kernel(rho))) <= 2e-10
+            assert np.max(np.abs(got(rho) - _w_kernel(rho))) <= 5e-12
         # scalar calls give 0-d results, as the array path does; the knots
         # are reproduced exactly
-        for rho in (-0.5, 0.0, 1e-3, table.rho_grid[7], 2.1396, rho_max, rho_max + 3.0):
+        for rho in (-0.5, 0.0, 1e-3, table.rho_grid[7], 2.1396, rho_max, top + 1.0):
             value = got(rho)
             assert np.ndim(value) == 0
             assert float(value) == got(np.array([rho]))[0]
         assert got(0.0) == table.values[0] and got(table.rho_grid[7]) == table.values[7]
         for rho in (1e-3, 2.1396, rho_max):
-            assert abs(float(got(rho)) - w_of_rho(rho)) <= 2e-10
+            assert abs(float(got(rho)) - w_of_rho(rho)) <= 5e-12
         # both sides extrapolate the end interval's cubic, with the slopes of
         # the one-sided stencils; the far end is the near one read backwards.
-        # At t = -150 the cubic's terms reach 1e5 and cancel to 1e-2, so the
+        # At t = -128 the cubic's terms reach 1e5 and cancel to 1e-2, so the
         # two ways of summing it agree only to about 1e-9.
-        dx = rho_max / (n - 1)
+        dx = 1 / 128
         for rho, t, y in ((-0.5, -0.5 / dx, table.values[:5]),
-                          (rho_max + 3.0, -3.0 / dx, table.values[::-1][:5])):
+                          (top + 1.0, -1.0 / dx, table.values[::-1][:5])):
             assert float(got(rho)) == pytest.approx(end_cubic(y, t), rel=1e-8)
 
     @pytest.mark.parametrize("rho_max", [40.0, 38.5, 120.0])

@@ -59,3 +59,11 @@ def test_potential_contract():
     with pytest.raises(ValueError, match="shape"):
         ritz_lowest(lambda rho: -1.0 / rho[:-1], 1.0)
     assert math.isnan(ritz_lowest(lambda rho: np.where(rho > 5.0, np.nan, -1.0 / rho), 1.0))
+
+
+@pytest.mark.parametrize("alpha_beta", [-1.0, 0.0, math.inf, math.nan])
+def test_bad_coupling_rejected(alpha_beta):
+    # -1 returned -0.4999999999999825 for Coulomb, 0 and inf warned, and NaN
+    # returned NaN
+    with pytest.raises(ValueError, match="alpha_beta"):
+        ritz_lowest(lambda rho: -1.0 / rho, alpha_beta)

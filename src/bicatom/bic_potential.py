@@ -27,7 +27,11 @@ size ~1.854*rho cancel to O(1), but from two forms of it that add no terms
 of opposite sign (see _w_kernel), by fixed-node composite Gauss-Legendre
 with 14 nodes a panel.  Against 30-digit mpmath of the y-integral, Z is
 within 1e-15 relative on the supported range 0 <= rho <= 1e6 (the worst
-measured is 6.7e-16); beyond it the call is rejected.
+measured is 6.7e-16); beyond it the call is rejected.  The kernel sorts an
+array's rows by rule and evaluates each rule's rows in blocks of about 16 k
+(row, node) elements, in three work buffers allocated per call; every row
+sums the same nodes in the same order, so a value never depends on the
+other rho in its array.
 """
 
 from __future__ import annotations
@@ -150,9 +154,11 @@ _RULES = [_rule([0.0, math.pi / 2.0], far=False)] + [
           far=True)
     for m in range(1, math.ceil(math.log2(math.pi / 2.0 * _RHO_CAP)) + 1)]
 
-# rows per kernel block: keeps each (rows x nodes) temporary, at up to 322
-# nodes a row, near 160 KB
-_BLOCK_ROWS = 64
+# elements per kernel block: rows x nodes, at 14 to 322 nodes a row, so 1170
+# to 50 rows.  Each of the three work buffers holds one block, 128 KB at most
+_BLOCK_SIZE = 16384
+# nodes of each rule, for sizing the buffers
+_NODE_COUNTS = np.array([w.size for *_, w in _RULES])
 
 
 def _w_kernel(rho: np.ndarray) -> np.ndarray:
@@ -168,32 +174,50 @@ def _w_kernel(rho: np.ndarray) -> np.ndarray:
     and v = tan((pi/2 - s)/2); the second subtracts it from
     B/4 = (rho/2) int ds / sqrt(Q), Born's integral under x = (rho/2) tan s.
     Neither adds terms of opposite sign, and neither divides by rho, so tiny
-    rho loses nothing.  Rows are grouped by rule, so each row sums the same
-    nodes in the same order whatever else is in the array.
+    rho loses nothing.  A stable sort by rule makes each rule's rows one
+    slice, evaluated _BLOCK_SIZE elements at a time in three work buffers;
+    each row sums the same nodes in the same order whatever else is in the
+    array.
     """
-    out = np.empty(rho.shape)
     far = rho >= 1.0
-    rule = np.zeros(rho.shape, dtype=int)
+    rule = np.zeros(rho.shape, dtype=np.int8)
     rule[far] = np.ceil(np.log2((math.pi / 2.0) * rho[far]))
-    for m in np.flatnonzero(np.bincount(rule)):  # the rules in use
+    counts = np.bincount(rule, minlength=1)
+    order = np.argsort(rule, kind="stable")
+    r = rho[order]
+    # the work buffers hold this call's biggest block, no more
+    work = np.empty((3, min(int((counts * _NODE_COUNTS[:counts.size]).max()), _BLOCK_SIZE)))
+    # each block reads its rho^2 from sums before its own sums overwrite it
+    sums = r * r
+    start = 0
+    for m, count in enumerate(counts.tolist()):
+        if not count:
+            continue
         lead, cos4, sin2, w = _RULES[m]
-        rows = np.flatnonzero(rule == m)
-        for start in range(0, rows.size, _BLOCK_ROWS):
-            block = rows[start:start + _BLOCK_ROWS]
-            r = rho[block, None]
-            q2 = r * r * sin2
+        stop = start + count
+        step = _BLOCK_SIZE // w.size
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            q2, root_p, root_q = work[:, :(hi - lo) * w.size].reshape(3, hi - lo, w.size)
+            np.multiply(sums[lo:hi, None], sin2, out=q2)
             q2 *= q2
-            root_p = np.sqrt(lead + q2)
-            if m == 0:
-                out[block] = r[:, 0] * np.sum(w / root_p, axis=1) - QUARTER_BETA
-            else:
-                root_q = np.sqrt(cos4 + q2)
-                # the denominator, in q2's buffer: one block-sized array fewer
+            np.sqrt(np.add(lead, q2, out=root_p), out=root_p)
+            if m:
+                # the denominator, in q2's buffer
+                np.sqrt(np.add(cos4, q2, out=root_q), out=root_q)
                 np.add(root_p, root_q, out=q2)
                 q2 *= root_p
                 q2 *= root_q
-                out[block] = -r[:, 0] * np.sum(w / q2, axis=1)
-    return out
+                root_p = q2
+            np.add.reduce(np.divide(w, root_p, out=q2), axis=1, out=sums[lo:hi])
+        start = stop
+    sums *= r
+    # the near form's rows come first
+    sums[:counts[0]] -= QUARTER_BETA
+    np.negative(sums[counts[0]:], out=sums[counts[0]:])
+    # back to the caller's order, in r's spent buffer
+    r[order] = sums
+    return r
 
 
 def _checked_rho(rho: float) -> np.ndarray:

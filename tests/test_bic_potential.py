@@ -8,12 +8,14 @@ Gauss-Legendre evaluator.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 from bicatom.bic_potential import (
+    _BLOCK_SIZE,
     FINE_STRUCTURE_ALPHA,
     QUARTER_BETA,
     UNIT_CONVENTIONS,
@@ -274,6 +276,21 @@ class TestTabulate:
         assert first.values.tobytes() == second.values.tobytes()
         for rho, w in zip(first.rho_grid, first.values):
             assert abs(w - w_of_rho(float(rho))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2000, 100_000])
+    def test_work_memory_is_block_sized(self, n):
+        # the kernel's temporaries live in three block-sized work buffers: at
+        # 112 nodes a row on [0, 40], n-by-nodes temporaries would be ~90 MB
+        # at n = 1e5.  Allowed: six n-sized arrays, the buffers, and 256 KB
+        # for numpy's own iterator buffers
+        tabulate(PotentialKind.EXACT_BIC, 0.0, 40.0, n)
+        tracemalloc.start()
+        try:
+            tabulate(PotentialKind.EXACT_BIC, 0.0, 40.0, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (6 * n + 3 * _BLOCK_SIZE) + 256 * 1024
 
 
 class TestPotentialTable:

@@ -712,6 +712,17 @@ class TestBicInterpolator:
         np.testing.assert_array_equal(spline._x, np.arange(5) / 128)
         assert float(spline(0.01)) == pytest.approx(w_of_rho(0.01), abs=1e-12)
 
+    @pytest.mark.parametrize("rho_max, h, last", [(40.0, 0.0087, 40.0026), (38.5, 0.0099, 38.5011)])
+    def test_shooting_grid_may_end_past_the_table(self, rho_max, h, last):
+        # the grid ends at round(rho_max/h) h, up to h/2 past rho_max, and so
+        # past a table that ends at rho_max itself: a refusal of points
+        # outside the table must allow for this overshoot
+        rho = numerov_oracle._w_grid(RadialProblem(lambda r: r, 1.0, rho_max, h))
+        spline = bic_interpolator(rho_max)
+        assert spline._x[-1] == rho_max < rho[-1] <= rho_max + h / 2
+        assert rho[-1] == pytest.approx(last, abs=1e-12)
+        assert abs(float(spline(rho[-1])) - w_of_rho(rho[-1])) <= 5e-12
+
     # the tables bic_interpolator builds: knots at k/128 for k = 0 ... n - 1,
     # n - 1 = max(ceil(128 rho_max), 4), reaching rho_max or just past it.
     # Fourth-order slopes keep the error at 2.03e-12 here, where 50 knots

@@ -19,9 +19,10 @@ from hypothesis import given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bicatom.bic_potential import (  # noqa: E402
-    _BLOCK_ROWS,
+    _BLOCK_SIZE,
     _GL_W,
     _GL_X,
+    _RULES,
     Y_STAR,
     PotentialKind,
     _w_kernel,
@@ -148,16 +149,52 @@ def test_kernel_forms_equal_the_paper_integral(rho):
     assert abs(z_mpmath_s(rho) - y_form) <= mp.mpf("1e-18") * y_form
 
 
+def rules_of(rho) -> np.ndarray:
+    """The kernel's rule of each rho: 0 (near form) below the split, else
+    ceil(log2(pi rho/2))."""
+    rho = np.asarray(rho, dtype=float)
+    far = np.ceil(np.log2((math.pi / 2.0) * np.maximum(rho, SPLIT_RHO)))
+    return np.where(rho >= SPLIT_RHO, far, 0.0).astype(int)
+
+
+def block_rows(m: int) -> int:
+    """Rows in one kernel block of rule m: _BLOCK_SIZE elements of its nodes."""
+    return _BLOCK_SIZE // _RULES[m][3].size
+
+
+def rows_of_rule(m: int, count: int, rng) -> np.ndarray:
+    """count rho drawn uniformly from rule m's range of rho."""
+    lo, hi = (0.0, SPLIT_RHO) if m == 0 else (max(2.0 ** m / math.pi, SPLIT_RHO),
+                                              min(2.0 ** (m + 1) / math.pi, 1e6))
+    rho = np.empty(0)
+    while rho.size < count:
+        draw = rng.uniform(lo, hi, count)
+        rho = np.concatenate([rho, draw[rules_of(draw) == m]])
+    return rho[:count]
+
+
 @reproducible
 @seed(8104)
-@given(st.lists(log_uniform_rho, min_size=_BLOCK_ROWS + 1, max_size=2 * _BLOCK_ROWS + 1))
-def test_array_path_matches_scalar_path_and_mpmath(rhos):
-    rho = np.array(rhos)
+@given(st.lists(log_uniform_rho, min_size=1, max_size=2),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_array_path_matches_scalar_path_and_mpmath(rhos, draw_seed):
+    # each drawn rho brings one block of rows of its own rule, so the shuffled
+    # array passes a block edge of every rule it uses
+    rng = np.random.default_rng(draw_seed)
+    rho = np.concatenate([rhos] + [rows_of_rule(m, block_rows(m), rng)
+                                   for m in rules_of(rhos)])
+    rng.shuffle(rho)
     got = -rho * _w_kernel(rho)
-    for r, z in zip(rhos, got):
+    for r, z in zip(rho, got):
         assert abs(z - z_of_rho(r)) <= 1e-14
-    for k in (_BLOCK_ROWS - 1, _BLOCK_ROWS):
-        assert close_to_mpmath(got[k], rhos[k])
+    # the stable sort keeps a rule's rows in array order, so the first drawn
+    # rule's first block ends between its rows k - 1 and k
+    m = rules_of(rhos)[0]
+    k = block_rows(m)
+    rows = np.flatnonzero(rules_of(rho) == m)
+    assert rows.size > k
+    for i in rows[[k - 1, k]]:
+        assert close_to_mpmath(got[i], rho[i])
 
 
 def test_rows_do_not_depend_on_their_neighbours():
@@ -165,15 +202,44 @@ def test_rows_do_not_depend_on_their_neighbours():
     # shuffled array mixing every rule the kernel groups by
     rhos = PANEL_EDGE_RHO + [1e5, 1e6]
     alone = [w_of_rho(r) for r in rhos]
-    in_table = [tabulate(PotentialKind.EXACT_BIC, 0.0, r, 2 * _BLOCK_ROWS + 1).values[-1]
-                for r in rhos]
+    # two of the largest blocks plus one row: each table on [0, r] passes a
+    # block edge of at least one rule
+    n = 2 * max(block_rows(m) for m in range(len(_RULES))) + 1
+    tables = [tabulate(PotentialKind.EXACT_BIC, 0.0, r, n) for r in rhos]
+    for table in tables:
+        counts = np.bincount(rules_of(table.rho_grid))
+        assert any(c > block_rows(m) for m, c in enumerate(counts))
+    in_table = [table.values[-1] for table in tables]
     rng = np.random.default_rng(8105)
-    mixed = np.concatenate([rhos, 10.0 ** rng.uniform(-3.0, 6.0, 3 * _BLOCK_ROWS)])
+    mixed = np.concatenate([rhos] + [rows_of_rule(m, block_rows(m) + 1, rng)
+                                     for m in range(len(_RULES))])
     order = rng.permutation(mixed.size)
     shuffled = np.empty(mixed.size)
     shuffled[order] = _w_kernel(mixed[order])
     np.testing.assert_array_equal(in_table, alone)
     np.testing.assert_array_equal(shuffled[:len(rhos)], alone)
+    np.testing.assert_array_equal(shuffled, _w_kernel(mixed))
+
+
+def test_one_rule_over_many_blocks_matches_scalar_path():
+    # rule 6, rho in (64/pi, 128/pi], holds about half the rows of the
+    # interpolant's table on [0, 40]: more than two blocks
+    table = tabulate("bic", 0.0, 40.0, 5121)
+    m, k = 6, block_rows(6)
+    rows = np.flatnonzero(rules_of(table.rho_grid) == m)
+    assert rows.size > 2 * k
+    edges = [rows[0], rows[-1]] + [rows[j] for i in range(k, rows.size, k) for j in (i - 1, i)]
+    np.testing.assert_array_equal(table.values[edges],
+                                  [w_of_rho(r) for r in table.rho_grid[edges]])
+
+
+def test_empty_and_one_point_arrays():
+    empty = _w_kernel(np.empty(0))
+    assert empty.shape == (0,) and empty.dtype == float
+    for rho in (0.0, 0.5, SPLIT_RHO, 3.0, 1e6):
+        one = _w_kernel(np.array([rho]))
+        assert one.shape == (1,)
+        np.testing.assert_array_equal(one, _w_kernel(np.array([rho, 2.0, 0.25]))[:1])
 
 
 def gauss_legendre_50_digits(n: int):

@@ -28,12 +28,12 @@ _propagate).  A grid so coarse that Numerov's 1 - h^2 f/12 reaches 0,
 or that puts the outermost turning point of the ground state fewer than
 _MIN_ALLOWED_STEPS steps from the origin, raises RuntimeError instead of
 returning a wrong number.  Besides W, a ground state holds one array of
-the grid's size, t = h^2 f/12, which every sweep rewrites.
+the grid's size, t = h^2 f/12, which _search owns and each sweep rewrites.
 
 The exact screened potential enters through bic_interpolator, a cubic
 Hermite interpolant of its values tabulated at 128 knots per unit rho,
 whose knot slopes are local fourth-order differences (numpy only, no
-linear solve).
+linear solve), and which refuses points outside its table.
 """
 
 from __future__ import annotations
@@ -252,35 +252,23 @@ def _turning_index(t: np.ndarray) -> int:
     return len(allowed) - int(np.argmax(allowed[::-1])) if allowed.any() else 1
 
 
-def _check_step(w_max: float, alpha_beta: float, h: float, lam: float) -> None:
-    """Raise RuntimeError unless t = h^2 f/12 < 1 at lam where W peaks at w_max.
+def _sweep(w: np.ndarray, alpha_beta: float, h: float, lam: float, t: np.ndarray):
+    """One matched sweep at trial eigenvalue lam; returns (nodes, dlam, m).
 
-    Numerov divides by 1 - t; t grows with W, so it peaks where W does.
-    """
-    t_max = float(_t_grid(w_max, alpha_beta, h, lam))
-    if t_max >= 1.0:
-        raise RuntimeError(
-            f"h = {h:g} is too coarse at alpha_beta = {alpha_beta:g}: h^2 f/12 reaches "
-            f"{t_max:.3g} at lambda = {lam:g} (Numerov needs < 1)")
-
-
-def _sweep(w: np.ndarray, alpha_beta: float, h: float, lam: float, buf=None):
-    """One matched sweep at trial eigenvalue lam; returns (nodes, dlam).
-
-    Propagates out from the origin and in from u_c = 0 to the matching
-    index m, the outermost classical turning point clamped to [1, n - 1],
-    so that neither half runs into the forbidden region where the wanted
-    solution decays and rounding errors grow.  Past m, t > 0 and the
+    Writes Numerov's t = h^2 f/12 at lam into ``t``, an array of w's
+    shape, and propagates out from the origin and in from u_c = 0 to the
+    matching index m, the outermost classical turning point clamped to [1,
+    n - 1], so that neither half runs into the forbidden region where the
+    wanted solution decays and rounding errors grow.  Past m, t > 0 and the
     inward half grows monotonically; c is the first block end at which a
     lower bound on S = sum of ln mu_i from m, _CUT_BLOCK _log_growth(t) at
     each block's smallest t, reaches _CUT_EXPONENT, else n.  With both
     halves scaled to u_m = 1, nodes counts the sign changes of the glued
     solution (outward on (0, m], inward on [m, c)), and dlam is Cooley's
     correction -u_m R_m / (2 h^2 sum u^2), R_m being the Numerov residual
-    of the glued solution at m; dlam is 0 when there are nodes.  t is
-    written into ``buf``, an array of w's shape, when one is given.
+    of the glued solution at m; dlam is 0 when there are nodes.
     """
-    t = _t_grid(w, alpha_beta, h, lam, buf)
+    _t_grid(w, alpha_beta, h, lam, t)
     m = _turning_index(t)
     tail = t[m + 1:-1]
     t_min = tail[:len(tail) - len(tail) % _CUT_BLOCK].reshape(-1, _CUT_BLOCK).min(axis=1)
@@ -290,29 +278,30 @@ def _sweep(w: np.ndarray, alpha_beta: float, h: float, lam: float, buf=None):
     in_prev, in_m, s_in, nodes_in = _propagate(t[m:c + 1][::-1], h)
     nodes = nodes_out + nodes_in
     if nodes:
-        return nodes, 0.0
+        return nodes, 0.0, m
     t_before, t_m, t_after = t[m - 1:m + 2].tolist()
     residual = ((1.0 - t_before) * out_prev / out - (2.0 + 10.0 * t_m)
                 + (1.0 - t_after) * in_prev / in_m)
     norm = s_out / (out * out) + s_in / (in_m * in_m) - 1.0
-    return 0, -residual / (2.0 * h * h * norm)
+    return 0, -residual / (2.0 * h * h * norm), m
 
 
-def _search(w: np.ndarray, alpha_beta: float, h: float, lam: float, buf=None):
+def _search(w: np.ndarray, alpha_beta: float, h: float, lam: float):
     """Cooley's matching-point search on the grid w, started at lam.
 
-    Returns (lam, nodes, sweeps): the last trial eigenvalue, the node count
-    of its matched solution and the number of sweeps spent.  The search
-    runs inside the bracket (alpha_beta * min W, max(0, alpha_beta *
-    W(rho_max))-) and starts at lam clamped into it, or at its floor when
-    lam is not finite.  Each sweep (see _sweep) narrows the bracket: one
-    with nodes or a downward correction lies above the ground state, any
-    other below it.  The next trial is lam + dlam when the sweep had no
-    nodes and that lies inside the bracket; otherwise it is the bracket's
-    midpoint, or its top while no sweep has yet been above, and a sweep
-    there that is not above means there is no bound state.  The search
-    stops once |dlam| or the bracket falls below _LAMBDA_TOL (or to the
-    resolution of a double).  Each sweep writes its t into ``buf`` if given.
+    Returns (lam, nodes, sweeps, m): the last trial eigenvalue, the node
+    count of its matched solution, the number of sweeps spent and the
+    turning index of the last sweep.  The search runs inside the bracket
+    (alpha_beta * min W, max(0, alpha_beta * W(rho_max))-) and starts at
+    lam clamped into it, or at its floor when lam is not finite.  Each
+    sweep (see _sweep) narrows the bracket: one with nodes or a downward
+    correction lies above the ground state, any other below it.  The next
+    trial is lam + dlam when the sweep had no nodes and that lies inside
+    the bracket; otherwise it is the bracket's midpoint, or its top while
+    no sweep has yet been above, and a sweep there that is not above means
+    there is no bound state.  The search stops once |dlam| or the bracket
+    falls below _LAMBDA_TOL (or to the resolution of a double).  Every
+    sweep writes its t into one array of the grid's size.
 
     Raises ValueError when W is not finite on w[1:], which its min and max
     show, and RuntimeError when W is nowhere negative, when h is too coarse
@@ -326,13 +315,18 @@ def _search(w: np.ndarray, alpha_beta: float, h: float, lam: float, buf=None):
         raise RuntimeError("potential is nowhere attractive: no bound state")
     lam_lo = alpha_beta * w_min
     lam_hi = max(0.0, alpha_beta * float(w[-1])) - 1e-9 * max(1.0, abs(lam_lo))
-    _check_step(w_max, alpha_beta, h, lam_lo)
+    t_max = float(_t_grid(w_max, alpha_beta, h, lam_lo))
+    if t_max >= 1.0:
+        raise RuntimeError(
+            f"h = {h:g} is too coarse at alpha_beta = {alpha_beta:g}: h^2 f/12 reaches "
+            f"{t_max:.3g} at lambda = {lam_lo:g} (Numerov needs < 1)")
+    t = np.empty_like(w)
     lo, hi, bound = lam_lo, lam_hi, False
     lam = min(hi, max(lo, lam)) if math.isfinite(lam) else lo
     for sweeps in range(1, _MAX_SWEEPS + 1):
-        nodes, dlam = _sweep(w, alpha_beta, h, lam, buf)
+        nodes, dlam, m = _sweep(w, alpha_beta, h, lam, t)
         if nodes == 0 and abs(dlam) <= _LAMBDA_TOL:
-            return lam + dlam, nodes, sweeps
+            return lam + dlam, nodes, sweeps, m
         if nodes or dlam < 0.0:
             hi, bound = lam, True
         elif lam == lam_hi:
@@ -342,7 +336,7 @@ def _search(w: np.ndarray, alpha_beta: float, h: float, lam: float, buf=None):
         else:
             lo = lam
         if hi - lo <= max(_LAMBDA_TOL, 2.0 * math.ulp(lo)):
-            return lam, nodes, sweeps
+            return lam, nodes, sweeps, m
         step = lam + dlam
         if nodes == 0 and lo < step < hi:
             lam = step
@@ -360,8 +354,7 @@ def ground_state(p: RadialProblem) -> OracleResult:
     poor one costs sweeps, not accuracy, and a non-finite one leaves the
     search at the bracket's floor.  The node count of the final matched
     solution must be 0, and ``iterations`` reports the search's sweeps.
-    Every sweep, and the turning-point check after the search, writes its
-    t into one buffer of the grid's size.
+    The resolution check reads the turning index of the search's last sweep.
 
     Raises ValueError when W is not finite on the grid, and RuntimeError
     when there is no bound state, when h is too coarse for Numerov (h^2 f
@@ -373,15 +366,13 @@ def ground_state(p: RadialProblem) -> OracleResult:
     lambda)), and kappa rho_max must reach 15.
     """
     w = _w_grid(p)
-    t = np.empty_like(w)
     ab, h = p.alpha_beta, p.h
     start = ritz_lowest(lambda rho: p.potential(np.clip(rho, h, p.rho_max)), ab)
-    lam, nodes, sweeps = _search(w, ab, h, start, t)
+    lam, nodes, sweeps, m = _search(w, ab, h, start)
     if nodes:
         raise RuntimeError(
             f"the matched solution at lambda = {lam:g} has {nodes} nodes, "
             f"so it is not the ground state")
-    m = _turning_index(_t_grid(w, ab, h, lam, t))
     if m < _MIN_ALLOWED_STEPS:
         raise RuntimeError(
             f"h = {h:g} does not resolve the state at lambda = {lam:g}: its "
@@ -414,7 +405,7 @@ _CHUNK = 4096
 
 
 class _HermiteCubic:
-    """Cubic Hermite interpolant through (x, y) on the knots x_k = k / 128.
+    """Cubic Hermite interpolant through y_k on the knots x_k = k / 128.
 
     The knot slopes are fourth-order differences, local to 5 knots: the
     central stencil inside and one-sided stencils on the two knots at each
@@ -422,12 +413,12 @@ class _HermiteCubic:
     O(dx^4) accurate and needs no linear solve.  Interval k holds its cubic
     in s = 128 t - k, from 0 at x_k to 1 at x_{k+1}, and contains t when k =
     floor(128 t), which no rounding moves.  Calls take a scalar or an array
-    and fill one output array _CHUNK points at a time; points outside
-    [x_0, x_{n-1}] are extrapolated with the end cubics.  ``x`` must be
-    exactly k/128, as np.linspace(0, (n - 1)/128, n) builds it.
+    and fill one output array _CHUNK points at a time.  They answer on [0,
+    x_{n-1} + 1/128], the last cubic reaching one knot spacing past the
+    table, and raise ValueError, naming the point, for any other rho or NaN.
     """
 
-    def __init__(self, x, y) -> None:
+    def __init__(self, y) -> None:
         y = np.asarray(y, dtype=float)
         n = len(y)
         if n < 5:
@@ -437,16 +428,20 @@ class _HermiteCubic:
                             (y[:-4] - y[4:] + 8.0 * (y[3:-1] - y[1:-3])) / 12.0,
                             -(_END_STENCILS @ y[:-6:-1])[::-1]))
         rise = np.diff(y)
-        self._x = np.asarray(x, dtype=float)
+        self._top = n / _KNOTS_PER_UNIT
         self._coef = (s[:-1] + s[1:] - 2.0 * rise, 3.0 * rise - 2.0 * s[:-1] - s[1:],
                       s[:-1], y[:-1])
 
     def _interval(self, rho):
-        """searchsorted(x, rho, side="right") - 1, clipped to [0, n - 2].
+        """Each rho's interval, floor(128 rho) clipped to n - 2.
 
-        floor(128 rho), clipped before the cast: NaN goes to n - 2, as in searchsorted.
+        Raises ValueError unless every rho lies in [0, x_{n-1} + 1/128].
         """
-        return np.fmax(np.fmin(rho * _KNOTS_PER_UNIT, len(self._x) - 2), 0.0).astype(np.intp)
+        if not (rho.min() >= 0.0 and rho.max() <= self._top):
+            bad = rho[~((rho >= 0.0) & (rho <= self._top))].flat[0]
+            raise ValueError(
+                f"rho = {float(bad)!r} is outside the interpolant's range [0, {self._top!r}]")
+        return np.fmin(rho * _KNOTS_PER_UNIT, len(self._coef[0]) - 1).astype(np.intp)
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -472,10 +467,12 @@ def bic_interpolator(rho_max: float = 40.0):
     (4 x 10^4 points at the default h = 1e-3).  The interpolant (see
     _HermiteCubic) has its knots at k/128, k = 0 ... max(ceil(128 rho_max),
     4), covering [0, rho_max]; it is within 2.1e-12 of the exact W on the
-    shooting grids and tabulates Z once per rho_max.  rho_max must be in
-    (0, 7812.49], where the table keeps within tabulate's 10^6 points
-    (ValueError otherwise).  The cache is keyed on float(rho_max), however
-    the call is written, and keeps the four most recent values.
+    shooting grids and tabulates Z once per rho_max.  It answers up to 1/128
+    past its last knot, as a grid may end h/2 past rho_max, and raises
+    ValueError for any other point.  rho_max must be in (0, 7812.49], where
+    the table keeps within tabulate's 10^6 points (ValueError otherwise).
+    The cache is keyed on float(rho_max), however the call is written, and
+    keeps the four most recent values.
     """
     rho_max, top = float(rho_max), (_MAX_POINTS - 1) / _KNOTS_PER_UNIT
     if not 0.0 < rho_max <= top:
@@ -487,4 +484,4 @@ def bic_interpolator(rho_max: float = 40.0):
 def _bic_spline(rho_max: float) -> _HermiteCubic:
     n = max(math.ceil(_KNOTS_PER_UNIT * rho_max), 4) + 1
     table = tabulate(PotentialKind.EXACT_BIC, 0.0, (n - 1) / _KNOTS_PER_UNIT, n)
-    return _HermiteCubic(table.rho_grid, table.values)
+    return _HermiteCubic(table.values)

@@ -72,7 +72,8 @@ def ritz_lowest(potential: Callable[[np.ndarray], np.ndarray], alpha_beta: float
     ``potential`` is called once, on the array of the 60 quadrature
     points rho = x / (2 alpha_beta), from about 0.012 / alpha_beta to
     110 / alpha_beta, and must return an array of their shape
-    (ValueError otherwise).  A W that is not finite there gives NaN.
+    (ValueError otherwise).  A non-finite matrix, from a W that is not
+    finite there or alpha_beta above about 1e154, gives NaN and no warning.
     alpha_beta must be positive and finite (ValueError otherwise).
     """
     k = float(alpha_beta)
@@ -82,8 +83,9 @@ def ritz_lowest(potential: Callable[[np.ndarray], np.ndarray], alpha_beta: float
     w = np.asarray(potential(x / (2.0 * k)), dtype=float)
     if w.shape != x.shape:
         raise ValueError(f"potential must return an array of shape {x.shape}, got {w.shape}")
-    if not np.all(np.isfinite(w)):
-        return float("nan")
     # 2k times the Hamiltonian's matrix in rho, whose overlap is I/(2k)
-    h = (2.0 * k * k) * kinetic + k * ((phi * w[:, None]).T @ phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (2.0 * k * k) * kinetic + k * ((phi * w[:, None]).T @ phi)
+    if not np.all(np.isfinite(h)):
+        return float("nan")
     return float(np.linalg.eigvalsh(h)[0])

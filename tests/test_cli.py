@@ -699,6 +699,17 @@ def test_oracle_rejects_unresolved_state(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_oracle_ritz_overflow_is_too_coarse(capsys):
+    # above alpha_beta = 1.34e154 the Ritz start's matrix overflows, which
+    # printed "error:invalid-input: Eigenvalues did not converge" and exited 2
+    code, out, err = run_cli(capsys, ["oracle", "--potential", "coulomb",
+                                      "--alpha-beta", "1e200"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:computation-failed: h = 0.001 is too coarse")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])
 def test_golden_output(capsys, argv):
     code, out, err = run_cli(capsys, list(argv))

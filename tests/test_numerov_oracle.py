@@ -376,13 +376,35 @@ class TestSearch:
         p = RadialProblem(potential=pot, alpha_beta=alpha_beta, rho_max=rho_max)
         w = numerov_oracle._w_grid(p)
         ritz = numerov_oracle.ritz_lowest(lambda r: pot(np.clip(r, p.h, rho_max)), alpha_beta)
-        want, nodes, _ = numerov_oracle._search(w, alpha_beta, p.h, ritz)
+        want, nodes, _, _ = numerov_oracle._search(w, alpha_beta, p.h, ritz)
         assert nodes == 0 and want == ground_state(p).lam
         floor, top = alpha_beta * float(np.min(w[1:])), max(0.0, alpha_beta * float(w[-1]))
         for start in (ritz - 1e-3, ritz + 1e-3, floor, top, math.nan):
-            lam, nodes, _ = numerov_oracle._search(w, alpha_beta, p.h, start)
+            lam, nodes, _, _ = numerov_oracle._search(w, alpha_beta, p.h, start)
             assert nodes == 0
             assert abs(lam - want) <= 1e-12, start
+
+    @pytest.mark.parametrize("name, alpha_beta, h", [
+        # the coupling-scan mix
+        ("bic", 1.5, 1e-3), ("bic", AB_BIC, 1e-3), ("bic", 2.2, 1e-3),
+        ("bic", 1.5, 5e-4), ("bic", AB_BIC, 5e-4), ("bic", 2.2, 5e-4),
+        ("morse", 1.8233735, 1e-3), ("coulomb", 1.0, 1e-3), ("coulomb", 1.5, 1e-3),
+        ("coulomb", 2.0, 1e-3),
+        # no inward cut, both ends of the bic couplings, and a turning point
+        # 6 steps out, which the resolution check refuses
+        ("coulomb", 0.45, 1e-3), ("bic", 0.5, 1e-3), ("bic", 10.0, 1e-3),
+        ("coulomb", 300.0, 1e-3),
+    ])
+    def test_last_sweep_turning_index(self, name, alpha_beta, h):
+        # ground_state's resolution check reads the turning index of the
+        # search's last sweep in place of one recomputed at the returned lam
+        p = RadialProblem(potential=named_potential(name), alpha_beta=alpha_beta, h=h)
+        w = numerov_oracle._w_grid(p)
+        start = numerov_oracle.ritz_lowest(lambda r: p.potential(np.clip(r, h, p.rho_max)),
+                                           alpha_beta)
+        lam, nodes, _, m = numerov_oracle._search(w, alpha_beta, h, start)
+        assert nodes == 0
+        assert m == numerov_oracle._turning_index(numerov_oracle._t_grid(w, alpha_beta, h, lam))
 
     @pytest.mark.parametrize("potential, alpha_beta, h, text", [
         pytest.param(coulomb, 0.1, 1e-3,
@@ -402,6 +424,10 @@ class TestSearch:
         pytest.param(coulomb, 1e5, 1e-3,
                      "h = 0.001 is too coarse at alpha_beta = 100000: h^2 f/12 reaches "
                      "16.7 at lambda = -1e+08 (Numerov needs < 1)", id="too-coarse"),
+        # the Ritz start's matrix overflows, which raised numpy's LinAlgError
+        pytest.param(coulomb, 1e200, 1e-3,
+                     "h = 0.001 is too coarse at alpha_beta = 1e+200: h^2 f/12 reaches "
+                     "1.67e+196 at lambda = -1e+203 (Numerov needs < 1)", id="ritz-overflow"),
         pytest.param(lambda r: 1.0 / r, 1.0, 1e-3,
                      "potential is nowhere attractive: no bound state", id="repulsive"),
         pytest.param(lambda r: -0.01 * np.exp(-r * r), 1.0, 1e-3,
@@ -412,7 +438,8 @@ class TestSearch:
         # the texts the search raised from the hydrogen start alone, on the
         # full grid, and raises from the Ritz start
         p = RadialProblem(potential=potential, alpha_beta=alpha_beta, h=h)
-        with pytest.raises(RuntimeError) as err:
+        with warnings.catch_warnings(), pytest.raises(RuntimeError) as err:
+            warnings.simplefilter("error")
             ground_state(p)
         assert str(err.value) == text
 
@@ -471,7 +498,7 @@ class TestPropagation:
         w = numerov_oracle._w_grid(p)
         rng = np.random.default_rng(1018)
         for trial in lam + rng.uniform(-1e-3, 1e-3, size=2):
-            nodes, dlam = numerov_oracle._sweep(w, alpha_beta, p.h, trial)
+            nodes, dlam, _ = numerov_oracle._sweep(w, alpha_beta, p.h, trial, np.empty_like(w))
             ref_nodes, ref_dlam = reference_sweep(w, alpha_beta, p.h, trial, np.longdouble)
             assert nodes == ref_nodes == 0
             assert abs(dlam - ref_dlam) <= 1e-11
@@ -493,7 +520,7 @@ class TestPropagation:
         w = numerov_oracle._w_grid(p)
         lam = ground_state(p).lam
         for trial in (lam - 1e-3, lam + 1e-3):
-            nodes, dlam = numerov_oracle._sweep(w, alpha_beta, h, trial)
+            nodes, dlam, _ = numerov_oracle._sweep(w, alpha_beta, h, trial, np.empty_like(w))
             ref_nodes, ref_dlam = reference_sweep(w, alpha_beta, h, trial, np.longdouble)
             assert nodes == ref_nodes
             assert abs(dlam - ref_dlam) <= 1e-11
@@ -512,8 +539,7 @@ class TestPropagation:
             return propagate(t, h)
 
         monkeypatch.setattr(numerov_oracle, "_propagate", measured)
-        numerov_oracle._sweep(w, alpha_beta, p.h, lam)
-        m = numerov_oracle._turning_index(numerov_oracle._t_grid(w, alpha_beta, p.h, lam))
+        _, _, m = numerov_oracle._sweep(w, alpha_beta, p.h, lam, np.empty_like(w))
         # the outward half is t_0 ... t_m, the inward one t_c ... t_m
         assert lengths[0] == m + 1
         if cut:
@@ -606,9 +632,8 @@ class TestPropagation:
         # outward half); above the edge value everything is (m = n - 1)
         p = RadialProblem(potential=morse_pot, alpha_beta=AB_CHAIN, h=1e-2)
         w = numerov_oracle._w_grid(p)
-        m = numerov_oracle._turning_index(numerov_oracle._t_grid(w, AB_CHAIN, p.h, lam))
+        nodes, dlam, m = numerov_oracle._sweep(w, AB_CHAIN, p.h, lam, np.empty_like(w))
         assert m == {"origin": 1, "edge": len(w) - 2}[end]
-        nodes, dlam = numerov_oracle._sweep(w, AB_CHAIN, p.h, lam)
         ref_nodes, ref_dlam = reference_sweep(w, AB_CHAIN, p.h, lam, float)
         assert nodes == ref_nodes
         assert dlam == pytest.approx(ref_dlam, rel=1e-12)
@@ -618,9 +643,10 @@ class TestPropagation:
         # the per-point loop held t.tolist(): 1.54 and 3.08 MiB
         p = RadialProblem(potential=bic_interpolator(), alpha_beta=AB_BIC, h=h)
         w = numerov_oracle._w_grid(p)
+        t = np.empty_like(w)
         tracemalloc.start()
         try:
-            numerov_oracle._sweep(w, AB_BIC, h, -1.68)
+            numerov_oracle._sweep(w, AB_BIC, h, -1.68, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -642,13 +668,15 @@ class TestPropagation:
             tracemalloc.stop()
         assert peak <= 4 * 8 * (int(round(p.rho_max / h)) + 1)
 
-    def test_shoot_rejects_too_coarse_grid(self):
-        # h^2 f / 12 reaches 1.7 at lambda = -1e7, where the loop divided by
-        # 1 - t < 0 and reported 39 999 nodes
-        p = RadialProblem(potential=coulomb, alpha_beta=1.0)
-        w_max = float(np.max(numerov_oracle._w_grid(p)[1:]))
+    def test_shoot_rejects_too_coarse_grid(self, monkeypatch):
+        # W = -1e7 at the origin: h^2 f / 12 reaches 1.7 at the bracket's
+        # floor, lambda = -1e7, where the loop divided by 1 - t < 0 and
+        # reported 39 999 nodes.  The search refuses before any sweep
+        p = RadialProblem(potential=lambda r: np.where(r < 0.5, -1e7, -1.0 / r),
+                          alpha_beta=1.0)
+        monkeypatch.setattr(numerov_oracle, "_sweep", None)
         with pytest.raises(RuntimeError, match="too coarse"):
-            numerov_oracle._check_step(w_max, p.alpha_beta, p.h, -1e7)
+            numerov_oracle._search(numerov_oracle._w_grid(p), p.alpha_beta, p.h, -0.5)
 
     def test_unresolved_state_rejected(self):
         # Coulomb at alpha_beta = 300: the Bohr radius is 3.3 steps, the
@@ -708,8 +736,14 @@ class TestBicInterpolator:
             bic_interpolator(rho_max)
 
     def test_small_rho_max_on_five_knots(self):
+        # knots k/128, k = 0 ... 4: the first four reproduced exactly, and
+        # answers up to one spacing past the last one
         spline = bic_interpolator(0.01)
-        np.testing.assert_array_equal(spline._x, np.arange(5) / 128)
+        table = tabulate(PotentialKind.EXACT_BIC, 0.0, 4 / 128, 5)
+        np.testing.assert_array_equal(spline(np.arange(4) / 128), table.values[:4])
+        assert math.isfinite(float(spline(5 / 128)))
+        with pytest.raises(ValueError, match="outside"):
+            spline(np.nextafter(5 / 128, 1.0))
         assert float(spline(0.01)) == pytest.approx(w_of_rho(0.01), abs=1e-12)
 
     @pytest.mark.parametrize("rho_max, h, last", [(40.0, 0.0087, 40.0026), (38.5, 0.0099, 38.5011)])
@@ -719,7 +753,9 @@ class TestBicInterpolator:
         # outside the table must allow for this overshoot
         rho = numerov_oracle._w_grid(RadialProblem(lambda r: r, 1.0, rho_max, h))
         spline = bic_interpolator(rho_max)
-        assert spline._x[-1] == rho_max < rho[-1] <= rho_max + h / 2
+        # rho_max is a knot here, so the table ends at it
+        assert (128 * rho_max).is_integer()
+        assert rho_max < rho[-1] <= rho_max + h / 2
         assert rho[-1] == pytest.approx(last, abs=1e-12)
         assert abs(float(spline(rho[-1])) - w_of_rho(rho[-1])) <= 5e-12
 
@@ -734,40 +770,56 @@ class TestBicInterpolator:
         top = (n - 1) / 128
         table = tabulate(PotentialKind.EXACT_BIC, 0.0, top, n)
         got = bic_interpolator(rho_max)
-        np.testing.assert_array_equal(got._x, table.rho_grid)
-        np.testing.assert_array_equal(got._x, np.arange(n) / 128)
+        np.testing.assert_array_equal(table.rho_grid, np.arange(n) / 128)
+        # every knot but the last is the start of its interval: reproduced exactly
+        np.testing.assert_array_equal(got(table.rho_grid[:-1]), table.values[:-1])
         assert rho_max <= top < rho_max + 1 / 128
         for h in (1e-3, 5e-4):
             rho = np.arange(1, int(round(rho_max / h)) + 1) * h
             assert np.max(np.abs(got(rho) - _w_kernel(rho))) <= 5e-12
         # scalar calls give 0-d results, as the array path does; the knots
         # are reproduced exactly
-        for rho in (-0.5, 0.0, 1e-3, table.rho_grid[7], 2.1396, rho_max, top + 1.0):
+        for rho in (0.0, 1e-3, table.rho_grid[7], 2.1396, rho_max, top + 1 / 128):
             value = got(rho)
             assert np.ndim(value) == 0
             assert float(value) == got(np.array([rho]))[0]
         assert got(0.0) == table.values[0] and got(table.rho_grid[7]) == table.values[7]
         for rho in (1e-3, 2.1396, rho_max):
             assert abs(float(got(rho)) - w_of_rho(rho)) <= 5e-12
-        # both sides extrapolate the end interval's cubic, with the slopes of
-        # the one-sided stencils; the far end is the near one read backwards.
-        # At t = -128 the cubic's terms reach 1e5 and cancel to 1e-2, so the
-        # two ways of summing it agree only to about 1e-9.
+        # the end intervals' cubics have the slopes of the one-sided stencils;
+        # the far end is the near one read backwards, and its cubic answers
+        # one spacing past the last knot
         dx = 1 / 128
-        for rho, t, y in ((-0.5, -0.5 / dx, table.values[:5]),
-                          (top + 1.0, -1.0 / dx, table.values[::-1][:5])):
+        for rho, t, y in ((0.5 * dx, 0.5, table.values[:5]),
+                          (top + dx, -1.0, table.values[::-1][:5])):
             assert float(got(rho)) == pytest.approx(end_cubic(y, t), rel=1e-8)
 
     @pytest.mark.parametrize("rho_max", [40.0, 38.5, 120.0])
     def test_interval_is_searchsorted(self, rho_max):
         spline = bic_interpolator(rho_max)
-        x = spline._x
+        x = np.arange({40.0: 5121, 38.5: 4929, 120.0: 15361}[rho_max]) / 128
 
         def want(rho):
             return np.clip(np.searchsorted(x, rho, side="right") - 1, 0, x.size - 2)
 
         grids = [np.arange(1, int(round(rho_max / h)) + 1) * h for h in (1e-3, 5e-4)]
-        for rho in (*grids, x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
-                    np.array([-1.0, -np.inf, np.inf, np.nan, 1e300])):
+        for rho in (*grids, x, np.nextafter(x[1:], -np.inf), np.nextafter(x, np.inf),
+                    np.array([x[-1] + 1 / 128])):
             np.testing.assert_array_equal(spline._interval(rho), want(rho))
         assert np.ndim(spline._interval(np.asarray(x[7]))) == 0
+
+    @pytest.mark.parametrize("rho", [-1.0, -5e-324, -np.inf, np.inf, np.nan, 1e300, 1e308,
+                                     80.0, 50.0, np.nextafter(40.0 + 1 / 128, np.inf)])
+    def test_points_outside_the_table_refused(self, rho):
+        # the end cubics once answered +0.00182 at rho = 80, where W = -0.0127,
+        # and -2.354 at rho = -1, where W is not defined
+        spline = bic_interpolator()
+        grid = np.arange(1, 40001) * 1e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for points in (rho, [rho], np.insert(grid, 30000, rho)):
+                with pytest.raises(ValueError) as err:
+                    spline(points)
+                assert str(err.value).startswith(f"rho = {float(rho)!r} is outside")
+            # one knot spacing past the last knot still answers
+            assert math.isfinite(float(spline(40.0 + 1 / 128)))

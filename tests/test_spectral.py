@@ -7,6 +7,7 @@ tests/test_numerov_oracle.py, which the exact kernel's Ritz bound lies
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,7 +59,18 @@ def test_bic_matches_the_pinned_numerov_eigenvalue():
 def test_potential_contract():
     with pytest.raises(ValueError, match="shape"):
         ritz_lowest(lambda rho: -1.0 / rho[:-1], 1.0)
-    assert math.isnan(ritz_lowest(lambda rho: np.where(rho > 5.0, np.nan, -1.0 / rho), 1.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        assert math.isnan(ritz_lowest(lambda rho: np.where(rho > 5.0, bad, -1.0 / rho), 1.0))
+
+
+def test_overflowing_matrix_gives_nan():
+    # 2 k^2 overflows above alpha_beta = 1.34e154, and k W with it: eigvalsh
+    # raised LinAlgError, "Eigenvalues did not converge"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(ritz_lowest(lambda rho: -1.0 / rho, 1e300))
+        assert math.isnan(ritz_lowest(lambda rho: np.full(rho.shape, -1.0), 1e300))
+        assert ritz_lowest(lambda rho: -1.0 / rho, 1e150) == pytest.approx(-0.5e300, rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha_beta", [-1.0, 0.0, math.inf, math.nan])

@@ -44,18 +44,26 @@ calibrate_nu closes the loop: it marches nu down the curve on which
 eps_over_alpha2 equals a target below 0 (by default the empirical
 hydrogen value -0.49973); it takes wells with V0 + B/4 + G > 0 only, on
 which the first sign change is the ground state (see calibrate_nu).
+
+The records, MorseParams (G, V0, kappa, b) and AnalyticSolution (nu, a,
+X, alpha_beta, eps_over_alpha2), are immutable typing.NamedTuples whose
+__new__ checks the fields; _make goes through __new__ too, so _replace,
+copy and pickle check them as well.  This module, specfun and roots are
+the CLI's solve and calibrate route, which loads the standard library
+only, and dataclasses would cost each such process about 10 ms, mostly
+its import of inspect.  The numpy modules keep dataclasses: numpy
+imports inspect itself, so a dataclass costs about 0.6 ms there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, NamedTuple, Optional, Tuple
 
 from .roots import _brent, _first_crossing
-from .specfun import _Z_CAP, QUARTER_BETA, kummer_m, whittaker_m
+from .specfun import _TINY, _Z_CAP, QUARTER_BETA, kummer_m, whittaker_m
 
 __all__ = [
     "AnalyticSolution",
@@ -77,23 +85,33 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be a positive real, got {v!r}")
 
 
-@dataclass(frozen=True)
-class MorseParams:
-    """Surrogate parameters: depth G, offset V0, inverse range kappa > 0 and
-    signed shift b, all finite.  The closed form (solve_a, observables,
-    calibrate_nu) needs an attractive well, G < 0."""
+def _make_through_new(cls, iterable):
+    """namedtuple's _make, but through __new__, so that _replace, copy and
+    pickle check the fields as the constructor does."""
+    return cls(*iterable)
 
+
+class _MorseFields(NamedTuple):
     G: float
     V0: float
     kappa: float
     b: float
 
-    def __post_init__(self) -> None:
-        vals = (self.G, self.V0, self.kappa, self.b)
-        if not all(math.isfinite(v) for v in vals):
+
+class MorseParams(_MorseFields):
+    """Surrogate parameters: depth G, offset V0, inverse range kappa > 0 and
+    signed shift b, all finite.  The closed form (solve_a, observables,
+    calibrate_nu) needs an attractive well, G < 0."""
+
+    __slots__ = ()
+    _make = classmethod(_make_through_new)
+
+    def __new__(cls, G: float, V0: float, kappa: float, b: float) -> MorseParams:
+        if not all(math.isfinite(v) for v in (G, V0, kappa, b)):
             raise ValueError("MorseParams fields must be finite")
-        if self.kappa <= 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
+        if kappa <= 0.0:
+            raise ValueError(f"kappa must be positive, got {kappa!r}")
+        return super().__new__(cls, G, V0, kappa, b)
 
 
 #: Reference surrogate parameters reproduced by the acceptance fit and used
@@ -106,8 +124,15 @@ def _require_well(morse: MorseParams) -> None:
         raise ValueError(f"the Morse depth G must be negative, got {morse.G!r}")
 
 
-@dataclass(frozen=True)
-class AnalyticSolution:
+class _SolutionFields(NamedTuple):
+    nu: float
+    a: float
+    X: float
+    alpha_beta: float
+    eps_over_alpha2: float
+
+
+class AnalyticSolution(_SolutionFields):
     """Ground-state solution bundle.
 
     |A| = a^2/2 and E = -nu^2/2 are derived from a and nu on access; a, X
@@ -116,14 +141,13 @@ class AnalyticSolution:
     positive value, V0 + B/4 + G < 0, can bind its ground state above 0.
     """
 
-    nu: float
-    a: float
-    X: float
-    alpha_beta: float
-    eps_over_alpha2: float
+    __slots__ = ()
+    _make = classmethod(_make_through_new)
 
-    def __post_init__(self) -> None:
-        _require_positive(nu=self.nu, a=self.a, X=self.X, alpha_beta=self.alpha_beta)
+    def __new__(cls, nu: float, a: float, X: float, alpha_beta: float,
+                eps_over_alpha2: float) -> AnalyticSolution:
+        _require_positive(nu=nu, a=a, X=X, alpha_beta=alpha_beta)
+        return super().__new__(cls, nu, a, X, alpha_beta, eps_over_alpha2)
 
     @property
     def A_abs(self) -> float:
@@ -153,14 +177,20 @@ def quantization_residual(a: float, nu: float, morse: MorseParams) -> float:
 
     A root in a (together with z0 being the first root of M) enforces
     u = 0 at rho = 0 for a nodeless interior solution.  Raises ValueError,
-    naming kappa and b, when z0 lies beyond 1F1's range z <= 200.
+    naming kappa and b, when z0 lies beyond 1F1's range z <= 200, or so
+    close to 0 that M's prefactor e^(-z0/2) z0^(nu+1/2) is not a normal
+    float (see whittaker_m), where M would read as an exact root.
     """
     _require_positive(a=a, nu=nu)
     x = _boundary_z(a, morse)
     if not x <= _Z_CAP:
-        raise ValueError(f"kappa = {morse.kappa!r}, b = {morse.b!r} put X = 2a e^(kappa b) = "
-                         f"{x:.6g} at a = {a:.6g} beyond 1F1's range z <= {_Z_CAP:g}")
-    return whittaker_m(a, nu, x)
+        where = f"beyond 1F1's range z <= {_Z_CAP:g}"
+    elif x < 1.0 and not math.exp(-0.5 * x) * x ** (nu + 0.5) >= _TINY:  # whittaker_m's test
+        where = f"so near 0 that e^(-X/2) X^(nu+1/2) underflows at nu = {nu:.6g}"
+    else:
+        return whittaker_m(a, nu, x)
+    raise ValueError(f"kappa = {morse.kappa!r}, b = {morse.b!r} put X = 2a e^(kappa b) = "
+                     f"{x:.6g} at a = {a:.6g} {where}")
 
 
 def first_root(a: float, nu: float) -> float:

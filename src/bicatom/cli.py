@@ -40,17 +40,20 @@ to stderr, where ``<code>`` is one of ``usage``, ``invalid-input``,
 
 Imports
 -------
-``solve`` and ``calibrate`` need the standard library and
-analytic_solver only, and load no numpy.  ``potential``, ``fit``,
-``oracle`` and ``table1`` import bic_potential, morse_fit and
-numerov_oracle, and so numpy, when they run.
+``solve`` and ``calibrate`` load analytic_solver, roots and specfun,
+and from the standard library little beyond argparse, re and typing.
+They load no numpy, and no dataclasses, inspect or json, which would
+cost about 10 ms of each process: analytic_solver's records are
+NamedTuples, and _json_str escapes strings as json.dumps does.
+``potential``, ``fit``, ``oracle`` and ``table1`` import bic_potential,
+morse_fit and numerov_oracle, and so numpy and dataclasses, when they
+run.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import re
 import sys
 from collections.abc import Iterable, Iterator
@@ -139,7 +142,28 @@ def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]
 
 
 _JSON_NESTED = (dict, list, tuple, Iterator)
-_json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
+                 "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+# re compiles it on first use; plain printable ASCII, as in every table key, never needs it
+_JSON_UNSAFE = r'["\\]|[^ -~]'
+
+
+def _json_escape(match: re.Match) -> str:
+    c = match.group()
+    if c in _JSON_ESCAPES:
+        return _JSON_ESCAPES[c]
+    n = ord(c)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000  # past the BMP: a UTF-16 surrogate pair
+    return f"\\u{0xD800 | (n >> 10):04x}\\u{0xDC00 | (n & 0x3FF):04x}"
+
+
+def _json_str(s: str) -> str:
+    """json.dumps(s) for a str s: ASCII only, without importing json."""
+    if not (s.isascii() and s.isprintable()) or '"' in s or "\\" in s:
+        s = re.sub(_JSON_UNSAFE, _json_escape, s)
+    return '"' + s + '"'
 
 
 def _json_scalar(v) -> Optional[str]:

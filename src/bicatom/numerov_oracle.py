@@ -315,11 +315,17 @@ def _search(w: np.ndarray, alpha_beta: float, h: float, lam: float):
         raise RuntimeError("potential is nowhere attractive: no bound state")
     lam_lo = alpha_beta * w_min
     lam_hi = max(0.0, alpha_beta * float(w[-1])) - 1e-9 * max(1.0, abs(lam_lo))
-    t_max = float(_t_grid(w_max, alpha_beta, h, lam_lo))
-    if t_max >= 1.0:
-        raise RuntimeError(
-            f"h = {h:g} is too coarse at alpha_beta = {alpha_beta:g}: h^2 f/12 reaches "
-            f"{t_max:.3g} at lambda = {lam_lo:g} (Numerov needs < 1)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_max = float(_t_grid(w_max, alpha_beta, h, lam_lo))
+    if not t_max < 1.0:
+        if math.isfinite(t_max):
+            reach = f"reaches {t_max:.3g} at lambda = {lam_lo:g}"
+        elif math.isfinite(lam_lo):
+            reach = f"overflows at lambda = {lam_lo:g}"
+        else:
+            reach = f"overflows, as alpha_beta * min W does, with min W = {w_min:g}"
+        raise RuntimeError(f"h = {h:g} is too coarse at alpha_beta = {alpha_beta:g}: "
+                           f"h^2 f/12 {reach} (Numerov needs < 1)")
     t = np.empty_like(w)
     lo, hi, bound = lam_lo, lam_hi, False
     lam = min(hi, max(lo, lam)) if math.isfinite(lam) else lo

@@ -10,7 +10,8 @@ which carries the bound-state quantization condition downstream.  All
 routines work in double precision; the 1F1 series is summed by forward
 term recurrence, which is adequate for the moderate arguments used here
 (0 <= z <= 200 is enforced rather than switching to asymptotic
-expansions; M needs only z > 0).
+expansions; M also needs a z > 0 large enough that its prefactor
+e^(-z/2) z^(nu+1/2) is a normal float).
 
 Also the constant B(1/4,1/4)/4, the screened potential's depth at the
 origin, which the surrogate and its closed-form solution share.
@@ -41,6 +42,7 @@ _MAX_TERMS = 5000
 # 1F1(-45.2; 1.2; 190)
 _CANCEL_TOL = 1e-11
 _EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 class SeriesNonConvergence(RuntimeError):
@@ -114,7 +116,12 @@ def whittaker_m(a: float, nu: float, z: float) -> float:
 
     Computed through the Kummer representation.  1F1 is taken first, so
     a z beyond kummer_m's range raises its ValueError before z^(nu+1/2)
-    can overflow.
+    can overflow.  A z so small that the prefactor e^(-z/2) z^(nu+1/2)
+    is not a normal float, below 2.2e-308, raises ValueError: M would
+    come out as 0 or subnormal whatever 1F1 is.  Since z <= 200 keeps
+    e^(-z/2) >= e^-100, that needs z < 1, and it is z < 10^(-307.65 /
+    (nu + 1/2)) to within rounding, as z < 3.3e-91 at nu = 2.9; up to
+    nu = 0.45 every positive float passes.
     """
     a = float(a)
     nu = float(nu)
@@ -126,4 +133,8 @@ def whittaker_m(a: float, nu: float, z: float) -> float:
     if not z > 0.0:
         raise ValueError(f"whittaker_m requires z > 0, got {z!r}")
     m = kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, z)
-    return math.exp(-0.5 * z) * z ** (nu + 0.5) * m
+    prefactor = math.exp(-0.5 * z) * z ** (nu + 0.5)
+    if not prefactor >= _TINY:
+        raise ValueError(f"whittaker_m's prefactor e^(-z/2) z^(nu+1/2) underflows at "
+                         f"z = {z!r}, nu = {nu!r}")
+    return prefactor * m

@@ -6,8 +6,10 @@ mpmath's own whitm/hyp1f1 and findroot) before this module was written;
 eps) figures the library is expected to reproduce.
 """
 
+import copy
 import math
-from dataclasses import replace
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -71,10 +73,36 @@ class TestQuantizationResidual:
     def test_boundary_point_beyond_1f1_range_is_named(self, b):
         # X = 2a e^(kappa b) is 1.4e204 at b = 800 and overflows at 1e6;
         # the error named kummer_m and a z the caller never gave
-        morse = replace(REFERENCE_MORSE, b=b)
+        morse = REFERENCE_MORSE._replace(b=b)
         with pytest.raises(ValueError, match=rf"kappa = 0\.5852, b = {b!r} put .* "
                                              r"beyond 1F1's range z <= 200$"):
             quantization_residual(3.4, 2.9, morse)
+
+    @pytest.mark.parametrize("kappa, b, x", [
+        (0.5852, -1000.0, "4.82368e-254"), (1e308, -0.4572, "0"), (0.5852, -1e308, "0"),
+        (0.5852, -360.0, "2.18183e-91")])
+    def test_boundary_point_near_0_is_named(self, kappa, b, x):
+        # M's prefactor underflowed to 0.0, an exact root to the march, or
+        # X itself did and whittaker_m named a z the caller never gave
+        morse = REFERENCE_MORSE._replace(kappa=kappa, b=b)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"kappa = {kappa!r}, b = {b!r} put X = 2a e^(kappa b) = {x} at a = 3.4 "
+                "so near 0 that e^(-X/2) X^(nu+1/2) underflows at nu = 2.9") + "$"):
+            quantization_residual(3.4, 2.9, morse)
+        with pytest.raises(ValueError, match="underflows at nu = "):
+            solve_a(2.9, morse)
+
+    def test_boundary_point_near_0_answers_above_the_limit(self):
+        # X = 7.6e-89 at b = -350, above nu = 2.9's limit 3.3e-91: 1F1 is
+        # 1 there and M its prefactor
+        x = 6.8 * math.exp(0.5852 * -350.0)
+        got = quantization_residual(3.4, 2.9, REFERENCE_MORSE._replace(b=-350.0))
+        assert got == pytest.approx(x ** 3.4, rel=1e-12)
+
+    def test_calibrate_refuses_a_boundary_point_near_0(self):
+        # this returned nu = 5.4 with X = 8.4e-254
+        with pytest.raises(ValueError, match="b = -1000.0 put .* underflows at nu = 5.4$"):
+            calibrate_nu(-0.49973, REFERENCE_MORSE._replace(b=-1000.0))
 
 
 class TestFirstRoot:
@@ -132,7 +160,7 @@ class TestSolveA:
         # if G were -1.83: the Whittaker reduction needs G < 0
         for g in (1.83, 0.0):
             with pytest.raises(ValueError, match="G must be negative"):
-                solve_a(2.89873, replace(REFERENCE_MORSE, G=g))
+                solve_a(2.89873, REFERENCE_MORSE._replace(G=g))
 
 
 class TestObservables:
@@ -164,7 +192,7 @@ class TestObservables:
         # was silently solved as -|G|
         for g in (0.0, 1.83):
             with pytest.raises(ValueError, match="G must be negative"):
-                observables(2.6, 1.0, replace(REFERENCE_MORSE, G=g))
+                observables(2.6, 1.0, REFERENCE_MORSE._replace(G=g))
 
     def test_underflowing_alpha_beta_rejected(self):
         # alpha_beta = -kappa^2 a^2 / (2 G) is 0.0 at a = 1e-200, and eps
@@ -201,6 +229,84 @@ class TestAnalyticSolutionType:
                              alpha_beta=0.1, eps_over_alpha2=-0.5)
 
 
+SOLUTION = AnalyticSolution(nu=NU_REF, a=A_ORACLE, X=X_ORACLE, alpha_beta=AB_ORACLE,
+                            eps_over_alpha2=EPS_ORACLE)
+# each record, one field that makes it invalid, and the message that names it
+INVALID = [
+    pytest.param(REFERENCE_MORSE, {"kappa": -0.5}, "kappa must be positive", id="morse-kappa"),
+    pytest.param(REFERENCE_MORSE, {"b": math.inf}, "must be finite", id="morse-finite"),
+    pytest.param(SOLUTION, {"X": 0.0}, "X must be a positive real", id="solution-X"),
+    pytest.param(SOLUTION, {"nu": math.nan}, "nu must be a positive real", id="solution-nu"),
+]
+
+
+def _bypass(record, **fields):
+    """record's type holding ``fields`` in place of record's own, built by
+    tuple.__new__, which skips the checks, as a tampered pickle could."""
+    return tuple.__new__(type(record), [fields.get(f, v) for f, v in zip(record._fields, record)])
+
+
+# every way to make a record from one, given a copy built by _bypass
+REMAKES = {
+    "constructor": lambda record, held: type(record)(*held),
+    "keywords": lambda record, held: type(record)(**held._asdict()),
+    "_replace": lambda record, held: record._replace(**held._asdict()),
+    "_make": lambda record, held: type(record)._make(held),
+    "copy": lambda record, held: copy.copy(held),
+    "deepcopy": lambda record, held: copy.deepcopy(held),
+    **{f"pickle-{protocol}": (lambda record, held, protocol=protocol:
+                              pickle.loads(pickle.dumps(held, protocol)))
+       for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+class TestRecords:
+    """MorseParams and AnalyticSolution are immutable, validated records."""
+
+    @pytest.mark.parametrize("path", list(REMAKES))
+    @pytest.mark.parametrize("record, fields, message", INVALID)
+    def test_every_construction_path_validates(self, path, record, fields, message):
+        with pytest.raises(ValueError, match=message):
+            REMAKES[path](record, _bypass(record, **fields))
+
+    @pytest.mark.parametrize("path", list(REMAKES))
+    @pytest.mark.parametrize("record", [REFERENCE_MORSE, SOLUTION], ids=["morse", "solution"])
+    def test_every_construction_path_keeps_a_valid_record(self, path, record):
+        got = REMAKES[path](record, _bypass(record))
+        assert type(got) is type(record) and got == record
+
+    def test_repr_is_the_field_list(self):
+        # the text that the earlier dataclass records printed
+        assert repr(REFERENCE_MORSE) == "MorseParams(G=-1.83, V0=0.09805, kappa=0.5852, b=-0.4572)"
+        assert repr(SOLUTION) == (
+            "AnalyticSolution(nu=2.89873, a=4.41442436004627, X=6.75627149122248, "
+            "alpha_beta=1.8233737948405, eps_over_alpha2=-0.499732968097427)")
+        assert repr(MorseParams(np.float64(-1.0), 0, 0.5, -0.5)) == (
+            "MorseParams(G=np.float64(-1.0), V0=0, kappa=0.5, b=-0.5)")
+
+    def test_fields_and_derived_values(self):
+        assert MorseParams._fields == ("G", "V0", "kappa", "b")
+        assert AnalyticSolution._fields == ("nu", "a", "X", "alpha_beta", "eps_over_alpha2")
+        assert SOLUTION.A_abs == 0.5 * A_ORACLE ** 2
+        assert SOLUTION.E == -0.5 * NU_REF ** 2
+
+    def test_equality_and_hash_by_value(self):
+        twin = MorseParams(G=-1.8300, V0=0.09805, kappa=0.58520, b=-0.45720)
+        assert twin == REFERENCE_MORSE and twin is not REFERENCE_MORSE
+        assert hash(twin) == hash(REFERENCE_MORSE)
+        assert REFERENCE_MORSE._replace(b=0.0) != REFERENCE_MORSE
+        assert len({REFERENCE_MORSE, twin, SOLUTION, SOLUTION._replace()}) == 2
+
+    @pytest.mark.parametrize("record", [REFERENCE_MORSE, SOLUTION], ids=["morse", "solution"])
+    def test_fields_cannot_be_set(self, record):
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+        with pytest.raises(AttributeError):
+            record.A_abs = 1.0
+        assert not hasattr(record, "__dict__")
+
+
 class TestModelConstants:
     # a function kept for the benchmark's worker, which still calls it
     def test_defaults(self):
@@ -208,7 +314,7 @@ class TestModelConstants:
         assert "ModelConstants" not in analytic_solver.__all__
 
     def test_returns_its_well_and_the_same_bits(self):
-        m = replace(REFERENCE_MORSE, G=-2.0, b=0.1)  # V0 + B/4 + G = -0.048
+        m = REFERENCE_MORSE._replace(G=-2.0, b=0.1)  # V0 + B/4 + G = -0.048
         assert analytic_solver.ModelConstants(morse=m) is m
         for morse in (m, REFERENCE_MORSE):
             shim = analytic_solver.ModelConstants(morse=morse)
@@ -305,7 +411,7 @@ class TestCalibrateNu:
 
     def test_refuses_a_well_with_a_zero_asymptote(self):
         # V0 + B/4 + G = 0.0 exactly; the march is proved only above 0
-        well = replace(REFERENCE_MORSE, G=-2.0, V0=2.0 - QUARTER_BETA)
+        well = REFERENCE_MORSE._replace(G=-2.0, V0=2.0 - QUARTER_BETA)
         assert well.V0 + QUARTER_BETA + well.G == 0.0
         with pytest.raises(RuntimeError, match=r"^V0 \+ B/4 \+ G = 0\.0 is not above 0"):
             calibrate_nu(-0.49973, well)

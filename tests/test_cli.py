@@ -11,6 +11,7 @@ import io
 import json
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -567,6 +568,43 @@ def test_boundary_point_beyond_1f1_range_names_kappa_and_b(capsys, argv, detail)
     assert err == f"error:invalid-input: {detail}\n"
 
 
+NEAR_0 = "so near 0 that e^(-X/2) X^(nu+1/2) underflows at nu = "
+
+
+@pytest.mark.parametrize("argv, detail", [
+    # M's prefactor underflowed to 0.0, which the march took for an exact
+    # root: solve printed a = 3.4 and calibrate nu = 5.4, and both exited 0
+    (["solve", "--nu", "2.9", "--b", "-1000", "--format", "csv"],
+     "kappa = 0.5852, b = -1000.0 put X = 2a e^(kappa b) = 4.82368e-254 at a = 3.4 "
+     + NEAR_0 + "2.9"),
+    (["calibrate", "--b", "-1000"],
+     "kappa = 0.5852, b = -1000.0 put X = 2a e^(kappa b) = 8.40689e-254 at a = 5.92565 "
+     + NEAR_0 + "5.4"),
+    # e^(kappa b) underflowed to 0: these said "whittaker_m requires z > 0, got 0.0"
+    (["solve", "--nu", "2.9", "--kappa", "1e308"],
+     "kappa = 1e+308, b = -0.4572 put X = 2a e^(kappa b) = 0 at a = 3.4 " + NEAR_0 + "2.9"),
+    (["solve", "--nu", "2.9", "--b", "-1e308"],
+     "kappa = 0.5852, b = -1e+308 put X = 2a e^(kappa b) = 0 at a = 3.4 " + NEAR_0 + "2.9"),
+])
+def test_boundary_point_near_0_names_kappa_and_b(capsys, argv, detail):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error:invalid-input: {detail}\n"
+
+
+def test_json_str_is_json_dumps():
+    # cli escapes its strings itself, so that solve and calibrate import no
+    # json: ASCII only, \uXXXX escapes and surrogate pairs past U+FFFF
+    chars = [chr(n) for n in range(sys.maxunicode + 1)]  # lone surrogates included
+    assert [c for c in chars if cli._json_str(c) != json.dumps(c)] == []
+    for s in ("", "rho", "eps_over_alpha2", 'a "b" \\ c/d', "tab\there\x7f\x80",
+              "\ud83d\ude00 \U0001f600 \udfff\ud800", "".join(chars[:0x3000])):
+        assert cli._json_str(s) == json.dumps(s)
+
+
 def test_unknown_format_usage_error(capsys):
     code, out, err = run_cli(capsys, ["solve", "--nu", "2.9", "--format", "yaml"])
     assert code == 2
@@ -708,6 +746,24 @@ def test_oracle_ritz_overflow_is_too_coarse(capsys):
     assert out == ""
     assert err.startswith("error:computation-failed: h = 0.001 is too coarse")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, min_w", [
+    # this printed "h^2 f/12 reaches inf at lambda = -inf"
+    (["oracle", "--potential", "coulomb", "--alpha-beta", "1e308"], "-1000"),
+    # alpha_beta * max W overflows as well: a RuntimeWarning, and a
+    # traceback under warnings-as-errors
+    (["oracle", "--potential", "morse", "--alpha-beta", "1e308", "--V0", "100"], "-101.753"),
+])
+def test_oracle_overflowing_floor_prints_no_inf(capsys, argv, min_w):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == ("error:computation-failed: h = 0.001 is too coarse at alpha_beta = "
+                   "1e+308: h^2 f/12 overflows, as alpha_beta * min W does, with "
+                   f"min W = {min_w} (Numerov needs < 1)\n")
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])

@@ -428,6 +428,15 @@ class TestSearch:
         pytest.param(coulomb, 1e200, 1e-3,
                      "h = 0.001 is too coarse at alpha_beta = 1e+200: h^2 f/12 reaches "
                      "1.67e+196 at lambda = -1e+203 (Numerov needs < 1)", id="ritz-overflow"),
+        # alpha_beta * min W overflows: this said "reaches inf at lambda = -inf"
+        pytest.param(coulomb, 1e308, 1e-3,
+                     "h = 0.001 is too coarse at alpha_beta = 1e+308: h^2 f/12 overflows, "
+                     "as alpha_beta * min W does, with min W = -1000 (Numerov needs < 1)",
+                     id="floor-overflow"),
+        # alpha_beta * min W is finite, alpha_beta * max W overflows
+        pytest.param(lambda r: np.where(r < 1.0, -1.0, 1e10), 1e300, 1e-3,
+                     "h = 0.001 is too coarse at alpha_beta = 1e+300: h^2 f/12 overflows "
+                     "at lambda = -1e+300 (Numerov needs < 1)", id="step-overflow"),
         pytest.param(lambda r: 1.0 / r, 1.0, 1e-3,
                      "potential is nowhere attractive: no bound state", id="repulsive"),
         pytest.param(lambda r: -0.01 * np.exp(-r * r), 1.0, 1e-3,

@@ -44,8 +44,6 @@ above 0.  On the one tested, solve's printed eps/alpha^2 = +0.1178635667
 and Numerov's agree to 5.8e-14, under the bound 1e-10.
 """
 
-from dataclasses import replace
-
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -102,7 +100,7 @@ def test_routes_agree_on_fitted_surrogates(nu, rho_max):
 @pytest.mark.parametrize("b", [0.0, 0.4572])
 @pytest.mark.parametrize("nu", [1.0, 2.0, 2.89873, 5.0, 8.0])
 def test_routes_agree_on_wells_at_and_past_the_origin(nu, b):
-    assert route_gap(nu, replace(REFERENCE_MORSE, b=b)) <= SHIFTED_ROUTE_GAP
+    assert route_gap(nu, REFERENCE_MORSE._replace(b=b)) <= SHIFTED_ROUTE_GAP
 
 
 # integer nu puts a = nu + 1/2 on solve_a's 0.1 grid; 2.89873, 3.6 and 5.55 do not
@@ -110,13 +108,13 @@ def test_routes_agree_on_wells_at_and_past_the_origin(nu, b):
 @pytest.mark.parametrize("nu", [1.0, 2.0, 2.89873, 3.0, 3.6, 4.0, 5.0, 5.55, 6.0, 7.0, 8.0,
                                 9.0])
 def test_routes_agree_on_wells_far_from_the_origin(nu, b):
-    assert route_gap(nu, replace(REFERENCE_MORSE, b=b)) <= SHIFTED_ROUTE_GAP
+    assert route_gap(nu, REFERENCE_MORSE._replace(b=b)) <= SHIFTED_ROUTE_GAP
 
 
 @pytest.mark.parametrize("b", [1.25, 1.5])
 @pytest.mark.parametrize("target", [-0.8, -0.49973, -0.3])
 def test_calibration_agrees_on_wells_far_past_the_origin(target, b):
-    morse = replace(REFERENCE_MORSE, b=b)
+    morse = REFERENCE_MORSE._replace(b=b)
     whittaker = calibrate_nu(target, morse)
     numerov = ground_state(RadialProblem(potential=lambda rho: morse_w(morse, rho),
                                          alpha_beta=whittaker.alpha_beta, h=1e-3))

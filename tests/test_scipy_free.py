@@ -8,6 +8,7 @@ scipy.optimize.brentq and must return the same bits.
 ``import bicatom`` and the CLI's ``solve`` and ``calibrate`` load the
 standard library and specfun, roots and analytic_solver only: the
 package's names, and the CLI's numpy-backed ones, resolve on first access.
+``solve`` and ``calibrate`` load no dataclasses, inspect or json either.
 ``import bicatom.numerov_oracle`` loads numpy but not numpy.polynomial,
 whose import alone costs milliseconds in every oracle and table1 process,
 and it builds no quadrature rule until a ground state needs one.
@@ -119,14 +120,19 @@ def test_oracle_import_loads_no_polynomial_module_and_builds_no_rule():
     assert proc.stdout == "[]\n0\n", proc.stderr
 
 
-# python -m bicatom ARGS, then whether numpy was loaded, on the last line
-RUN_CLI = """
+# modules that the closed-form route does not run: numpy, and the
+# dataclasses (with the inspect it imports) and json that cost about 10 ms
+# of every solve process
+UNLOADED = ("numpy", "dataclasses", "inspect", "json")
+
+# python -m bicatom ARGS, then which of UNLOADED were loaded, on the last line
+RUN_CLI = f"""
 import runpy, sys
 try:
     runpy.run_module("bicatom", run_name="__main__")
 except SystemExit as exc:
     print("exit", exc.code)
-print("numpy" in sys.modules)
+print([m for m in {UNLOADED!r} if m in sys.modules])
 """
 
 
@@ -141,13 +147,14 @@ def _tracer_targets():
 
 
 def test_analytic_route_loads_no_numpy():
+    # nor dataclasses, inspect or json: see UNLOADED
     out = _python("import sys, bicatom; print('numpy' in sys.modules)").stdout
     assert out == "False\n"
     for args, code in ((["solve", "--nu", "2.89873"], 0), (["calibrate"], 0),
                        (["solve", "--nu", "2.9", "--b", "800"], 2)):
         proc = _python(RUN_CLI, *args)
         lines = proc.stdout.splitlines()
-        assert lines[-2:] == [f"exit {code}", "False"], (args, proc.stderr)
+        assert lines[-2:] == [f"exit {code}", "[]"], (args, proc.stderr)
     # every lazy name resolves, and so does every attribute the tracer
     # replaces: a span's paths, the CLI's included, to one library object
     targets = _tracer_targets()

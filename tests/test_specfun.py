@@ -6,8 +6,12 @@ here; they are independent of the implementation under test.
 """
 
 import math
+import re
+import sys
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 import bicatom.specfun
 from bicatom.specfun import SeriesNonConvergence, kummer_m, whittaker_m
@@ -120,3 +124,35 @@ class TestWhittaker:
     def test_non_finite_a(self, a):
         with pytest.raises(ValueError, match="finite a"):
             whittaker_m(a, 1.0, 1.0)
+
+    @pytest.mark.parametrize("a, nu, z", [
+        (3.4, 2.9, 4.823675709e-254),  # solve --nu 2.9 --b -1000 read this as a root
+        (3.4, 2.9, 3.2e-91),           # just below the limit at nu = 2.9
+        (1.0, 0.5, 1e-308),            # z^1 subnormal
+        (1.0, 10.0, 5e-324),           # the smallest positive float
+    ])
+    def test_underflowing_prefactor_refused(self, a, nu, z):
+        # M came out as 0.0 or subnormal, whatever 1F1 was
+        want = f"whittaker_m's prefactor e^(-z/2) z^(nu+1/2) underflows at z = {z!r}, nu = {nu!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            whittaker_m(a, nu, z)
+
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+    @seed(3207)
+    @given(st.floats(0.0, 20.0, exclude_min=True), st.floats(0.0, 1.0),
+           st.one_of(st.floats(5e-324, 200.0),
+                     st.floats(-323.3, 2.3).map(lambda e: 10.0 ** e)))
+    @example(2.9, 1.0, 3.2653131158535e-91)
+    @example(2.9, 1.0, 3.2653131158536e-91)
+    @example(0.4, 0.0, 5e-324)
+    def test_no_zero_or_subnormal_from_the_prefactor(self, nu, share, z):
+        # with a <= nu + 1/2 every series term is positive and 1F1 >= 1,
+        # so M is at least its prefactor: M is a normal float or refused
+        a = share * (nu + 0.5)
+        prefactor = math.exp(-0.5 * z) * z ** (nu + 0.5)
+        try:
+            m = whittaker_m(a, nu, z)
+        except ValueError:
+            assert prefactor < sys.float_info.min
+        else:
+            assert m >= prefactor >= sys.float_info.min

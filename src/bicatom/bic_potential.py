@@ -279,7 +279,7 @@ def born_phi(r: float) -> float:
             + integrate(_born_integrand, 0.0, 1.0))
 
 
-def tabulate(kind: PotentialKind, rho_min: float, rho_max: float, n: int) -> PotentialTable:
+def tabulate(kind: PotentialKind | str, rho_min: float, rho_max: float, n: int) -> PotentialTable:
     """Exact W at n uniform grid points on [rho_min, rho_max], n integral in [2, 1e6].
 
     kind is PotentialKind.EXACT_BIC or its value "bic"; any other kind

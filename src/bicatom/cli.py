@@ -30,7 +30,10 @@ Output conventions
 Every float is printed with ten significant digits (``%.10g``).  The
 computation is fully deterministic, so repeated runs of the same command
 produce byte-identical output.  CSV output always includes a header row;
-JSON output always carries a top-level ``"schema": 1`` marker.  All
+JSON output always carries a top-level ``"schema": 1`` marker, then
+scalars, flat records and at most one list of flat records (``rows``).
+Every key and string printed is a constant of printable ASCII with no
+``"`` or ``\\``, so it is quoted as it is, with no escaping.  All
 failures exit nonzero after printing a single line
 
     error:<code>: <detail>
@@ -44,7 +47,8 @@ Imports
 and from the standard library little beyond argparse, re and typing.
 They load no numpy, and no dataclasses, inspect or json, which would
 cost about 10 ms of each process: analytic_solver's records are
-NamedTuples, and _json_str escapes strings as json.dumps does.
+NamedTuples, and _json_chunks writes the few fixed shapes of JSON that
+the subcommands print.
 ``potential``, ``fit``, ``oracle`` and ``table1`` import bic_potential,
 morse_fit and numerov_oracle, and so numpy and dataclasses, when they
 run.
@@ -57,7 +61,6 @@ import importlib
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from .analytic_solver import (REFERENCE_MORSE, MorseParams, calibrate_nu,
@@ -67,8 +70,7 @@ from .analytic_solver import (REFERENCE_MORSE, MorseParams, calibrate_nu,
 # when potential, fit, oracle or table1 runs, or on first attribute access
 # (such as a test's monkeypatch), so solve and calibrate import no numpy.
 _NUMERIC = {
-    "bic_potential": ("FINE_STRUCTURE_ALPHA", "UNIT_CONVENTIONS",
-                      "PotentialKind", "tabulate"),
+    "bic_potential": ("FINE_STRUCTURE_ALPHA", "UNIT_CONVENTIONS", "tabulate"),
     "morse_fit": ("FitConfig", "fit", "morse_w"),
     "numerov_oracle": ("RadialProblem", "bic_interpolator", "ground_state"),
 }
@@ -122,8 +124,17 @@ class _Parser(argparse.ArgumentParser):
 # formatting helpers
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".10g")
+def _scalar(v) -> str:
+    """JSON text of a scalar: %.10g for a float, a str quoted as it is."""
+    if isinstance(v, float):  # numpy's float64 included
+        return format(float(v), ".10g")
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if v is None:
+        return "null"
+    return f'"{v}"'
 
 
 def _cell(v) -> str:
@@ -132,7 +143,7 @@ def _cell(v) -> str:
         return ""
     if isinstance(v, str):
         return v
-    return _json_scalar(v)
+    return _scalar(v)
 
 
 def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
@@ -141,74 +152,29 @@ def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]
         yield ",".join(_cell(v) for v in row) + "\n"
 
 
-_JSON_NESTED = (dict, list, tuple, Iterator)
-_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
-                 "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-# re compiles it on first use; plain printable ASCII, as in every table key, never needs it
-_JSON_UNSAFE = r'["\\]|[^ -~]'
+def _object(record: dict, pad: str) -> str:
+    """JSON text of a flat record, one field a line, its brace closed at pad."""
+    fields = ",\n".join(f'{pad}  "{k}": {_scalar(v)}' for k, v in record.items())
+    return f"{{\n{fields}\n{pad}}}"
 
 
-def _json_escape(match: re.Match) -> str:
-    c = match.group()
-    if c in _JSON_ESCAPES:
-        return _JSON_ESCAPES[c]
-    n = ord(c)
-    if n < 0x10000:
-        return f"\\u{n:04x}"
-    n -= 0x10000  # past the BMP: a UTF-16 surrogate pair
-    return f"\\u{0xD800 | (n >> 10):04x}\\u{0xDC00 | (n & 0x3FF):04x}"
-
-
-def _json_str(s: str) -> str:
-    """json.dumps(s) for a str s: ASCII only, without importing json."""
-    if not (s.isascii() and s.isprintable()) or '"' in s or "\\" in s:
-        s = re.sub(_JSON_UNSAFE, _json_escape, s)
-    return '"' + s + '"'
-
-
-def _json_scalar(v) -> Optional[str]:
-    """JSON text of a scalar; None for a dict, list, tuple or iterator."""
-    if isinstance(v, float):  # numpy's float64 included
-        return _fmt_float(v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if v is None:
-        return "null"
-    if isinstance(v, _JSON_NESTED):
-        return None
-    return _json_str(str(v))
-
-
-def _json_chunks(v, indent: int) -> Iterator[str]:
-    """JSON text of v in pieces; a list may also be given as an iterator.
-
-    A dict of scalars (a table row) is one piece.
-    """
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(v, dict):
-        values = [_json_scalar(u) for u in v.values()]
-        if values and None not in values:
-            fields = [f"{inner}{_json_str(str(k))}: {t}" for k, t in zip(v, values)]
-            yield "{\n" + ",\n".join(fields) + "\n" + pad + "}"
-            return
-        empty = True
-        for k, u in v.items():
-            yield ("{\n" if empty else ",\n") + f"{inner}{_json_str(str(k))}: "
-            yield from _json_chunks(u, indent + 2)
-            empty = False
-        yield "{}" if empty else "\n" + pad + "}"
-    elif isinstance(v, _JSON_NESTED):
-        empty = True
-        for u in v:
-            yield ("[\n" if empty else ",\n") + inner
-            yield from _json_chunks(u, indent + 2)
-            empty = False
-        yield "[]" if empty else "\n" + pad + "]"
-    else:
-        yield _json_scalar(v)
+def _json_chunks(fields: dict) -> Iterator[str]:
+    """JSON text of fields; a non-empty list or iterator of flat records streams by record."""
+    sep = "{\n"
+    for k, v in fields.items():
+        yield f'{sep}  "{k}": '
+        sep = ",\n"
+        if isinstance(v, dict):
+            yield _object(v, "  ")
+        elif isinstance(v, (list, Iterator)):
+            row_sep = "[\n    "
+            for row in v:
+                yield row_sep + _object(row, "    ")
+                row_sep = ",\n    "
+            yield "\n  ]"
+        else:
+            yield _scalar(v)
+    yield "\n}\n"
 
 
 def _emit(chunks: Iterable[str], path: Optional[str]) -> None:
@@ -227,8 +193,7 @@ def _write(args: argparse.Namespace, command: str, fields: dict,
     command, **fields}, or CSV of header and rows (fields as one row when
     neither is given)."""
     if args.format == "json":
-        chunks = chain(_json_chunks({"schema": 1, "command": command, **fields}, 0),
-                       ("\n",))
+        chunks = _json_chunks({"schema": 1, "command": command, **fields})
     elif header is None:
         chunks = _csv_lines(tuple(fields), [tuple(fields.values())])
     else:
@@ -251,8 +216,7 @@ def _morse_from(args: argparse.Namespace) -> MorseParams:
 
 def _run_potential(args: argparse.Namespace) -> int:
     _numeric()
-    table = tabulate(PotentialKind.EXACT_BIC, args.rho_min, args.rho_max,
-                     args.points)
+    table = tabulate("bic", args.rho_min, args.rho_max, args.points)
     rho = table.rho_grid
     w = table.values
     rows = zip(rho, -w * rho, w)  # one pass, by whichever format is written
@@ -269,30 +233,25 @@ def _run_potential(args: argparse.Namespace) -> int:
 
 def _run_fit(args: argparse.Namespace) -> int:
     _numeric()
-    table = tabulate(PotentialKind.EXACT_BIC, args.rho_min, args.rho_max,
-                     args.samples)
+    table = tabulate("bic", args.rho_min, args.rho_max, args.samples)
     report = fit(table, FitConfig(rho_min=args.rho_min, rho_max=args.rho_max))
     p = report.params
+    if args.residuals_out is not None:  # first, so a bad path prints no report
+        rho, w_exact = table.rho_grid, table.values
+        w_morse = morse_w(p, rho)
+        _emit(_csv_lines(("rho", "W_exact", "W_morse", "residual"),
+                         zip(rho, w_exact, w_morse, w_exact - w_morse)),
+              args.residuals_out)
+    scores = {"rms_residual": report.rms_residual,
+              "max_abs_residual": report.max_abs_residual,
+              "iterations": report.iterations,
+              "converged": report.converged}
     _write(args, "fit", {
-        "params": {"G": p.G, "V0": p.V0, "kappa": p.kappa, "b": p.b},
-        "rms_residual": report.rms_residual,
-        "max_abs_residual": report.max_abs_residual,
-        "iterations": report.iterations,
-        "converged": report.converged,
+        "params": p._asdict(),
+        **scores,
         "window": {"rho_min": args.rho_min, "rho_max": args.rho_max,
                    "samples": args.samples},
-    }, ("G", "V0", "kappa", "b", "rms_residual", "max_abs_residual",
-        "iterations", "converged"),
-        [(p.G, p.V0, p.kappa, p.b, report.rms_residual,
-          report.max_abs_residual, report.iterations, report.converged)])
-    if args.residuals_out is not None:
-        rho = table.rho_grid
-        w_exact = table.values
-        w_surrogate = morse_w(p, rho)
-        resid = w_exact - w_surrogate
-        _emit(_csv_lines(("rho", "W_exact", "W_morse", "residual"),
-                         zip(rho, w_exact, w_surrogate, resid)),
-              args.residuals_out)
+    }, p._fields + tuple(scores), [(*p, *scores.values())])
     return 0
 
 

@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bic_potential import _MAX_POINTS, PotentialKind, tabulate
+from .bic_potential import _MAX_POINTS, tabulate
 from .spectral import ritz_lowest
 
 __all__ = [
@@ -489,5 +489,5 @@ def bic_interpolator(rho_max: float = 40.0):
 @lru_cache(maxsize=4)
 def _bic_spline(rho_max: float) -> _HermiteCubic:
     n = max(math.ceil(_KNOTS_PER_UNIT * rho_max), 4) + 1
-    table = tabulate(PotentialKind.EXACT_BIC, 0.0, (n - 1) / _KNOTS_PER_UNIT, n)
+    table = tabulate("bic", 0.0, (n - 1) / _KNOTS_PER_UNIT, n)
     return _HermiteCubic(table.values)

@@ -11,7 +11,8 @@ routines work in double precision; the 1F1 series is summed by forward
 term recurrence, which is adequate for the moderate arguments used here
 (0 <= z <= 200 is enforced rather than switching to asymptotic
 expansions; M also needs a z > 0 large enough that its prefactor
-e^(-z/2) z^(nu+1/2) is a normal float).
+e^(-z/2) z^(nu+1/2) is a normal float, and M and z^(nu+1/2) below the
+largest float).
 
 Also the constant B(1/4,1/4)/4, the screened potential's depth at the
 origin, which the surrogate and its closed-form solution share.
@@ -121,7 +122,9 @@ def whittaker_m(a: float, nu: float, z: float) -> float:
     come out as 0 or subnormal whatever 1F1 is.  Since z <= 200 keeps
     e^(-z/2) >= e^-100, that needs z < 1, and it is z < 10^(-307.65 /
     (nu + 1/2)) to within rounding, as z < 3.3e-91 at nu = 2.9; up to
-    nu = 0.45 every positive float passes.
+    nu = 0.45 every positive float passes.  An M beyond the largest
+    float raises ValueError too, as does z^(nu+1/2) alone past it: that is
+    nu + 1/2 > 709.78 / ln z, as nu > 133.5 at z = 200.
     """
     a = float(a)
     nu = float(nu)
@@ -133,8 +136,15 @@ def whittaker_m(a: float, nu: float, z: float) -> float:
     if not z > 0.0:
         raise ValueError(f"whittaker_m requires z > 0, got {z!r}")
     m = kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, z)
-    prefactor = math.exp(-0.5 * z) * z ** (nu + 0.5)
+    try:
+        prefactor = math.exp(-0.5 * z) * z ** (nu + 0.5)
+    except OverflowError:  # z^(nu+1/2) past the largest float
+        prefactor = math.inf
     if not prefactor >= _TINY:
         raise ValueError(f"whittaker_m's prefactor e^(-z/2) z^(nu+1/2) underflows at "
                          f"z = {z!r}, nu = {nu!r}")
-    return prefactor * m
+    value = prefactor * m
+    if not math.isfinite(value):
+        raise ValueError(f"whittaker_m overflows at a = {a!r}, nu = {nu!r}, z = {z!r}: "
+                         f"M is not a finite float")
+    return value

@@ -11,7 +11,6 @@ import io
 import json
 import math
 import re
-import sys
 import tracemalloc
 import warnings
 
@@ -179,6 +178,18 @@ def test_fit_residuals_csv(capsys, tmp_path):
     assert abs(max_resid - doc["max_abs_residual"]) < 1e-9
     for r in rows[:5]:
         assert abs(float(r[1]) - float(r[2]) - float(r[3])) < 1e-9
+
+
+def test_fit_unwritable_residuals_print_no_report(capsys):
+    # the report was printed before the residuals file failed to open
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["fit", "--residuals-out",
+                                          "/nonexistent/dir/r.csv"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:io-error: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_fit_csv_format(capsys):
@@ -595,16 +606,6 @@ def test_boundary_point_near_0_names_kappa_and_b(capsys, argv, detail):
     assert err == f"error:invalid-input: {detail}\n"
 
 
-def test_json_str_is_json_dumps():
-    # cli escapes its strings itself, so that solve and calibrate import no
-    # json: ASCII only, \uXXXX escapes and surrogate pairs past U+FFFF
-    chars = [chr(n) for n in range(sys.maxunicode + 1)]  # lone surrogates included
-    assert [c for c in chars if cli._json_str(c) != json.dumps(c)] == []
-    for s in ("", "rho", "eps_over_alpha2", 'a "b" \\ c/d', "tab\there\x7f\x80",
-              "\ud83d\ude00 \U0001f600 \udfff\ud800", "".join(chars[:0x3000])):
-        assert cli._json_str(s) == json.dumps(s)
-
-
 def test_unknown_format_usage_error(capsys):
     code, out, err = run_cli(capsys, ["solve", "--nu", "2.9", "--format", "yaml"])
     assert code == 2
@@ -625,11 +626,13 @@ def test_oracle_checks_grid_before_building_spline(capsys, monkeypatch):
     assert err.startswith("error:invalid-input:")
 
 
-# Full stdout of five commands: the first three recorded before the CLI's
+# Full stdout of ten commands: the first three recorded before the CLI's
 # argument layer and the units record were simplified, table1 and the
-# Coulomb oracle before B(1/4,1/4)/4 became a literal; any change to a
-# printed digit or to the layout shows here.  The oracle's iterations
-# went from 6 to 2 when the search began from a Ritz eigenvalue.
+# Coulomb oracle before B(1/4,1/4)/4 became a literal, the last five
+# before the JSON writer was cut down to the shapes printed; any change
+# to a printed digit or to the layout shows here.  The oracle's
+# iterations went from 6 to 2 when the search began from a Ritz
+# eigenvalue.
 GOLDEN = {
     ("solve", "--nu", "2.89873"): """\
 {
@@ -713,7 +716,82 @@ empirical,0.49973,,0.4997329681,,true
   "grid_points": 40001
 }
 """,
+    ("fit",): """\
+{
+  "schema": 1,
+  "command": "fit",
+  "params": {
+    "G": -1.830220338,
+    "V0": 0.09617861371,
+    "kappa": 0.5838988432,
+    "b": -0.4569895455
+  },
+  "rms_residual": 0.008807900635,
+  "max_abs_residual": 0.01276684322,
+  "iterations": 4,
+  "converged": true,
+  "window": {
+    "rho_min": 0,
+    "rho_max": 10,
+    "samples": 200
+  }
 }
+""",
+    ("fit", "--format", "csv"): """\
+G,V0,kappa,b,rms_residual,max_abs_residual,iterations,converged
+-1.830220338,0.09617861371,0.5838988432,-0.4569895455,0.008807900635,0.01276684322,4,true
+""",
+    ("potential", "--points", "5"): """\
+rho,Z,W
+0,0,-1.854074677
+2.5,1.765859664,-0.7063438657
+5,1.378548301,-0.2757096602
+7.5,1.221227354,-0.1628303138
+10,1.154192179,-0.1154192179
+""",
+    ("oracle", "--potential", "morse", "--alpha-beta", "1.8", "--format", "csv"): """\
+potential,alpha_beta,rho_max,h,lambda,eps_over_alpha2,node_count,iterations,grid_points
+morse,1.8,40,0.001,-1.63337524,-0.5041281606,0,1,40001
+""",
+    ("table1", "--format", "json"): """\
+{
+  "schema": 1,
+  "command": "table1",
+  "rows": [
+    {
+      "row": "morse-analytic",
+      "minus_eps_over_alpha2": 0.4997329681,
+      "alpha_beta": 1.823373795,
+      "ref_minus_eps_over_alpha2": 0.4997331195,
+      "ref_alpha_beta": 1.823373498,
+      "pass": true
+    },
+    {
+      "row": "bic-numerov",
+      "minus_eps_over_alpha2": 0.5000002578,
+      "alpha_beta": 1.83297,
+      "ref_minus_eps_over_alpha2": 0.5,
+      "ref_alpha_beta": 1.83297,
+      "pass": true
+    },
+    {
+      "row": "empirical",
+      "minus_eps_over_alpha2": 0.49973,
+      "alpha_beta": null,
+      "ref_minus_eps_over_alpha2": 0.4997329681,
+      "ref_alpha_beta": null,
+      "pass": true
+    }
+  ]
+}
+""",
+}
+
+
+def golden_id(argv):
+    # a command's first entry is named by the command alone
+    first = next(key for key in GOLDEN if key[0] == argv[0])
+    return argv[0] if argv == first else "-".join(a.lstrip("-") for a in argv)
 
 
 def test_oracle_rejects_box_truncated_state(capsys):
@@ -766,12 +844,49 @@ def test_oracle_overflowing_floor_prints_no_inf(capsys, argv, min_w):
                    f"min W = {min_w} (Numerov needs < 1)\n")
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=golden_id)
 def test_golden_output(capsys, argv):
     code, out, err = run_cli(capsys, list(argv))
     assert code == 0
     assert err == ""
     assert out == GOLDEN[argv]
+
+
+def json_strings(v):
+    """Every key and string value in a parsed JSON document."""
+    if isinstance(v, dict):
+        for k, u in v.items():
+            yield k
+            yield from json_strings(u)
+    elif isinstance(v, list):
+        for u in v:
+            yield from json_strings(u)
+    elif isinstance(v, str):
+        yield v
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "--points", "3"],
+    ["fit"],
+    ["solve", "--nu", "2.89873"],
+    ["calibrate"],
+    ["oracle", "--potential", "coulomb", "--alpha-beta", "1"],
+    ["oracle", "--potential", "morse", "--alpha-beta", "1.8"],
+    ["oracle", "--potential", "bic", "--alpha-beta", "1.83297"],
+    ["table1"],
+], ids=lambda argv: "-".join(argv[:3:2]))
+def test_json_needs_no_escaping(capsys, argv):
+    # the CLI quotes its strings as they are: each must be printable
+    # ASCII with no quote or backslash for that to be JSON
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["schema"] == 1
+    assert doc["command"] == argv[0]
+    for text in json_strings(doc):
+        assert text.isascii() and text.isprintable(), text
+        assert '"' not in text and "\\" not in text, text
 
 
 # The error contract under extreme inputs: any mix of ordinary and extreme

@@ -8,6 +8,7 @@ here; they are independent of the implementation under test.
 import math
 import re
 import sys
+import warnings
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -156,3 +157,38 @@ class TestWhittaker:
             assert prefactor < sys.float_info.min
         else:
             assert m >= prefactor >= sys.float_info.min
+
+    @pytest.mark.parametrize("a, nu, z", [
+        (1.0, 139.5, 200.0),   # z^(nu+1/2) overflowed: OverflowError; mpmath M = 1.46e329
+        (1.0, 1e6, 2.0),       # the same, at a small z; mpmath M = 1.40e301030
+        (-100.0, 130.0, 200.0),  # returned inf; mpmath M = 1.05e336
+        (1.0, 133.0, 200.0),   # the prefactor is finite, M = 3.24e314 is not
+    ])
+    def test_overflow_refused(self, a, nu, z):
+        want = (f"whittaker_m overflows at a = {a!r}, nu = {nu!r}, z = {z!r}: "
+                "M is not a finite float")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                whittaker_m(a, nu, z)
+
+    @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+    @seed(3301)
+    @given(st.floats(-60.0, 60.0), st.floats(0.0, 1e6, exclude_min=True),
+           st.floats(0.0, 200.0, exclude_min=True))
+    @example(1.0, 139.5, 200.0)
+    @example(-100.0, 130.0, 200.0)
+    @example(2.0, 133.0, 200.0)
+    def test_finite_or_refused(self, a, nu, z):
+        # M is a finite float, with the bits of the prefactor times 1F1,
+        # or a ValueError or SeriesNonConvergence: never inf, never
+        # OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                m = whittaker_m(a, nu, z)
+            except (ValueError, SeriesNonConvergence):
+                return
+        assert math.isfinite(m)
+        series = kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, z)
+        assert m == math.exp(-0.5 * z) * z ** (nu + 0.5) * series

@@ -140,17 +140,24 @@ def _level_gap(q, w, s):
 
     Third divided differences D in q vanish on 1, q and q^2, so E =
     -D[w]/D[s] on each 4 samples; for monotone q and alternating s the
-    terms of D[s] share one sign.  q holds 5 floats, or 5 arrays over
-    kappa L; w and s hold 5 floats.
+    terms of D[s] share one sign.  q is 5 floats, or a (5, K) array whose
+    rows are the 5 samples at K values of kappa L; w and s are 5 floats
+    each.  The differences are written out in straight lines, in the
+    order of the usual divided-difference table, so a (5, K) array gives
+    in each column the bits of 5 floats.
     """
-    dw, ds = list(w), list(s)
-    for order in (1, 2, 3):
-        for i in range(5 - order):
-            dq = q[i + order] - q[i]
-            dw[i] = (dw[i + 1] - dw[i]) / dq
-            ds[i] = (ds[i + 1] - ds[i]) / dq
-    level = -dw[0] / ds[0]
-    return level, level + dw[1] / ds[1]
+    q0, q1, q2, q3, q4 = q
+    w0, w1, w2, w3, w4 = w
+    s0, s1, s2, s3, s4 = s
+    d01, d12, d23, d34 = q1 - q0, q2 - q1, q3 - q2, q4 - q3
+    w01, w12, w23, w34 = (w1 - w0) / d01, (w2 - w1) / d12, (w3 - w2) / d23, (w4 - w3) / d34
+    s01, s12, s23, s34 = (s1 - s0) / d01, (s2 - s1) / d12, (s3 - s2) / d23, (s4 - s3) / d34
+    d02, d13, d24 = q2 - q0, q3 - q1, q4 - q2
+    w02, w13, w24 = (w12 - w01) / d02, (w23 - w12) / d13, (w34 - w23) / d24
+    s02, s13, s24 = (s12 - s01) / d02, (s23 - s12) / d13, (s34 - s23) / d24
+    d03, d14 = q3 - q0, q4 - q1
+    level = -((w13 - w02) / d03) / ((s13 - s02) / d03)
+    return level, level + ((w24 - w13) / d14) / ((s24 - s13) / d14)
 
 
 def alternation_set(residual: np.ndarray) -> np.ndarray:
@@ -215,9 +222,11 @@ def fit(table: PotentialTable, cfg: FitConfig = FitConfig()) -> FitReport:
     solves = 0
     while True:
         xs, ws, ss = x[ref].tolist(), w_data[ref].tolist(), signs.tolist()
+        x0, x1, x2, x3, x4 = xs
 
         def level_gap(k):
-            return _level_gap([math.exp(-k * xi) for xi in xs], ws, ss)
+            return _level_gap((math.exp(-k * x0), math.exp(-k * x1), math.exp(-k * x2),
+                               math.exp(-k * x3), math.exp(-k * x4)), ws, ss)
 
         g = _level_gap(np.exp(-np.outer(xs, _KL_SCAN)), ws, ss)[1].tolist()
         roots = [_brent(lambda k: level_gap(k)[1], scan[i], scan[i + 1], g[i], g[i + 1], 0.0)
@@ -226,8 +235,8 @@ def fit(table: PotentialTable, cfg: FitConfig = FitConfig()) -> FitReport:
             raise RuntimeError(f"{no_well}: the reference equations have no root "
                                f"for kappa in [{scan[0] / length:.3g}, "
                                f"{scan[-1] / length:.3g}]")
-        kl = min(roots, key=lambda k: abs(level_gap(k)[0]))
-        level = level_gap(kl)[0]
+        # each root's level once; min keeps the first of equal |E|
+        kl, level = min(((k, level_gap(k)[0]) for k in roots), key=lambda kv: abs(kv[1]))
         solves += 1
         # the quadratic in q through w + s E on samples 0, 2 and 4
         q = np.exp(-kl * x[ref[::2]])

@@ -14,6 +14,12 @@ expansions; M also needs a z > 0 large enough that its prefactor
 e^(-z/2) z^(nu+1/2) is a normal float, and M and z^(nu+1/2) below the
 largest float).
 
+Each public function checks its arguments once and then calls the
+unchecked series _kummer_series: kummer_m checks alpha, gamma and z;
+whittaker_m checks a, nu and z, and also whichever of kummer_m's checks
+its own do not imply, through kummer_m itself, so a refusal reads the
+same on either route.
+
 Also the constant B(1/4,1/4)/4, the screened potential's depth at the
 origin, which the surrogate and its closed-form solution share.
 """
@@ -54,30 +60,15 @@ class SeriesNonConvergence(RuntimeError):
 def kummer_m(alpha: float, gamma: float, z: float) -> float:
     """Kummer's confluent hypergeometric 1F1(alpha; gamma; z), 0 <= z <= 200.
 
-    Forward term recurrence t_{n+1} = t_n (alpha+n) z / ((gamma+n)(n+1)),
-    stopped once |t_n| is below 1e-14 times the accumulated term
-    magnitude sum |t_k| for two consecutive terms that are zero or
-    shrinking (tiny but growing leading terms, as for alpha near 0 or a
-    negative integer, do not end the sum).  The stop is relative to that
-    magnitude, not to the partial sum: near a zero of the function the
-    sum itself is small through cancellation and a sum-relative test
-    would never trigger.  Negative z, where the alternating series
-    cancels catastrophically, is rejected.
-
-    Accuracy: each term carries at most 3n eps relative rounding from its
-    n recurrence steps, and the running sum adds at most (N/2) eps
-    sum |t_n| over its N terms, so the result is within 4 N eps sum |t_n|
-    of the series.  It is returned only when eps sum |t_n| <= 1e-11
-    max(|sum t_n|, 1), so within 4 N 1e-11 max(|1F1|, 1).  On |alpha| <=
-    50, 1 <= gamma <= 21 and 0 <= z <= 200, N stays below 330, which
-    bounds the error by 1.5e-8 max(|1F1|, 1), the truncated tail
-    included.
+    Checks its arguments, then sums the series with _kummer_series.
+    Negative z, where the alternating series cancels catastrophically,
+    is rejected.
 
     Raises ValueError for a NaN or infinite alpha or gamma, gamma in
     {0, -1, -2, ...} or any z outside [0, 200] (NaN included), and
     SeriesNonConvergence when 5000 terms do not converge or when the
-    terms cancel beyond that bound, as for 1F1(-45.2; 1.2; 190), whose
-    terms of total size 1.3e50 sum to 6.6e39.
+    terms cancel beyond the bound of _kummer_series, as for
+    1F1(-45.2; 1.2; 190), whose terms of total size 1.3e50 sum to 6.6e39.
     """
     alpha = float(alpha)
     gamma = float(gamma)
@@ -88,17 +79,50 @@ def kummer_m(alpha: float, gamma: float, z: float) -> float:
         raise ValueError(f"kummer_m undefined for gamma = {gamma} (non-positive integer)")
     if not 0.0 <= z <= _Z_CAP:
         raise ValueError(f"kummer_m supports 0 <= z <= {_Z_CAP:g}, got {z!r}")
-    rel_tol, max_terms = _REL_TOL, _MAX_TERMS
-    term = 1.0
-    total = 1.0
-    magnitude = 1.0  # running sum of |term|: the cancellation-safe scale
+    return _kummer_series(alpha, gamma, z)
+
+
+def _kummer_series(alpha: float, gamma: float, z: float) -> float:
+    """1F1(alpha; gamma; z) by its series, for floats that kummer_m's checks pass.
+
+    Checks nothing itself: kummer_m and whittaker_m check the arguments
+    first, and whittaker_m calls this directly so that a Whittaker value
+    runs each check once.
+
+    Forward term recurrence t_{n+1} = t_n (alpha+n) z / ((gamma+n)(n+1)),
+    stopped once |t_n| is below 1e-14 times the accumulated term
+    magnitude sum |t_k| for two consecutive terms that are zero or
+    shrinking (tiny but growing leading terms, as for alpha near 0 or a
+    negative integer, do not end the sum).  The stop is relative to that
+    magnitude, not to the partial sum: near a zero of the function the
+    sum itself is small through cancellation and a sum-relative test
+    would never trigger.  n counts as a float, which is exact below 2^53
+    and so rounds every step as an int n converted to float would, but
+    spares that conversion in each term; |t_n| is taken by a comparison
+    for the same reason.
+
+    Accuracy: each term carries at most 3n eps relative rounding from its
+    n recurrence steps, and the running sum adds at most (N/2) eps
+    sum |t_n| over its N terms, so the result is within 4 N eps sum |t_n|
+    of the series.  It is returned only when eps sum |t_n| <= 1e-11
+    max(|sum t_n|, 1), so within 4 N 1e-11 max(|1F1|, 1).  On |alpha| <=
+    50, 1 <= gamma <= 21 and 0 <= z <= 200, N stays below 330, which
+    bounds the error by 1.5e-8 max(|1F1|, 1), the truncated tail
+    included.  Raises SeriesNonConvergence as kummer_m documents.
+    """
+    rel_tol = _REL_TOL
+    term = total = magnitude = 1.0  # magnitude, sum |t_k|: the cancellation-safe scale
     streak = 0
-    for n in range(max_terms):
-        ratio = (alpha + n) * z / ((gamma + n) * (n + 1))
+    n = 0.0
+    for _ in range(_MAX_TERMS):
+        n_next = n + 1.0
+        ratio = (alpha + n) * z / ((gamma + n) * n_next)
+        n = n_next
         term *= ratio
         total += term
-        magnitude += abs(term)
-        if abs(term) <= rel_tol * magnitude and (term == 0.0 or abs(ratio) < 1.0):
+        size = term if term >= 0.0 else -term
+        magnitude += size
+        if size <= rel_tol * magnitude and (term == 0.0 or -1.0 < ratio < 1.0):
             streak += 1
             if streak >= 2:
                 if _EPS * magnitude > _CANCEL_TOL * max(abs(total), 1.0):
@@ -109,20 +133,26 @@ def kummer_m(alpha: float, gamma: float, z: float) -> float:
         else:
             streak = 0
     raise SeriesNonConvergence(
-        f"1F1({alpha}, {gamma}, {z}) did not converge in {max_terms} terms")
+        f"1F1({alpha}, {gamma}, {z}) did not converge in {_MAX_TERMS} terms")
 
 
 def whittaker_m(a: float, nu: float, z: float) -> float:
     """Whittaker function of the first kind M_{a,nu}(z), z > 0, finite nu > 0 and a.
 
-    Computed through the Kummer representation.  1F1 is taken first, so
-    a z beyond kummer_m's range raises its ValueError before z^(nu+1/2)
-    can overflow.  A z so small that the prefactor e^(-z/2) z^(nu+1/2)
-    is not a normal float, below 2.2e-308, raises ValueError: M would
-    come out as 0 or subnormal whatever 1F1 is.  Since z <= 200 keeps
-    e^(-z/2) >= e^-100, that needs z < 1, and it is z < 10^(-307.65 /
-    (nu + 1/2)) to within rounding, as z < 3.3e-91 at nu = 2.9; up to
-    nu = 0.45 every positive float passes.  An M beyond the largest
+    Computed through the Kummer representation.  whittaker_m checks a, nu
+    and z, and then sums 1F1 with the unchecked _kummer_series, so that
+    each check runs once.  Its own checks imply gamma = 1 + 2 nu > 0, but
+    not kummer_m's others: z <= 200, and a finite alpha = nu - a + 1/2
+    and gamma, which overflow for finite a and nu of order 1e308, as at
+    nu = 1e308.  Arguments that miss one of those go to kummer_m, which
+    raises its own ValueError with its own text.  1F1 is taken first, so
+    a z beyond kummer_m's range raises before z^(nu+1/2) can overflow.
+    A z so small that the prefactor e^(-z/2) z^(nu+1/2) is not a normal
+    float, below 2.2e-308, raises ValueError: M would come out as 0 or
+    subnormal whatever 1F1 is.  Since z <= 200 keeps e^(-z/2) >= e^-100,
+    that needs z < 1, and it is z < 10^(-307.65 / (nu + 1/2)) to within
+    rounding, as z < 3.3e-91 at nu = 2.9; up to nu = 0.45 every positive
+    float passes.  An M beyond the largest
     float raises ValueError too, as does z^(nu+1/2) alone past it: that is
     nu + 1/2 > 709.78 / ln z, as nu > 133.5 at z = 200.
     """
@@ -135,7 +165,11 @@ def whittaker_m(a: float, nu: float, z: float) -> float:
         raise ValueError(f"whittaker_m requires 0 < nu < inf, got {nu!r}")
     if not z > 0.0:
         raise ValueError(f"whittaker_m requires z > 0, got {z!r}")
-    m = kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, z)
+    alpha, gamma = nu - a + 0.5, 1.0 + 2.0 * nu
+    if z <= _Z_CAP and math.isfinite(alpha) and math.isfinite(gamma):
+        m = _kummer_series(alpha, gamma, z)
+    else:
+        m = kummer_m(alpha, gamma, z)  # raises kummer_m's ValueError
     try:
         prefactor = math.exp(-0.5 * z) * z ** (nu + 0.5)
     except OverflowError:  # z^(nu+1/2) past the largest float

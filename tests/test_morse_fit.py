@@ -341,6 +341,35 @@ class TestMinimaxCertificate:
         assert abs(gap) <= 1e-13
         assert abs(morse_fit._level_gap(np.exp(-5.0 * x), w, signs)[1]) > 1e-4
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_level_gap_array_is_column_by_column(self, seed):
+        # a (5, K) q gives in each column the bits of the 5-float call,
+        # which are those of the divided-difference table as first written
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.choice(np.linspace(0.0, 1.0, 200), 5, replace=False))
+        w = rng.uniform(-2.0, 0.0, 5).tolist()
+        signs = (rng.choice([-1.0, 1.0]) * (-1.0) ** np.arange(5)).tolist()
+        kl = np.geomspace(0.05, 60.0, 48)
+        q_scan = np.exp(-np.outer(x, kl))
+        levels, gaps = morse_fit._level_gap(q_scan, w, signs)
+        for q, level, gap in zip(q_scan.T.tolist(), levels.tolist(), gaps.tolist()):
+            want = _reference_level_gap(q, w, signs)
+            assert morse_fit._level_gap(q, w, signs) == want
+            assert (level, gap) == want
+
+
+def _reference_level_gap(q, w, s):
+    """_level_gap as first written, a loop over the divided-difference
+    table: the reference whose bits the straight-line form keeps."""
+    dw, ds = list(w), list(s)
+    for order in (1, 2, 3):
+        for i in range(5 - order):
+            dq = q[i + order] - q[i]
+            dw[i] = (dw[i + 1] - dw[i]) / dq
+            ds[i] = (ds[i + 1] - ds[i]) / dq
+    level = -dw[0] / ds[0]
+    return level, level + dw[1] / ds[1]
+
 
 class TestExactFit:
     def test_acceptance_window_fit(self, exact_table):

@@ -192,3 +192,126 @@ class TestWhittaker:
         assert math.isfinite(m)
         series = kummer_m(nu - a + 0.5, 1.0 + 2.0 * nu, z)
         assert m == math.exp(-0.5 * z) * z ** (nu + 0.5) * series
+
+
+# Every refusal of the two public functions, with the exception type and
+# text they have always given; whittaker_m hands the checks of kummer_m
+# that its own do not imply to kummer_m, so those read kummer_m's text.
+# (0, 1e308, 1): gamma = 1 + 2 nu overflows; (-1.7e308, 1.7e308, 1):
+# alpha = nu - a + 1/2 does too.
+nan, inf = math.nan, math.inf
+REFUSALS = [
+    (kummer_m, (nan, 1.0, 1.0), ValueError,
+     'kummer_m needs finite alpha and gamma, got nan, 1.0'),
+    (kummer_m, (1.0, nan, 1.0), ValueError,
+     'kummer_m needs finite alpha and gamma, got 1.0, nan'),
+    (kummer_m, (1.0, 1.0, nan), ValueError,
+     'kummer_m supports 0 <= z <= 200, got nan'),
+    (kummer_m, (inf, 1.0, 1.0), ValueError,
+     'kummer_m needs finite alpha and gamma, got inf, 1.0'),
+    (kummer_m, (1.0, -inf, 1.0), ValueError,
+     'kummer_m needs finite alpha and gamma, got 1.0, -inf'),
+    (kummer_m, (1.0, 0.0, 1.0), ValueError,
+     'kummer_m undefined for gamma = 0.0 (non-positive integer)'),
+    (kummer_m, (1.0, -1.0, 1.0), ValueError,
+     'kummer_m undefined for gamma = -1.0 (non-positive integer)'),
+    (kummer_m, (1.0, -2.0, 1.0), ValueError,
+     'kummer_m undefined for gamma = -2.0 (non-positive integer)'),
+    (kummer_m, (1.0, 1.0, 250.0), ValueError,
+     'kummer_m supports 0 <= z <= 200, got 250.0'),
+    (kummer_m, (1.0, 1.0, inf), ValueError,
+     'kummer_m supports 0 <= z <= 200, got inf'),
+    (kummer_m, (1.0, 1.0, -1.0), ValueError,
+     'kummer_m supports 0 <= z <= 200, got -1.0'),
+    (kummer_m, (-45.2, 1.2, 190.0), SeriesNonConvergence,
+     '1F1(-45.2, 1.2, 190.0): terms of total size 1.26e+50 cancel to 6.57e+39, beyond double precision'),
+    (whittaker_m, (0.0, 1e+308, 1.0), ValueError,
+     'kummer_m needs finite alpha and gamma, got 1e+308, inf'),
+    (whittaker_m, (-1.7e+308, 1.7e+308, 1.0), ValueError,
+     'kummer_m needs finite alpha and gamma, got inf, inf'),
+    (whittaker_m, (1.0, 2.0, 250.0), ValueError,
+     'kummer_m supports 0 <= z <= 200, got 250.0'),
+    (whittaker_m, (1.0, 2.0, inf), ValueError,
+     'kummer_m supports 0 <= z <= 200, got inf'),
+    (whittaker_m, (nan, 2.0, 1.0), ValueError,
+     'whittaker_m requires a finite a, got nan'),
+    (whittaker_m, (1.0, nan, 1.0), ValueError,
+     'whittaker_m requires 0 < nu < inf, got nan'),
+    (whittaker_m, (1.0, 2.0, nan), ValueError,
+     'whittaker_m requires z > 0, got nan'),
+    (whittaker_m, (inf, 2.0, 1.0), ValueError,
+     'whittaker_m requires a finite a, got inf'),
+    (whittaker_m, (1.0, inf, 1.0), ValueError,
+     'whittaker_m requires 0 < nu < inf, got inf'),
+    (whittaker_m, (1.0, 0.0, 1.0), ValueError,
+     'whittaker_m requires 0 < nu < inf, got 0.0'),
+    (whittaker_m, (1.0, 2.0, 0.0), ValueError,
+     'whittaker_m requires z > 0, got 0.0'),
+    (whittaker_m, (1.0, 2.9, 1e-100), ValueError,
+     "whittaker_m's prefactor e^(-z/2) z^(nu+1/2) underflows at z = 1e-100, nu = 2.9"),
+    (whittaker_m, (1.0, 139.5, 200.0), ValueError,
+     'whittaker_m overflows at a = 1.0, nu = 139.5, z = 200.0: M is not a finite float'),
+    (whittaker_m, (45.8, 0.1, 190.0), SeriesNonConvergence,
+     '1F1(-45.199999999999996, 1.2, 190.0): terms of total size 1.26e+50 cancel to 6.57e+39, beyond double precision'),
+]
+
+
+@pytest.mark.parametrize("f, args, error, text", REFUSALS)
+def test_refusal_type_and_text(f, args, error, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            f(*args)
+    assert type(info.value) is error
+    assert str(info.value) == text
+
+
+def _reference_series(alpha, gamma, z):
+    """The 1F1 series as first written, with an int n and abs(): the
+    reference whose bits _kummer_series must keep."""
+    term = total = magnitude = 1.0
+    streak = 0
+    for n in range(bicatom.specfun._MAX_TERMS):
+        ratio = (alpha + n) * z / ((gamma + n) * (n + 1))
+        term *= ratio
+        total += term
+        magnitude += abs(term)
+        if abs(term) <= 1e-14 * magnitude and (term == 0.0 or abs(ratio) < 1.0):
+            streak += 1
+            if streak >= 2:
+                if sys.float_info.epsilon * magnitude > 1e-11 * max(abs(total), 1.0):
+                    raise SeriesNonConvergence(
+                        f"1F1({alpha}, {gamma}, {z}): terms of total size {magnitude:.3g} "
+                        f"cancel to {total:.3g}, beyond double precision")
+                return total
+        else:
+            streak = 0
+    raise SeriesNonConvergence(
+        f"1F1({alpha}, {gamma}, {z}) did not converge in {bicatom.specfun._MAX_TERMS} terms")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args).hex()
+    except SeriesNonConvergence as e:
+        return str(e)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@seed(3401)
+@given(st.floats(-60.0, 60.0), st.one_of(st.floats(-30.0, 30.0), st.integers(-5, 30)),
+       st.one_of(st.floats(0.0, 200.0), st.integers(0, 200)))
+@example(-45.2, 1.2, 190.0)       # cancels beyond double precision
+@example(-4.0, 2.0, 30.0)         # a polynomial: the terms reach exactly 0
+@example(0.0, 1.0, 200.0)         # 1F1 = 1
+@example(1e-300, 1.0, 200.0)      # tiny, growing leading terms
+def test_series_keeps_kummer_bits(alpha, gamma, z):
+    # on kummer_m's domain the unchecked series returns kummer_m's bits,
+    # which are those of the reference loop, or raises the same text
+    gamma = float(gamma)
+    if gamma <= 0.0 and gamma == math.floor(gamma):
+        return
+    alpha, z = float(alpha), float(z)
+    want = _outcome(_reference_series, alpha, gamma, z)
+    assert _outcome(bicatom.specfun._kummer_series, alpha, gamma, z) == want
+    assert _outcome(kummer_m, alpha, gamma, z) == want

@@ -14,10 +14,13 @@ requires M_{a,nu}(z0) = 0 with z0 the FIRST positive root of M: the
 wavefunction is then nodeless on the interior.
 
 Both solvers march along a path in (nu, a) on M_{a,nu}(X(a))
-(quantization_residual) from where M gets its first root, and
-Brent-refine its first sign change.  solve_a marches a up at fixed nu:
-each root enters from z = +inf and slides down as X(a) grows, so the
-first sign change is the first root's crossing.
+(quantization_residual) and Brent-refine its first sign change (_march).
+If the first point evaluated reads negative, a root of M already lies
+below X and the march refuses; a point skipped for alpha = nu - a + 1/2
+> 0, where M > 0, opens the bracket when the next point reads negative.
+solve_a marches a up at fixed nu: each root enters from z = +inf and
+slides down as X(a) grows, so the first sign change is the first root's
+crossing.
 
 The refined point is certified without a root scan.  With F_c(z) =
 1F1(c; 1 + 2 nu; z) and alpha = nu - a + 1/2 < 0, F_alpha has exactly
@@ -62,7 +65,7 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Optional, Tuple
 
-from .roots import _brent, _first_crossing
+from .roots import _crossings
 from .specfun import _TINY, _Z_CAP, QUARTER_BETA, kummer_m, whittaker_m
 
 __all__ = [
@@ -216,11 +219,9 @@ def first_root(a: float, nu: float) -> float:
         z_lo *= 0.5
     zs = chain((z_lo,) if z_lo < _SCAN_STEP else (),
                (round(k * _SCAN_STEP, 10) for k in range(1, round(_Z_CAP / _SCAN_STEP) + 1)))
-    root = _first_crossing(m, ((z, m(z)) for z in zs), 1e-10)
-    if root is None:
-        raise RuntimeError(
-            f"no root of M_({a!r},{nu!r}) found below z = {_Z_CAP:g}")
-    return root
+    for root in _crossings(m, ((z, m(z)) for z in zs), 1e-10):
+        return root
+    raise RuntimeError(f"no root of M_({a!r},{nu!r}) found below z = {_Z_CAP:g}")
 
 
 def _not_first_root(a: float, nu: float, x: float) -> Optional[str]:
@@ -230,39 +231,32 @@ def _not_first_root(a: float, nu: float, x: float) -> Optional[str]:
     k = 1, 2, ... while alpha + k < 0 (see the module docstring).
     """
     alpha = nu - a + 0.5
-    k = 1
-    while alpha + k < 0.0:
+    for k in range(1, math.ceil(-alpha)):  # alpha + k < 0; a float sum keeps its sign
         if not kummer_m(alpha + k, 1.0 + 2.0 * nu, x) > 0.0:
             return f"a = {a!r} puts a later root of M at X = {x!r}"
-        k += 1
     return None
 
 
 def _march(path: Callable[[float], Tuple[float, float]], ts: Iterable[float],
-           morse: MorseParams, xtol: float, missing: str,
-           later_root_missing: bool = False) -> Tuple[float, float]:
+           morse: MorseParams, xtol: float, missing: str) -> Tuple[float, float]:
     """(nu, a) at the first sign change of M_{a,nu}(X(a)) along path(t), t in ts.
 
-    Skips points with a outside (0, 50] or with no positive root of M
-    (alpha = nu - a + 1/2 > 0), Brent-refines the first sign change in t
-    to xtol and raises RuntimeError(missing) when there is none.  A kept
-    point that follows one skipped for alpha > 0 and has a negative
-    residual is preceded by the point where alpha = 0 (Brent in t), at
-    which M has no root and the residual is positive.  A step in which two
-    roots cross X(a) keeps the sign of M, so the point is certified once
-    (_not_first_root): RuntimeError when that fails, prefixed by missing
-    when later_root_missing.
+    Skips points with a outside (0, 50] or with alpha = nu - a + 1/2 > 0,
+    where every series term of M is positive.  Start rule: if the first
+    point evaluated reads negative, a root of M already lies below X(a)
+    and the march ends there.  Bracket rule: a point skipped for alpha > 0,
+    evaluated then, opens the bracket when the next kept point reads
+    negative.  The first sign change (roots._crossings) is Brent-refined
+    in t to xtol, and RuntimeError(missing) when there is none.  A step in
+    which two roots cross X(a) keeps the sign of M, so the point is
+    certified once (_not_first_root): RuntimeError("missing: why") if not.
     """
     def residual(t: float) -> float:
         nu, a = path(t)
         return quantization_residual(a, nu, morse)
 
-    def alpha(t: float) -> float:
-        nu, a = path(t)
-        return nu - a + 0.5
-
     def samples():
-        t_out = None  # the last point skipped for alpha > 0
+        t_out, fresh = None, True  # the last point skipped for alpha > 0; none evaluated
         for t in ts:
             nu, a = path(t)
             if not 0.0 < a <= _A_CAP:
@@ -271,28 +265,31 @@ def _march(path: Callable[[float], Tuple[float, float]], ts: Iterable[float],
                 t_out = t
             else:
                 r = quantization_residual(a, nu, morse)
-                if t_out is not None and r < 0.0:
-                    t0 = _brent(alpha, t_out, t, alpha(t_out), nu - a + 0.5, xtol)
-                    yield t0, residual(t0)
-                t_out = None
+                if r < 0.0 and t_out is not None:
+                    yield t_out, residual(t_out)
+                elif r < 0.0 and fresh:
+                    return  # the start rule
+                t_out, fresh = None, False
                 yield t, r
 
-    t = _first_crossing(residual, samples(), xtol)
-    if t is None:
-        raise RuntimeError(missing)
-    nu, a = path(t)
-    detail = _not_first_root(a, nu, _boundary_z(a, morse))
-    if detail is not None:
-        raise RuntimeError(f"{missing}: {detail}" if later_root_missing else detail)
-    return nu, a
+    for t in _crossings(residual, samples(), xtol):
+        nu, a = path(t)
+        detail = _not_first_root(a, nu, _boundary_z(a, morse))
+        if detail is not None:
+            raise RuntimeError(f"{missing}: {detail}")
+        return nu, a
+    raise RuntimeError(missing)
 
 
 def solve_a(nu: float, morse: MorseParams) -> float:
     """Smallest a > 0 whose first Whittaker root sits at X(a) = 2a e^{kappa b}.
 
     a marches up from 0.1 to 50 in steps of 0.1; the first sign change of
-    M_{a,nu}(X(a)) is refined to 1e-10 and certified (_march).  Raises
-    ValueError unless G < 0.
+    M_{a,nu}(X(a)) is refined to 1e-10 and certified (_march).  It starts
+    at alpha = nu - a + 1/2 > 0, so the start rule never refuses, and the
+    last a skipped for alpha > 0 brackets the first root's crossing (the
+    bracket rule), which lies within about e^-X of alpha = 0 for a large
+    X(a).  Raises ValueError unless G < 0.
     """
     _require_positive(nu=nu)
     _require_well(morse)
@@ -336,10 +333,13 @@ def calibrate_nu(target_eps: float, morse: MorseParams) -> AnalyticSolution:
     ground-state eps exceeds the target (it increases with nu), and eps
     increases with a, so a_T lies below the ground-state a and M has no
     root in (0, X]; a first crossing at a later root then means the target
-    lies above the ground-state curve at every nu.  ValueError unless
-    G < 0.  RuntimeError for a target >= 0, which the march does not
-    search; for c0 <= 0, where eps need not be monotone in nu and a target
-    can be met at two nu; and when the target is not attainable.
+    lies above the ground-state curve at every nu.  By the start rule, a
+    root of M below X(a_T) at the first nu evaluated (10, or the largest
+    with a_T <= 50) puts the ground-state eps there at or below the
+    target, so no smaller nu meets it; the bracket rule is solve_a's.
+    ValueError unless G < 0.  RuntimeError for a target >= 0, which the
+    march does not search; for c0 <= 0, where eps need not be monotone in
+    nu and a target can be met at two nu; and when it is not attainable.
     """
     _require_well(morse)
     if not math.isfinite(target_eps):
@@ -362,5 +362,4 @@ def calibrate_nu(target_eps: float, morse: MorseParams) -> AnalyticSolution:
 
     return observables(*_march(
         on_target, (round(10.0 - 0.1 * k, 10) for k in range(96)), morse, 1e-12,
-        f"target eps/alpha^2 = {target_eps!r} not attainable for nu in (0.5, 10]",
-        later_root_missing=True), morse)
+        f"target eps/alpha^2 = {target_eps!r} not attainable for nu in (0.5, 10]"), morse)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .analytic_solver import REFERENCE_MORSE, MorseParams
 from .bic_potential import QUARTER_BETA, PotentialTable
-from .roots import _brent
+from .roots import _crossings
 
 __all__ = [
     "MorseParams",
@@ -229,8 +229,7 @@ def fit(table: PotentialTable, cfg: FitConfig = FitConfig()) -> FitReport:
                                math.exp(-k * x3), math.exp(-k * x4)), ws, ss)
 
         g = _level_gap(np.exp(-np.outer(xs, _KL_SCAN)), ws, ss)[1].tolist()
-        roots = [_brent(lambda k: level_gap(k)[1], scan[i], scan[i + 1], g[i], g[i + 1], 0.0)
-                 for i in range(len(scan) - 1) if (g[i] > 0.0) != (g[i + 1] > 0.0)]
+        roots = list(_crossings(lambda k: level_gap(k)[1], zip(scan, g), 0.0))
         if not roots:
             raise RuntimeError(f"{no_well}: the reference equations have no root "
                                f"for kappa in [{scan[0] / length:.3g}, "

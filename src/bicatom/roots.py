@@ -1,15 +1,15 @@
 """Bracketed root refinement shared by the fit and the analytic solver.
 
-_brent is Brent's zeroin on a bracket whose end values the caller
-already has; _first_crossing finds the first sign change along samples
-in march order and hands it to _brent.
+_crossings is the one crossing scan: it walks samples in march order and
+hands each sign change to _brent, Brent's zeroin on a bracket whose end
+values the scan already has.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Tuple
 
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAX_ITER = 100
@@ -73,20 +73,21 @@ def _brent(f: Callable[[float], float], lo: float, hi: float,
         f"Brent did not converge in {_BRENT_MAX_ITER} iterations, value is {x_cur!r}")
 
 
-def _first_crossing(f: Callable[[float], float],
-                    samples: Iterable[Tuple[float, float]],
-                    xtol: float) -> Optional[float]:
-    """First root of f along samples, (x, f(x)) pairs in march order.
+def _crossings(f: Callable[[float], float],
+               samples: Iterable[Tuple[float, float]],
+               xtol: float) -> Iterator[float]:
+    """Roots of f along samples, (x, f(x)) pairs in march order, lazily.
 
-    Returns the first sample where f is exactly 0, or the Brent-refined
-    root of the first bracketed sign change; None when f never changes
-    sign.  samples is consumed only up to the crossing.
+    Yields each sample where f is exactly 0 and the Brent-refined root of
+    each bracketed sign change, in march order.  No bracket starts or ends
+    at an exact 0, so the scan yields it once.  samples is read only up to
+    the root yielded last.
     """
     x_prev = f_prev = None
     for x, fx in samples:
         if fx == 0.0:
-            return x
-        if f_prev is not None and (f_prev > 0.0) != (fx > 0.0):
-            return _brent(f, x_prev, x, f_prev, fx, xtol)
+            yield x
+            fx = None  # the next bracket starts after the 0
+        elif f_prev is not None and (f_prev > 0.0) != (fx > 0.0):
+            yield _brent(f, x_prev, x, f_prev, fx, xtol)
         x_prev, f_prev = x, fx
-    return None

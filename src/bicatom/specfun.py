@@ -16,9 +16,8 @@ largest float).
 
 Each public function checks its arguments once and then calls the
 unchecked series _kummer_series: kummer_m checks alpha, gamma and z;
-whittaker_m checks a, nu and z, and also whichever of kummer_m's checks
-its own do not imply, through kummer_m itself, so a refusal reads the
-same on either route.
+whittaker_m checks a, nu and z, and the alpha and gamma it forms,
+itself, so that its refusals name its own arguments.
 
 Also the constant B(1/4,1/4)/4, the screened potential's depth at the
 origin, which the surrogate and its closed-form solution share.
@@ -86,8 +85,7 @@ def _kummer_series(alpha: float, gamma: float, z: float) -> float:
     """1F1(alpha; gamma; z) by its series, for floats that kummer_m's checks pass.
 
     Checks nothing itself: kummer_m and whittaker_m check the arguments
-    first, and whittaker_m calls this directly so that a Whittaker value
-    runs each check once.
+    first, so that a value runs each check once.
 
     Forward term recurrence t_{n+1} = t_n (alpha+n) z / ((gamma+n)(n+1)),
     stopped once |t_n| is below 1e-14 times the accumulated term
@@ -140,13 +138,11 @@ def whittaker_m(a: float, nu: float, z: float) -> float:
     """Whittaker function of the first kind M_{a,nu}(z), z > 0, finite nu > 0 and a.
 
     Computed through the Kummer representation.  whittaker_m checks a, nu
-    and z, and then sums 1F1 with the unchecked _kummer_series, so that
-    each check runs once.  Its own checks imply gamma = 1 + 2 nu > 0, but
-    not kummer_m's others: z <= 200, and a finite alpha = nu - a + 1/2
-    and gamma, which overflow for finite a and nu of order 1e308, as at
-    nu = 1e308.  Arguments that miss one of those go to kummer_m, which
-    raises its own ValueError with its own text.  1F1 is taken first, so
-    a z beyond kummer_m's range raises before z^(nu+1/2) can overflow.
+    and z, including 1F1's range z <= 200, and a finite alpha = nu - a +
+    1/2 and gamma = 1 + 2 nu, which overflow for finite a and nu of order
+    1e308, as at nu = 1e308; either refusal is a ValueError naming a, nu
+    and z.  Then it sums 1F1 with the unchecked _kummer_series, so that each
+    check runs once (gamma > 0 follows from nu > 0).
     A z so small that the prefactor e^(-z/2) z^(nu+1/2) is not a normal
     float, below 2.2e-308, raises ValueError: M would come out as 0 or
     subnormal whatever 1F1 is.  Since z <= 200 keeps e^(-z/2) >= e^-100,
@@ -165,11 +161,14 @@ def whittaker_m(a: float, nu: float, z: float) -> float:
         raise ValueError(f"whittaker_m requires 0 < nu < inf, got {nu!r}")
     if not z > 0.0:
         raise ValueError(f"whittaker_m requires z > 0, got {z!r}")
+    if not z <= _Z_CAP:
+        raise ValueError(f"whittaker_m supports z <= {_Z_CAP:g}, 1F1's range, "
+                         f"got a = {a!r}, nu = {nu!r}, z = {z!r}")
     alpha, gamma = nu - a + 0.5, 1.0 + 2.0 * nu
-    if z <= _Z_CAP and math.isfinite(alpha) and math.isfinite(gamma):
-        m = _kummer_series(alpha, gamma, z)
-    else:
-        m = kummer_m(alpha, gamma, z)  # raises kummer_m's ValueError
+    if not (math.isfinite(alpha) and math.isfinite(gamma)):
+        raise ValueError(f"whittaker_m overflows at a = {a!r}, nu = {nu!r}, z = {z!r}: "
+                         "alpha = nu - a + 1/2 or gamma = 1 + 2 nu is not a finite float")
+    m = _kummer_series(alpha, gamma, z)
     try:
         prefactor = math.exp(-0.5 * z) * z ** (nu + 0.5)
     except OverflowError:  # z^(nu+1/2) past the largest float

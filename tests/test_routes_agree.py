@@ -42,12 +42,26 @@ there is 1.8e-14, under the same bound 2e-10.
 A well whose potential tends to a positive value binds its ground state
 above 0.  On the one tested, solve's printed eps/alpha^2 = +0.1178635667
 and Numerov's agree to 5.8e-14, under the bound 1e-10.
+
+Wells drawn past the origin, b in [0, 3] with G in [-4, -0.3], V0 in
+[-1, 1] and kappa in [0.2, 2], put X(a) up to 200; there M's first root
+crosses X within about e^-X of alpha = nu - a + 1/2 = 0, and a march
+that refined the wrong bracket returned an excited state.  On 1217
+solve_a answers of such wells (random.Random(35)), the slope |d gap / d a|
+reached 69, and at most 37 max(1, |eps|): eps/alpha^2 scales as
+1 / alpha_beta^2, which is small on these wells.  Times |da| <= 5e-11
+that is 1.9e-9 max(1, |eps|), and Numerov's h^4 term (h = 1e-3 against
+5e-4, in a box of 60) stayed below 1.4e-11.  So each answer of solve_a
+and calibrate_nu must agree within 2e-9 max(1, |eps|), or the solver
+must refuse.  Where Numerov refuses (no bound state at that coupling, or
+one the box truncates) there is nothing to check.  The largest gaps seen
+were 2.1e-10 max(1, |eps|) for solve_a and 9.8e-13 for calibrate_nu.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, seed, settings  # noqa: E402
+from hypothesis import example, given, note, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bicatom.analytic_solver import (  # noqa: E402
@@ -62,6 +76,7 @@ from bicatom.numerov_oracle import RadialProblem, ground_state  # noqa: E402
 
 ROUTE_GAP = 1e-10
 SHIFTED_ROUTE_GAP = 2e-10
+FAR_WELL_GAP = 2e-9  # relative to max(1, |eps|)
 
 reproducible = settings(max_examples=16, deadline=None, derandomize=True, database=None)
 
@@ -131,3 +146,47 @@ def test_routes_agree_on_a_well_with_a_positive_asymptote():
     assert sol.alpha_beta == pytest.approx(1.618996425, abs=5e-10)
     assert sol.eps_over_alpha2 == pytest.approx(0.1178635667, abs=5e-11)
     assert route_gap(1.9416, well) <= ROUTE_GAP
+
+
+far_wells = st.builds(MorseParams, G=st.floats(-4.0, -0.3), V0=st.floats(-1.0, 1.0),
+                      kappa=st.floats(0.2, 2.0), b=st.floats(0.0, 3.0))
+
+
+def agrees_or_refused(solve, morse):
+    """The answer of solve() agrees with Numerov at its coupling, or solve refuses."""
+    try:
+        whittaker = solve()
+    except (RuntimeError, ValueError):
+        return True
+    note(f"{whittaker}")
+    try:
+        numerov = ground_state(RadialProblem(potential=lambda rho: morse_w(morse, rho),
+                                             alpha_beta=whittaker.alpha_beta,
+                                             rho_max=60.0, h=1e-3))
+    except RuntimeError:  # nothing to check against
+        return True
+    eps = whittaker.eps_over_alpha2
+    return abs(numerov.eps_over_alpha2 - eps) <= FAR_WELL_GAP * max(1.0, abs(eps))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@seed(3501)
+@given(far_wells, st.floats(0.3, 8.0))
+# the march once returned a = nu + 3/2, the second root's entry
+@example(MorseParams(G=-3.798097713256045, V0=-0.790294545581633,
+                     kappa=1.412329556515087, b=2.2075234669533863), 1.7351368447919204)
+def test_solve_a_agrees_or_refuses_on_wells_past_the_origin(morse, nu):
+    assert agrees_or_refused(lambda: observables(nu, solve_a(nu, morse), morse), morse)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@seed(3502)
+@given(far_wells, st.floats(-1.5, -0.05))
+# the march once returned nu = 1.904422311, an excited state
+@example(MorseParams(G=-2.4254916684801042, V0=0.9968338450535039,
+                     kappa=1.832429919994666, b=1.4852032821258039), -0.1476356593301997)
+# the march once returned nu = 9.63970589; at nu = 10 a root already lies below X
+@example(MorseParams(G=-1.9210446029845727, V0=0.4723110609522856,
+                     kappa=0.5781714477962362, b=2.966531859827138), -0.17077968961287232)
+def test_calibrate_nu_agrees_or_refuses_on_wells_past_the_origin(morse, target):
+    assert agrees_or_refused(lambda: calibrate_nu(target, morse), morse)

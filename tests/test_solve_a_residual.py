@@ -97,11 +97,21 @@ class Count:
         return self.wrapped(*args)
 
 
-# the residual evaluations the march made while first_root checked its answer
+# the residual evaluations the march made while first_root checked its
+# answer; on the last well a root of M already lies below X at nu = 10, so
+# the march refuses after the one residual that shows it
+def calibrate_refused_at_nu_10():
+    well = MorseParams(G=-1.9210446029845727, V0=0.4723110609522856,
+                       kappa=0.5781714477962362, b=2.966531859827138)
+    with pytest.raises(RuntimeError, match="not attainable"):
+        calibrate_nu(-0.17077968961287232, well)
+
+
 @pytest.mark.parametrize("solve, budget", [
     (lambda: solve_a(2.89873, REFERENCE_MORSE), 17),
     (lambda: calibrate_nu(-0.49973, REFERENCE_MORSE), 32),
-], ids=["solve_a", "calibrate_nu"])
+    (calibrate_refused_at_nu_10, 1),
+], ids=["solve_a", "calibrate_nu", "calibrate_nu-refused-at-nu-10"])
 def test_residual_budget_and_no_scan(monkeypatch, solve, budget):
     residuals = Count(monkeypatch, "quantization_residual")
     scans = Count(monkeypatch, "first_root")
@@ -111,9 +121,11 @@ def test_residual_budget_and_no_scan(monkeypatch, solve, budget):
 
 
 def test_raises_when_boundary_point_is_not_the_first_root(monkeypatch):
-    # a certificate that fails rejects the refined a
+    # a certificate that fails rejects the refined a, after the march's
+    # own refusal text
     monkeypatch.setattr(analytic_solver, "kummer_m", lambda *args: -1.0)
-    with pytest.raises(RuntimeError, match="puts a later root of M"):
+    with pytest.raises(RuntimeError, match=r"^no ground-state a in \(0, 50\] for "
+                       r"nu = 2\.89873: a = \S+ puts a later root of M at X = "):
         solve_a(2.89873, REFERENCE_MORSE)
 
 

@@ -194,11 +194,10 @@ class TestWhittaker:
         assert m == math.exp(-0.5 * z) * z ** (nu + 0.5) * series
 
 
-# Every refusal of the two public functions, with the exception type and
-# text they have always given; whittaker_m hands the checks of kummer_m
-# that its own do not imply to kummer_m, so those read kummer_m's text.
-# (0, 1e308, 1): gamma = 1 + 2 nu overflows; (-1.7e308, 1.7e308, 1):
-# alpha = nu - a + 1/2 does too.
+# Every refusal of the two public functions, with its exception type and
+# text; whittaker_m checks 1F1's range and the alpha and gamma it forms
+# itself, so those refusals name a, nu and z.  (0, 1e308, 1): gamma =
+# 1 + 2 nu overflows; (-1.7e308, 1.7e308, 1): alpha = nu - a + 1/2 does too.
 nan, inf = math.nan, math.inf
 REFUSALS = [
     (kummer_m, (nan, 1.0, 1.0), ValueError,
@@ -226,13 +225,15 @@ REFUSALS = [
     (kummer_m, (-45.2, 1.2, 190.0), SeriesNonConvergence,
      '1F1(-45.2, 1.2, 190.0): terms of total size 1.26e+50 cancel to 6.57e+39, beyond double precision'),
     (whittaker_m, (0.0, 1e+308, 1.0), ValueError,
-     'kummer_m needs finite alpha and gamma, got 1e+308, inf'),
+     'whittaker_m overflows at a = 0.0, nu = 1e+308, z = 1.0: '
+     'alpha = nu - a + 1/2 or gamma = 1 + 2 nu is not a finite float'),
     (whittaker_m, (-1.7e+308, 1.7e+308, 1.0), ValueError,
-     'kummer_m needs finite alpha and gamma, got inf, inf'),
+     'whittaker_m overflows at a = -1.7e+308, nu = 1.7e+308, z = 1.0: '
+     'alpha = nu - a + 1/2 or gamma = 1 + 2 nu is not a finite float'),
     (whittaker_m, (1.0, 2.0, 250.0), ValueError,
-     'kummer_m supports 0 <= z <= 200, got 250.0'),
+     "whittaker_m supports z <= 200, 1F1's range, got a = 1.0, nu = 2.0, z = 250.0"),
     (whittaker_m, (1.0, 2.0, inf), ValueError,
-     'kummer_m supports 0 <= z <= 200, got inf'),
+     "whittaker_m supports z <= 200, 1F1's range, got a = 1.0, nu = 2.0, z = inf"),
     (whittaker_m, (nan, 2.0, 1.0), ValueError,
      'whittaker_m requires a finite a, got nan'),
     (whittaker_m, (1.0, nan, 1.0), ValueError,

@@ -47,7 +47,7 @@ needs no numpy, and re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class FitConfig:
 
     rho_min: float = 0.0
     rho_max: float = 10.0
-    init: MorseParams = field(default_factory=lambda: MorseParams(-2.0, 0.0, 0.5, -0.5))
+    init: MorseParams = MorseParams(-2.0, 0.0, 0.5, -0.5)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.rho_min < self.rho_max):

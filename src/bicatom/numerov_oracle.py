@@ -15,11 +15,12 @@ classical turning point and in from where the state has decayed below
 rounding (see _sweep), glues the halves there and corrects lambda by the
 Rayleigh quotient of the glued solution.  A bracket on lambda, narrowed
 by each sweep's node count and the sign of its correction, catches the
-steps that leave it, so the search finds the lowest eigenvalue
-regardless of how many bound states exist.  It starts from the Ritz
-eigenvalue of a 20-function Laguerre basis (see spectral), from which
-it converges in one sweep on the exact and Morse potentials and in two
-on Coulomb, whose Numerov eigenvalue lies 3e-7 above the exact one.
+steps that leave it, so the search finds the lowest of any number of
+bound states; it refuses at once only a W nowhere below max(0,
+W(rho_max)).  W enters only through f, so W + c has lambda + alpha_beta
+c.  The search starts from the Ritz eigenvalue of a 20-function Laguerre
+basis (see spectral) and converges in one sweep on the exact and Morse
+potentials, in two on Coulomb, whose Numerov eigenvalue is 3e-7 high.
 
 Each propagation is blocked numpy work with no per-point Python loop:
 two basis solutions advance through every block of the grid at once, in
@@ -303,16 +304,16 @@ def _search(w: np.ndarray, alpha_beta: float, h: float, lam: float):
     falls below _LAMBDA_TOL (or to the resolution of a double).  Every
     sweep writes its t into one array of the grid's size.
 
-    Raises ValueError when W is not finite on w[1:], which its min and max
-    show, and RuntimeError when W is nowhere negative, when h is too coarse
-    for Numerov at the potential floor, when there is no bound state, or
-    after _MAX_SWEEPS sweeps.
+    Raises ValueError when W is not finite on w[1:] (its min and max show
+    it), and RuntimeError when W is nowhere below max(0, W(rho_max)), when h
+    is too coarse for Numerov at the potential floor, when there is no bound
+    state, or after _MAX_SWEEPS sweeps.  W + c moves lam by alpha_beta c.
     """
     w_min, w_max = float(np.min(w[1:])), float(np.max(w[1:]))
     if not (math.isfinite(w_min) and math.isfinite(w_max)):
         raise ValueError("potential must be finite on (0, rho_max]")
-    if w_min >= 0.0:
-        raise RuntimeError("potential is nowhere attractive: no bound state")
+    if w_min >= max(0.0, float(w[-1])):
+        raise RuntimeError("no bound state: W is nowhere below max(0, W(rho_max))")
     lam_lo = alpha_beta * w_min
     lam_hi = max(0.0, alpha_beta * float(w[-1])) - 1e-9 * max(1.0, abs(lam_lo))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -363,13 +364,14 @@ def ground_state(p: RadialProblem) -> OracleResult:
     The resolution check reads the turning index of the search's last sweep.
 
     Raises ValueError when W is not finite on the grid, and RuntimeError
-    when there is no bound state, when h is too coarse for Numerov (h^2 f
-    / 12 reaches 1 at the potential floor), after
-    _MAX_SWEEPS sweeps, when h does not resolve the state (its outermost
-    classical turning point lies fewer than _MIN_ALLOWED_STEPS steps from
-    the origin), or when the box truncates the state: u decays as
-    exp(-kappa rho) at the edge, kappa = sqrt(2 (alpha_beta W(rho_max) -
-    lambda)), and kappa rho_max must reach 15.
+    when W is nowhere below max(0, W(rho_max)) or binds no state, when h is
+    too coarse for Numerov (h^2 f/12 reaches 1 at the potential floor),
+    after _MAX_SWEEPS sweeps, when h does not resolve the state (its
+    outermost classical turning point lies fewer than _MIN_ALLOWED_STEPS
+    steps from the origin), or when the box truncates the state: u decays
+    as exp(-kappa rho) at the edge, kappa = sqrt(2 (alpha_beta W(rho_max) -
+    lambda)), and kappa rho_max must reach 15.  W + c has lambda +
+    alpha_beta c.
     """
     w = _w_grid(p)
     ab, h = p.alpha_beta, p.h

@@ -753,6 +753,24 @@ rho,Z,W
 potential,alpha_beta,rho_max,h,lambda,eps_over_alpha2,node_count,iterations,grid_points
 morse,1.8,40,0.001,-1.63337524,-0.5041281606,0,1,40001
 """,
+    # W_s >= 0.646 everywhere, tending to +1.646: the eps/alpha^2 that
+    # solve --nu 0.7 prints on this well
+    ("oracle", "--potential", "morse", "--alpha-beta", "0.7200162872432606",
+     "--G", "-1", "--V0", "-2.5", "--kappa", "1", "--b", "2"): """\
+{
+  "schema": 1,
+  "command": "oracle",
+  "potential": "morse",
+  "alpha_beta": 0.7200162872,
+  "rho_max": 40,
+  "h": 0.001,
+  "lambda": 0.9400930399,
+  "eps_over_alpha2": 1.813369038,
+  "node_count": 0,
+  "iterations": 3,
+  "grid_points": 40001
+}
+""",
     ("table1", "--format", "json"): """\
 {
   "schema": 1,

@@ -203,6 +203,20 @@ class TestGroundState:
         assert ab * morse_w(well, rho).min() < res[0].lam < ab * morse_w(well, 40.0)
         assert res[0].lam == pytest.approx(0.308937421, abs=1e-9)
 
+    @pytest.mark.parametrize("c", [0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("name, alpha_beta", [("bic", AB_BIC), ("morse", AB_CHAIN),
+                                                  ("coulomb", 1.0)])
+    def test_constant_offset_moves_lambda_by_alpha_beta_times_it(self, name, alpha_beta, c):
+        # f = 2 (alpha_beta W - lambda) is all the search reads, so W + c has
+        # lambda + alpha_beta c; at c = 2 and 5 the bic and Morse wells are
+        # nowhere below 0
+        pot = named_potential(name)
+        base = ground_state(RadialProblem(potential=pot, alpha_beta=alpha_beta))
+        lifted = ground_state(RadialProblem(potential=lambda r: pot(r) + c,
+                                            alpha_beta=alpha_beta))
+        assert abs(lifted.lam - (base.lam + alpha_beta * c)) <= 1e-13
+        assert lifted.iterations == base.iterations
+
     def test_scalar_only_potential_rejected(self):
         # the potential is called on the whole grid array, which it must
         # accept before the Ritz start calls it again on 60 points
@@ -438,7 +452,13 @@ class TestSearch:
                      "h = 0.001 is too coarse at alpha_beta = 1e+300: h^2 f/12 overflows "
                      "at lambda = -1e+300 (Numerov needs < 1)", id="step-overflow"),
         pytest.param(lambda r: 1.0 / r, 1.0, 1e-3,
-                     "potential is nowhere attractive: no bound state", id="repulsive"),
+                     "no bound state: W is nowhere below max(0, W(rho_max))",
+                     id="repulsive"),
+        # a well lifted above 0 with no bound state below its asymptote: the
+        # search's top probe refuses it
+        pytest.param(lambda r: 1.0 - 0.01 * np.exp(-r * r), 1.0, 1e-3,
+                     "no bound state found in (0.99, 1) at alpha_beta = 1",
+                     id="lifted-shallow"),
         pytest.param(lambda r: -0.01 * np.exp(-r * r), 1.0, 1e-3,
                      "no bound state found in (-0.00999999, -1e-09) at alpha_beta = 1",
                      id="shallow"),

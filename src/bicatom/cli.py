@@ -18,8 +18,9 @@ Subcommands
     Run the Numerov ground-state solver for a chosen radial potential
     (``coulomb``, ``morse``, or ``bic``) at a given coupling; its
     ``iterations`` field counts the matched sweeps of the eigenvalue
-    search, each an outward and an inward Numerov propagation across the
-    full grid, from a Laguerre-Ritz start.
+    search, each an outward Numerov propagation to the outermost turning
+    point and an inward one to it from where the state has decayed below
+    rounding, from a Laguerre-Ritz start.
 ``table1``
     Emit a three-row summary comparing the surrogate-analytic result,
     the Numerov result for the exact potential, and the empirical

@@ -112,9 +112,11 @@ class RadialProblem:
 class OracleResult:
     """Converged eigenvalue; ``lam`` is the dimensionless lambda.
 
-    ``iterations`` counts the matched sweeps of the search; each sweep is
-    one pass across the grid, split into an outward and an inward
-    propagation.
+    ``iterations`` counts the matched sweeps of the search; each sweep
+    propagates out from the origin to the outermost classical turning
+    point, and in to it from where the state has decayed below rounding
+    (point 15 320 of 40 001 for the exact potential at alpha_beta =
+    1.83297 and h = 1e-3), not from the grid's end.
     """
 
     lam: float
@@ -408,8 +410,8 @@ _END_STENCILS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, 
 # knots per unit rho: a power of two, so that floor(rho * 128) is a point's
 # interval with no rounding
 _KNOTS_PER_UNIT = 128
-# points an interpolant evaluates at a time, so its temporaries stay this size
-_CHUNK = 4096
+# points an interpolant evaluates at a time, so its scratch stays this size
+_CHUNK = 8192
 
 
 class _HermiteCubic:
@@ -420,10 +422,13 @@ class _HermiteCubic:
     end (B. Fornberg, Math. Comp. 51, 699 (1988)), so the interpolant is
     O(dx^4) accurate and needs no linear solve.  Interval k holds its cubic
     in s = 128 t - k, from 0 at x_k to 1 at x_{k+1}, and contains t when k =
-    floor(128 t), which no rounding moves.  Calls take a scalar or an array
-    and fill one output array _CHUNK points at a time.  They answer on [0,
-    x_{n-1} + 1/128], the last cubic reaching one knot spacing past the
-    table, and raise ValueError, naming the point, for any other rho or NaN.
+    floor(128 t), which no rounding moves.  Row k of one (n - 1, 4) table
+    holds that cubic's (c3, c2, c1, c0), so a point reads its four
+    coefficients in one gather.  Calls take a scalar or an array, check the
+    range once and fill one output array _CHUNK points at a time, in
+    scratch allocated once per call.  They answer on [0, x_{n-1} + 1/128],
+    the last cubic reaching one knot spacing past the table, and raise
+    ValueError, naming the first such point, for any other rho or NaN.
     """
 
     def __init__(self, y) -> None:
@@ -437,50 +442,59 @@ class _HermiteCubic:
                             -(_END_STENCILS @ y[:-6:-1])[::-1]))
         rise = np.diff(y)
         self._top = n / _KNOTS_PER_UNIT
-        self._coef = (s[:-1] + s[1:] - 2.0 * rise, 3.0 * rise - 2.0 * s[:-1] - s[1:],
-                      s[:-1], y[:-1])
+        self._coef = np.stack((s[:-1] + s[1:] - 2.0 * rise, 3.0 * rise - 2.0 * s[:-1] - s[1:],
+                               s[:-1], y[:-1]), axis=1)
 
-    def _interval(self, rho):
-        """Each rho's interval, floor(128 rho) clipped to n - 2.
-
-        Raises ValueError unless every rho lies in [0, x_{n-1} + 1/128].
-        """
-        if not (rho.min() >= 0.0 and rho.max() <= self._top):
-            bad = rho[~((rho >= 0.0) & (rho <= self._top))].flat[0]
-            raise ValueError(
-                f"rho = {float(bad)!r} is outside the interpolant's range [0, {self._top!r}]")
-        return np.fmin(rho * _KNOTS_PER_UNIT, len(self._coef[0]) - 1).astype(np.intp)
+    def _interval(self, rho, out=None):
+        """Each rho's interval, floor(128 rho) clipped to n - 2, as a float
+        (into ``out`` if given); the caller checks that rho is in range."""
+        k = np.multiply(rho, _KNOTS_PER_UNIT, out=out)
+        return np.floor(np.fmin(k, len(self._coef) - 1, out=out), out=out)
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)
         out = np.empty(rho.shape)
         points, values = rho.reshape(-1), out.reshape(-1)
-        c3, c2, c1, c0 = self._coef
+        if points.size and not (points.min() >= 0.0 and points.max() <= self._top):
+            bad = points[~((points >= 0.0) & (points <= self._top))][0]
+            raise ValueError(
+                f"rho = {float(bad)!r} is outside the interpolant's range [0, {self._top!r}]")
+        size = min(points.size, _CHUNK)
+        s_all, k_all, rows_all = np.empty(size), np.empty(size), np.empty((size, 4))
+        index_all = np.empty(size, dtype=np.intp)
         for i in range(0, points.size, _CHUNK):
             chunk, value = points[i:i + _CHUNK], values[i:i + _CHUNK]
-            k = self._interval(chunk)
-            s = chunk * _KNOTS_PER_UNIT - k
-            # ((c3 s + c2) s + c1) s + c0 in place: one gathered column at a time
-            c3.take(k, out=value)
-            for c in (c2, c1, c0):
-                value *= s
-                value += c.take(k)
+            m = len(chunk)
+            k, index, rows = self._interval(chunk, out=k_all[:m]), index_all[:m], rows_all[:m]
+            s = np.multiply(chunk, _KNOTS_PER_UNIT, out=s_all[:m])
+            s -= k
+            # k is whole, so the cast is exact; the range check has run, so
+            # "clip" never acts, and it skips numpy's slower bounds check
+            index[...] = k
+            self._coef.take(index, axis=0, mode="clip", out=rows)
+            # ((c3 s + c2) s + c1) s + c0 in place
+            np.multiply(rows[:, 0], s, out=value)
+            value += rows[:, 1]
+            value *= s
+            value += rows[:, 2]
+            value *= s
+            value += rows[:, 3]
         return out
 
 
 def bic_interpolator(rho_max: float = 40.0):
     """Cached cubic Hermite interpolant of the exact screened potential.
 
-    A ground state evaluates the potential once, on all of its grid
-    (4 x 10^4 points at the default h = 1e-3).  The interpolant (see
-    _HermiteCubic) has its knots at k/128, k = 0 ... max(ceil(128 rho_max),
-    4), covering [0, rho_max]; it is within 2.1e-12 of the exact W on the
-    shooting grids and tabulates Z once per rho_max.  It answers up to 1/128
-    past its last knot, as a grid may end h/2 past rho_max, and raises
-    ValueError for any other point.  rho_max must be in (0, 7812.49], where
-    the table keeps within tabulate's 10^6 points (ValueError otherwise).
-    The cache is keyed on float(rho_max), however the call is written, and
-    keeps the four most recent values.
+    A ground state evaluates the potential on all of its grid (4 x 10^4
+    points at the default h = 1e-3), and on the 60 points of its Ritz start.
+    The interpolant (see _HermiteCubic) has its knots at k/128, k = 0 ...
+    max(ceil(128 rho_max), 4), covering [0, rho_max]; it is within 2.1e-12
+    of the exact W on the shooting grids and tabulates Z once per rho_max.
+    It answers up to 1/128 past its last knot, as a grid may end h/2 past
+    rho_max, and raises ValueError for any other point.  rho_max must be in
+    (0, 7812.49], where the table keeps within tabulate's 10^6 points
+    (ValueError otherwise).  The cache is keyed on float(rho_max), however
+    the call is written, and keeps the four most recent values.
     """
     rho_max, top = float(rho_max), (_MAX_POINTS - 1) / _KNOTS_PER_UNIT
     if not 0.0 < rho_max <= top:

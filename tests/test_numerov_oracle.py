@@ -697,6 +697,14 @@ class TestPropagation:
             tracemalloc.stop()
         assert peak <= 4 * 8 * (int(round(p.rho_max / h)) + 1)
 
+    def test_potential_may_write_its_argument(self):
+        # a potential may write into its argument and return it: W then
+        # lives in the grid's rho array, which nothing else reads
+        res = ground_state(RadialProblem(lambda r: r - 50.0, 1.0))
+        assert (res.lam, res.iterations) == (-48.14424291851072, 2)
+        inplace = ground_state(RadialProblem(lambda r: np.subtract(r, 50.0, out=r), 1.0))
+        assert (inplace.lam, inplace.iterations) == (res.lam, res.iterations)
+
     def test_shoot_rejects_too_coarse_grid(self, monkeypatch):
         # W = -1e7 at the origin: h^2 f / 12 reaches 1.7 at the bracket's
         # floor, lambda = -1e7, where the loop divided by 1 - t < 0 and

@@ -11,14 +11,14 @@ alternates in sign at one common size (the equal-ripple signature).
 Run:  python3 demos/fit_surrogate.py
 """
 
-from bicatom.bic_potential import PotentialKind, tabulate
+from bicatom.bic_potential import tabulate
 from bicatom.morse_fit import REFERENCE_MORSE, alternation_set, fit, morse_w
 
 
 def main() -> None:
     print("Morse surrogate fit to the screened potential")
     print("=============================================")
-    table = tabulate(PotentialKind.EXACT_BIC, 0.0, 10.0, 200)
+    table = tabulate("bic", 0.0, 10.0, 200)
     report = fit(table)
     p = report.params
     r = REFERENCE_MORSE

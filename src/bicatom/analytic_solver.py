@@ -66,7 +66,7 @@ from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Optional, Tuple
 
 from .roots import _crossings
-from .specfun import _TINY, _Z_CAP, QUARTER_BETA, kummer_m, whittaker_m
+from .specfun import _Z_CAP, QUARTER_BETA, kummer_m, whittaker_m
 
 __all__ = [
     "AnalyticSolution",
@@ -179,21 +179,19 @@ def quantization_residual(a: float, nu: float, morse: MorseParams) -> float:
     """M_{a,nu} evaluated at the boundary point z0 = 2a e^{kappa b}.
 
     A root in a (together with z0 being the first root of M) enforces
-    u = 0 at rho = 0 for a nodeless interior solution.  Raises ValueError,
-    naming kappa and b, when z0 lies beyond 1F1's range z <= 200, or so
-    close to 0 that M's prefactor e^(-z0/2) z0^(nu+1/2) is not a normal
-    float (see whittaker_m), where M would read as an exact root.
+    u = 0 at rho = 0 for a nodeless interior solution.  When whittaker_m
+    refuses z0, as beyond 1F1's range z <= 200 or so close to 0 that M's
+    prefactor e^(-z0/2) z0^(nu+1/2) is not a normal float (where M would
+    read as an exact root), the ValueError is whittaker_m's, prefixed by
+    the kappa, b and X(a) that gave z0.
     """
     _require_positive(a=a, nu=nu)
     x = _boundary_z(a, morse)
-    if not x <= _Z_CAP:
-        where = f"beyond 1F1's range z <= {_Z_CAP:g}"
-    elif x < 1.0 and not math.exp(-0.5 * x) * x ** (nu + 0.5) >= _TINY:  # whittaker_m's test
-        where = f"so near 0 that e^(-X/2) X^(nu+1/2) underflows at nu = {nu:.6g}"
-    else:
+    try:
         return whittaker_m(a, nu, x)
-    raise ValueError(f"kappa = {morse.kappa!r}, b = {morse.b!r} put X = 2a e^(kappa b) = "
-                     f"{x:.6g} at a = {a:.6g} {where}")
+    except ValueError as err:
+        raise ValueError(f"kappa = {morse.kappa!r}, b = {morse.b!r} put X = 2a e^(kappa b) = "
+                         f"{x:.6g} at a = {a:.6g}: {err}") from None
 
 
 def first_root(a: float, nu: float) -> float:

@@ -445,12 +445,6 @@ class _HermiteCubic:
         self._coef = np.stack((s[:-1] + s[1:] - 2.0 * rise, 3.0 * rise - 2.0 * s[:-1] - s[1:],
                                s[:-1], y[:-1]), axis=1)
 
-    def _interval(self, rho, out=None):
-        """Each rho's interval, floor(128 rho) clipped to n - 2, as a float
-        (into ``out`` if given); the caller checks that rho is in range."""
-        k = np.multiply(rho, _KNOTS_PER_UNIT, out=out)
-        return np.floor(np.fmin(k, len(self._coef) - 1, out=out), out=out)
-
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)
         out = np.empty(rho.shape)
@@ -465,8 +459,10 @@ class _HermiteCubic:
         for i in range(0, points.size, _CHUNK):
             chunk, value = points[i:i + _CHUNK], values[i:i + _CHUNK]
             m = len(chunk)
-            k, index, rows = self._interval(chunk, out=k_all[:m]), index_all[:m], rows_all[:m]
+            k, index, rows = k_all[:m], index_all[:m], rows_all[:m]
+            # s = 128 rho - k, with k = floor(128 rho) clipped to n - 2
             s = np.multiply(chunk, _KNOTS_PER_UNIT, out=s_all[:m])
+            np.floor(np.fmin(s, len(self._coef) - 1, out=k), out=k)
             s -= k
             # k is whole, so the cast is exact; the range check has run, so
             # "clip" never acts, and it skips numpy's slower bounds check

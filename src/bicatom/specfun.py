@@ -141,14 +141,14 @@ def whittaker_m(a: float, nu: float, z: float) -> float:
     and z, including 1F1's range z <= 200, and a finite alpha = nu - a +
     1/2 and gamma = 1 + 2 nu, which overflow for finite a and nu of order
     1e308, as at nu = 1e308; either refusal is a ValueError naming a, nu
-    and z.  Then it sums 1F1 with the unchecked _kummer_series, so that each
-    check runs once (gamma > 0 follows from nu > 0).
-    A z so small that the prefactor e^(-z/2) z^(nu+1/2) is not a normal
-    float, below 2.2e-308, raises ValueError: M would come out as 0 or
-    subnormal whatever 1F1 is.  Since z <= 200 keeps e^(-z/2) >= e^-100,
-    that needs z < 1, and it is z < 10^(-307.65 / (nu + 1/2)) to within
-    rounding, as z < 3.3e-91 at nu = 2.9; up to nu = 0.45 every positive
-    float passes.  An M beyond the largest
+    and z.  A z so small that the prefactor e^(-z/2) z^(nu+1/2) is not a
+    normal float, below 2.2e-308, raises ValueError too: M would come out
+    as 0 or subnormal whatever 1F1 is.  Since z <= 200 keeps e^(-z/2) >=
+    e^-100, that needs z < 1, and it is z < 10^(-307.65 / (nu + 1/2)) to
+    within rounding, as z < 3.3e-91 at nu = 2.9; up to nu = 0.45 every
+    positive float passes.  Only then does it sum 1F1 with the unchecked
+    _kummer_series, so that each check runs once (gamma > 0 follows from
+    nu > 0) and a z refused so far costs no series.  An M beyond the largest
     float raises ValueError too, as does z^(nu+1/2) alone past it: that is
     nu + 1/2 > 709.78 / ln z, as nu > 133.5 at z = 200.
     """
@@ -168,7 +168,6 @@ def whittaker_m(a: float, nu: float, z: float) -> float:
     if not (math.isfinite(alpha) and math.isfinite(gamma)):
         raise ValueError(f"whittaker_m overflows at a = {a!r}, nu = {nu!r}, z = {z!r}: "
                          "alpha = nu - a + 1/2 or gamma = 1 + 2 nu is not a finite float")
-    m = _kummer_series(alpha, gamma, z)
     try:
         prefactor = math.exp(-0.5 * z) * z ** (nu + 0.5)
     except OverflowError:  # z^(nu+1/2) past the largest float
@@ -176,7 +175,7 @@ def whittaker_m(a: float, nu: float, z: float) -> float:
     if not prefactor >= _TINY:
         raise ValueError(f"whittaker_m's prefactor e^(-z/2) z^(nu+1/2) underflows at "
                          f"z = {z!r}, nu = {nu!r}")
-    value = prefactor * m
+    value = prefactor * _kummer_series(alpha, gamma, z)
     if not math.isfinite(value):
         raise ValueError(f"whittaker_m overflows at a = {a!r}, nu = {nu!r}, z = {z!r}: "
                          f"M is not a finite float")

@@ -9,6 +9,7 @@ eps) figures the library is expected to reproduce.
 import copy
 import math
 import pickle
+import random
 import re
 
 import numpy as np
@@ -28,7 +29,7 @@ from bicatom.analytic_solver import (
 )
 from bicatom.bic_potential import QUARTER_BETA, PotentialKind, tabulate
 from bicatom.morse_fit import REFERENCE_MORSE, FitConfig, fit
-from bicatom.specfun import whittaker_m
+from bicatom.specfun import SeriesNonConvergence, whittaker_m
 
 C = REFERENCE_MORSE
 
@@ -72,10 +73,14 @@ class TestQuantizationResidual:
     @pytest.mark.parametrize("b", [800.0, 1e6])
     def test_boundary_point_beyond_1f1_range_is_named(self, b):
         # X = 2a e^(kappa b) is 1.4e204 at b = 800 and overflows at 1e6;
-        # the error named kummer_m and a z the caller never gave
+        # the error once named kummer_m and a z the caller never gave, and
+        # now whittaker_m refuses z, after a prefix that says where z came from
+        x, z = {800.0: ("1.41845e+204", "1.4184484613417063e+204"), 1e6: ("inf", "inf")}[b]
         morse = REFERENCE_MORSE._replace(b=b)
-        with pytest.raises(ValueError, match=rf"kappa = 0\.5852, b = {b!r} put .* "
-                                             r"beyond 1F1's range z <= 200$"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"kappa = 0.5852, b = {b!r} put X = 2a e^(kappa b) = {x} at a = 3.4: "
+                f"whittaker_m supports z <= 200, 1F1's range, got a = 3.4, nu = 2.9, z = {z}")
+                + "$"):
             quantization_residual(3.4, 2.9, morse)
 
     @pytest.mark.parametrize("kappa, b, x", [
@@ -83,13 +88,17 @@ class TestQuantizationResidual:
         (0.5852, -360.0, "2.18183e-91")])
     def test_boundary_point_near_0_is_named(self, kappa, b, x):
         # M's prefactor underflowed to 0.0, an exact root to the march, or
-        # X itself did and whittaker_m named a z the caller never gave
+        # X itself did; whittaker_m refuses z, after a prefix naming kappa and b
+        z = 6.8 * math.exp(kappa * b)  # X(3.4), rounded as _boundary_z rounds it
+        why = (f"whittaker_m's prefactor e^(-z/2) z^(nu+1/2) underflows at z = {z!r}, nu = 2.9"
+               if z > 0.0 else "whittaker_m requires z > 0, got 0.0")
+        want = "^" + re.escape(
+            f"kappa = {kappa!r}, b = {b!r} put X = 2a e^(kappa b) = {x} at a = 3.4: {why}") + "$"
         morse = REFERENCE_MORSE._replace(kappa=kappa, b=b)
-        with pytest.raises(ValueError, match="^" + re.escape(
-                f"kappa = {kappa!r}, b = {b!r} put X = 2a e^(kappa b) = {x} at a = 3.4 "
-                "so near 0 that e^(-X/2) X^(nu+1/2) underflows at nu = 2.9") + "$"):
+        with pytest.raises(ValueError, match=want):
             quantization_residual(3.4, 2.9, morse)
-        with pytest.raises(ValueError, match="underflows at nu = "):
+        # a = 3.4 is the first a that solve_a's march evaluates at nu = 2.9
+        with pytest.raises(ValueError, match=want):
             solve_a(2.9, morse)
 
     def test_boundary_point_near_0_answers_above_the_limit(self):
@@ -101,8 +110,52 @@ class TestQuantizationResidual:
 
     def test_calibrate_refuses_a_boundary_point_near_0(self):
         # this returned nu = 5.4 with X = 8.4e-254
-        with pytest.raises(ValueError, match="b = -1000.0 put .* underflows at nu = 5.4$"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "kappa = 0.5852, b = -1000.0 put X = 2a e^(kappa b) = 8.40689e-254 at "
+                "a = 5.92565: whittaker_m's prefactor e^(-z/2) z^(nu+1/2) underflows at "
+                "z = 8.406886045978605e-254, nu = 5.4") + "$"):
             calibrate_nu(-0.49973, REFERENCE_MORSE._replace(b=-1000.0))
+
+    def test_answers_and_refuses_as_whittaker_m_does(self):
+        # whittaker_m alone decides which X it takes: the residual is its
+        # value to the bit, or its ValueError prefixed by kappa, b and X
+        rng = random.Random(2610)
+
+        def outcome(f, *args):
+            try:
+                return "value", f(*args).hex()
+            except (ValueError, SeriesNonConvergence) as err:
+                return type(err), str(err)
+
+        def below_floor(a):  # X under 10^(-307.65/(nu+1/2)), where M's prefactor underflows
+            nu = rng.uniform(1.0, 10.0)
+            log_x = -307.65 / (nu + 0.5) * math.log(10.0) - rng.uniform(0.1, 20.0)
+            return nu, log_x - math.log(2 * a)
+
+        draws = {  # (nu, kappa b) for each kind of X = 2a e^(kappa b), given a
+            "in range": lambda a: (rng.uniform(0.05, 10.0),
+                                   rng.uniform(math.log(1e-3), math.log(200.0)) - math.log(2 * a)),
+            "above 200": lambda a: (rng.uniform(0.05, 10.0),
+                                    rng.uniform(math.log(201.0), 690.0) - math.log(2 * a)),
+            "inf": lambda a: (rng.uniform(0.05, 10.0), rng.uniform(710.0, 1e5)),
+            "0": lambda a: (rng.uniform(0.05, 10.0), rng.uniform(-1e5, -746.0)),
+            "below the floor": below_floor,
+        }
+        for kind, draw in draws.items():
+            answered = 0
+            for _ in range(200):
+                a, kappa = rng.uniform(0.05, 50.0), math.exp(rng.uniform(-3.0, 1.6))
+                nu, kb = draw(a)
+                morse = MorseParams(G=-1.83, V0=0.1, kappa=kappa, b=kb / kappa)
+                x = analytic_solver._boundary_z(a, morse)
+                want = outcome(whittaker_m, a, nu, x)
+                if want[0] is ValueError:
+                    want = (ValueError, f"kappa = {kappa!r}, b = {morse.b!r} put "
+                                        f"X = 2a e^(kappa b) = {x:.6g} at a = {a:.6g}: {want[1]}")
+                assert outcome(quantization_residual, a, nu, morse) == want, (kind, a, nu, morse)
+                answered += want[0] == "value"
+            # X in range mostly answers; every other kind is refused
+            assert answered > 150 if kind == "in range" else answered == 0, kind
 
 
 class TestFirstRoot:

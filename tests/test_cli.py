@@ -560,42 +560,49 @@ def test_extreme_morse_parameters_fail_cleanly(capsys, argv):
     assert err.startswith(("error:invalid-input:", "error:computation-failed:"))
 
 
+BEYOND = "whittaker_m supports z <= 200, 1F1's range, got "
+
+
 @pytest.mark.parametrize("argv, detail", [
     (["solve", "--nu", "2.9", "--b", "800"],
-     "kappa = 0.5852, b = 800.0 put X = 2a e^(kappa b) = 1.41845e+204 at a = 3.4 "
-     "beyond 1F1's range z <= 200"),
+     "kappa = 0.5852, b = 800.0 put X = 2a e^(kappa b) = 1.41845e+204 at a = 3.4: "
+     + BEYOND + "a = 3.4, nu = 2.9, z = 1.4184484613417063e+204"),
     (["calibrate", "--b", "800"],
-     "kappa = 0.5852, b = 800.0 put X = 2a e^(kappa b) = 2.47213e+204 at a = 5.92565 "
-     "beyond 1F1's range z <= 200"),
+     "kappa = 0.5852, b = 800.0 put X = 2a e^(kappa b) = 2.47213e+204 at a = 5.92565: "
+     + BEYOND + "a = 5.925649707918684, nu = 5.4, z = 2.4721260913668204e+204"),
     (["solve", "--nu", "2.9", "--b", "1e6"],
-     "kappa = 0.5852, b = 1000000.0 put X = 2a e^(kappa b) = inf at a = 3.4 "
-     "beyond 1F1's range z <= 200"),
+     "kappa = 0.5852, b = 1000000.0 put X = 2a e^(kappa b) = inf at a = 3.4: "
+     + BEYOND + "a = 3.4, nu = 2.9, z = inf"),
 ])
 def test_boundary_point_beyond_1f1_range_names_kappa_and_b(capsys, argv, detail):
-    # these said "kummer_m supports 0 <= z <= 200, got 1.4184484613417063e+204"
+    # these said "kummer_m supports 0 <= z <= 200, got 1.4184484613417063e+204";
+    # now whittaker_m refuses z, and the prefix names where it came from
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
     assert err == f"error:invalid-input: {detail}\n"
 
 
-NEAR_0 = "so near 0 that e^(-X/2) X^(nu+1/2) underflows at nu = "
+NEAR_0 = "whittaker_m's prefactor e^(-z/2) z^(nu+1/2) underflows at z = "
 
 
 @pytest.mark.parametrize("argv, detail", [
     # M's prefactor underflowed to 0.0, which the march took for an exact
     # root: solve printed a = 3.4 and calibrate nu = 5.4, and both exited 0
     (["solve", "--nu", "2.9", "--b", "-1000", "--format", "csv"],
-     "kappa = 0.5852, b = -1000.0 put X = 2a e^(kappa b) = 4.82368e-254 at a = 3.4 "
-     + NEAR_0 + "2.9"),
+     "kappa = 0.5852, b = -1000.0 put X = 2a e^(kappa b) = 4.82368e-254 at a = 3.4: "
+     + NEAR_0 + "4.823675709033238e-254, nu = 2.9"),
     (["calibrate", "--b", "-1000"],
-     "kappa = 0.5852, b = -1000.0 put X = 2a e^(kappa b) = 8.40689e-254 at a = 5.92565 "
-     + NEAR_0 + "5.4"),
-    # e^(kappa b) underflowed to 0: these said "whittaker_m requires z > 0, got 0.0"
+     "kappa = 0.5852, b = -1000.0 put X = 2a e^(kappa b) = 8.40689e-254 at a = 5.92565: "
+     + NEAR_0 + "8.406886045978605e-254, nu = 5.4"),
+    # e^(kappa b) underflowed to 0: whittaker_m refuses z = 0, and the
+    # prefix names the kappa and b that gave it
     (["solve", "--nu", "2.9", "--kappa", "1e308"],
-     "kappa = 1e+308, b = -0.4572 put X = 2a e^(kappa b) = 0 at a = 3.4 " + NEAR_0 + "2.9"),
+     "kappa = 1e+308, b = -0.4572 put X = 2a e^(kappa b) = 0 at a = 3.4: "
+     "whittaker_m requires z > 0, got 0.0"),
     (["solve", "--nu", "2.9", "--b", "-1e308"],
-     "kappa = 0.5852, b = -1e+308 put X = 2a e^(kappa b) = 0 at a = 3.4 " + NEAR_0 + "2.9"),
+     "kappa = 0.5852, b = -1e+308 put X = 2a e^(kappa b) = 0 at a = 3.4: "
+     "whittaker_m requires z > 0, got 0.0"),
 ])
 def test_boundary_point_near_0_names_kappa_and_b(capsys, argv, detail):
     with warnings.catch_warnings():

@@ -23,6 +23,7 @@ from bicatom.numerov_oracle import (
     bic_interpolator,
     ground_state,
 )
+from test_numerov_bits import assert_same, reference
 
 AB_CHAIN = 1.823373498
 # oracle: lambda for the reference surrogate at AB_CHAIN via the
@@ -833,7 +834,9 @@ class TestBicInterpolator:
 
     @pytest.mark.parametrize("rho_max", [40.0, 38.5, 120.0])
     def test_interval_is_searchsorted(self, rho_max):
-        spline = bic_interpolator(rho_max)
+        # the values are the reference interpolant's to the bit, and its
+        # intervals are searchsorted's, at the knots and on either side of them
+        spline, old = bic_interpolator(rho_max), reference(rho_max)
         x = np.arange({40.0: 5121, 38.5: 4929, 120.0: 15361}[rho_max]) / 128
 
         def want(rho):
@@ -841,9 +844,9 @@ class TestBicInterpolator:
 
         grids = [np.arange(1, int(round(rho_max / h)) + 1) * h for h in (1e-3, 5e-4)]
         for rho in (*grids, x, np.nextafter(x[1:], -np.inf), np.nextafter(x, np.inf),
-                    np.array([x[-1] + 1 / 128])):
-            np.testing.assert_array_equal(spline._interval(rho), want(rho))
-        assert np.ndim(spline._interval(np.asarray(x[7]))) == 0
+                    np.array([x[-1] + 1 / 128]), np.asarray(x[7])):
+            np.testing.assert_array_equal(old._interval(rho), want(rho))
+            assert_same(spline(rho), old(rho))
 
     @pytest.mark.parametrize("rho", [-1.0, -5e-324, -np.inf, np.inf, np.nan, 1e300, 1e308,
                                      80.0, 50.0, np.nextafter(40.0 + 1 / 128, np.inf)])

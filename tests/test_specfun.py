@@ -254,6 +254,10 @@ REFUSALS = [
      'whittaker_m overflows at a = 1.0, nu = 139.5, z = 200.0: M is not a finite float'),
     (whittaker_m, (45.8, 0.1, 190.0), SeriesNonConvergence,
      '1F1(-45.199999999999996, 1.2, 190.0): terms of total size 1.26e+50 cancel to 6.57e+39, beyond double precision'),
+    # the prefactor is checked before the series: this summed 5000 terms
+    # and raised SeriesNonConvergence
+    (whittaker_m, (1e200, 2.9, 1e-100), ValueError,
+     "whittaker_m's prefactor e^(-z/2) z^(nu+1/2) underflows at z = 1e-100, nu = 2.9"),
 ]
 
 

@@ -165,18 +165,18 @@ def _propagate(t: np.ndarray, h: float):
     g = (2 + 10 t) / (1 - t), in summed form: the differences dv_{i+1} =
     v_{i+1} - v_i = dv_i + e_i v_i, e = g - 2 = 12 t / (1 - t), carry the
     solution, so that each step rounds relative to the small dv and not
-    to v.  There is no per-point Python loop.  v_1, v_2, ... are cut into
-    K blocks of L values (the last one padded), and two basis solutions,
-    entering every block as (v, dv) = (1, 0) and (0, 1), advance through
-    all blocks at once in L numpy steps.  One pass over the blocks then
-    chains them: a block entered in state (x, y) holds x times the first
-    basis plus y times the second and leaves in the (v, dv) of that sum;
-    the carried state is rescaled by 1e-100 whenever x^2 + y^2 passes
-    1e200.  Each block is rebuilt at its own scale, so a block far below
-    the largest one underflows in s but keeps its signs in the node
-    count.  L is about sqrt(N)/3, which balances the L numpy steps
-    against the K-step pass, capped so that no basis state grows past
-    1e100 in a block: max(|v|, |dv|) grows by at most 2 + |e_i| a step.
+    to v.  There is no per-point Python loop.  e, v and u share one
+    grid-order buffer, cut into K blocks of L values (the last one padded),
+    and two basis solutions, entering every block as (v, dv) = (1, 0) and
+    (0, 1), advance through all blocks at once in L numpy steps.  One pass
+    over the blocks then chains them: a block entered in state (x, y) holds
+    x times the first basis plus y times the second and leaves in the (v,
+    dv) of that sum; the carried state is rescaled by 1e-100 whenever x^2 +
+    y^2 passes 1e200.  Each block is rebuilt at its own scale, so a block
+    far below the largest one underflows in s but keeps its signs in the
+    node count.  L is about sqrt(N)/3, which balances the L numpy steps
+    against the K-step pass, capped so that no basis state grows past 1e100
+    in a block: max(|v|, |dv|) grows by at most 2 + |e_i| a step.
     """
     n = len(t) - 1  # the values v_1 ... v_n
     t = t[1:]
@@ -184,12 +184,11 @@ def _propagate(t: np.ndarray, h: float):
     growth = 2.0 + max(-12.0 * t_lo / (1.0 - t_lo), 12.0 * t_hi / (1.0 - t_hi))
     steps = max(1, min(math.isqrt(n // 9) + 1, int(_LOG_BLOCK_GROWTH / math.log(growth))))
     blocks = -(-n // steps)
-    # row k holds e at indices k*steps + 1 ... (k + 1)*steps; v later
-    coef = np.empty((blocks, steps))
-    flat = coef.reshape(-1)
+    # e, then v, then u in grid order; coef is flat's (steps, blocks) view
+    flat = np.empty(blocks * steps)
+    coef = flat.reshape(blocks, steps).T
     np.divide(12.0 * t, 1.0 - t, out=flat[:n])
     flat[n:] = 0.0
-    coef = coef.T
     # basis[i, 0, k], basis[i, 1, k]: v at row i of block k for the two
     # solutions entering it as (v, dv) = (1, 0) and (0, 1)
     basis = np.empty((steps, 2, blocks))
@@ -222,26 +221,17 @@ def _propagate(t: np.ndarray, h: float):
     # v: block k at scale exp(log_scale[k]), over the spent e; a ufunc copies
     # an operand that is a strided view of memory it writes, as basis[:, 0] is
     basis *= np.array((x / size, y / size))
-    v = np.add(basis[:, 0], basis[:, 1], out=flat.reshape(steps, blocks))
-    last = n - 1 - (blocks - 1) * steps  # the row of v_n in the last block
-    other = np.multiply(v[1:], v[:-1], out=basis[1:, 0])
-    nodes = (np.count_nonzero(other[:, :-1] <= 0.0)
-             + np.count_nonzero(other[:last, -1] <= 0.0)
-             + np.count_nonzero(v[0, 1:] * v[-1, :-1] <= 0.0))
-    # 1 - t in the layout of e, over the spent basis
-    one_minus_t = basis.reshape(-1)[:blocks * steps]
-    np.subtract(1.0, t, out=one_minus_t[:n])
-    one_minus_t[n:] = 1.0
-    u = np.divide(v, one_minus_t.reshape(blocks, steps).T, out=v)
-    u[last + 1:, -1] = 0.0
+    np.add(basis[:, 0], basis[:, 1], out=coef)
+    v = flat[:n]
+    spare = basis.reshape(-1)  # scratch in the spent basis
+    nodes = np.count_nonzero(np.multiply(v[1:], v[:-1], out=spare[:n - 1]) <= 0.0)
+    np.divide(v, np.subtract(1.0, t, out=spare[:n]), out=v)  # u
+    flat[n:] = 0.0
+    u = flat.reshape(blocks, steps)
     scale = np.exp(log_scale - log_scale.max())
-    s = float(np.einsum("ik,ik->k", u, u) @ (scale * scale))
-
-    def value(j):
-        k, i = divmod(j, steps)
-        return float(u[i, k] * scale[k])
-
-    return value(n - 2) if n > 1 else 0.0, value(n - 1), s, int(nodes)
+    s = float(np.einsum("ki,ki->k", u, u) @ (scale * scale))
+    u_prev = float(flat[n - 2] * scale[(n - 2) // steps]) if n > 1 else 0.0
+    return u_prev, float(flat[n - 1] * scale[-1]), s, int(nodes)
 
 
 def _log_growth(t: np.ndarray) -> np.ndarray:
@@ -429,13 +419,13 @@ class _HermiteCubic:
     scratch allocated once per call.  They answer on [0, x_{n-1} + 1/128],
     the last cubic reaching one knot spacing past the table, and raise
     ValueError, naming the first such point, for any other rho or NaN.
+    The stencils need n >= 5 knots: _bic_spline, the one constructor,
+    builds max(ceil(128 rho_max), 4) + 1 of them, and that is the one rule.
     """
 
     def __init__(self, y) -> None:
         y = np.asarray(y, dtype=float)
         n = len(y)
-        if n < 5:
-            raise ValueError(f"a cubic Hermite interpolant needs n >= 5 points, got {n}")
         # slopes times dx, and the rise of each interval
         s = np.concatenate((_END_STENCILS @ y[:5],
                             (y[:-4] - y[4:] + 8.0 * (y[3:-1] - y[1:-3])) / 12.0,

@@ -53,7 +53,7 @@ _TINY = sys.float_info.min  # the smallest normal float
 
 class SeriesNonConvergence(RuntimeError):
     """Raised when the 1F1 series cannot be summed to its tolerance in double
-    precision: no convergence within _MAX_TERMS terms, or too much cancellation."""
+    precision: no convergence in _MAX_TERMS terms, cancellation or overflow."""
 
 
 def kummer_m(alpha: float, gamma: float, z: float) -> float:
@@ -65,8 +65,9 @@ def kummer_m(alpha: float, gamma: float, z: float) -> float:
 
     Raises ValueError for a NaN or infinite alpha or gamma, gamma in
     {0, -1, -2, ...} or any z outside [0, 200] (NaN included), and
-    SeriesNonConvergence when 5000 terms do not converge or when the
-    terms cancel beyond the bound of _kummer_series, as for
+    SeriesNonConvergence when 5000 terms do not converge, when terms that
+    overflow sum to NaN (so it never returns NaN), or when the terms
+    cancel beyond the bound of _kummer_series, as for
     1F1(-45.2; 1.2; 190), whose terms of total size 1.3e50 sum to 6.6e39.
     """
     alpha = float(alpha)
@@ -106,7 +107,9 @@ def _kummer_series(alpha: float, gamma: float, z: float) -> float:
     max(|sum t_n|, 1), so within 4 N 1e-11 max(|1F1|, 1).  On |alpha| <=
     50, 1 <= gamma <= 21 and 0 <= z <= 200, N stays below 330, which
     bounds the error by 1.5e-8 max(|1F1|, 1), the truncated tail
-    included.  Raises SeriesNonConvergence as kummer_m documents.
+    included.  An overflowed term passes the stop test's size check, which
+    raises there once the sum is NaN.  Raises SeriesNonConvergence as
+    kummer_m documents.
     """
     rel_tol = _REL_TOL
     term = total = magnitude = 1.0  # magnitude, sum |t_k|: the cancellation-safe scale
@@ -120,16 +123,20 @@ def _kummer_series(alpha: float, gamma: float, z: float) -> float:
         total += term
         size = term if term >= 0.0 else -term
         magnitude += size
-        if size <= rel_tol * magnitude and (term == 0.0 or -1.0 < ratio < 1.0):
-            streak += 1
-            if streak >= 2:
-                if _EPS * magnitude > _CANCEL_TOL * max(abs(total), 1.0):
-                    raise SeriesNonConvergence(
-                        f"1F1({alpha}, {gamma}, {z}): terms of total size {magnitude:.3g} "
-                        f"cancel to {total:.3g}, beyond double precision")
-                return total
-        else:
-            streak = 0
+        if not size > rel_tol * magnitude:  # an inf or NaN term passes too
+            if total != total:
+                raise SeriesNonConvergence(f"1F1({alpha}, {gamma}, {z}): the terms overflow "
+                                           f"and sum to NaN, beyond double precision")
+            if term == 0.0 or -1.0 < ratio < 1.0:
+                streak += 1
+                if streak >= 2:
+                    if _EPS * magnitude > _CANCEL_TOL * max(abs(total), 1.0):
+                        raise SeriesNonConvergence(
+                            f"1F1({alpha}, {gamma}, {z}): terms of total size {magnitude:.3g} "
+                            f"cancel to {total:.3g}, beyond double precision")
+                    return total
+                continue
+        streak = 0
     raise SeriesNonConvergence(
         f"1F1({alpha}, {gamma}, {z}) did not converge in {_MAX_TERMS} terms")
 
@@ -150,7 +157,8 @@ def whittaker_m(a: float, nu: float, z: float) -> float:
     _kummer_series, so that each check runs once (gamma > 0 follows from
     nu > 0) and a z refused so far costs no series.  An M beyond the largest
     float raises ValueError too, as does z^(nu+1/2) alone past it: that is
-    nu + 1/2 > 709.78 / ln z, as nu > 133.5 at z = 200.
+    nu + 1/2 > 709.78 / ln z, as nu > 133.5 at z = 200.  Terms of 1F1 that
+    overflow to a NaN sum raise SeriesNonConvergence, as at a = 1e200.
     """
     a = float(a)
     nu = float(nu)

@@ -5,6 +5,11 @@ from the implementation that read the interpolant's cubics with four
 gathers per point.  The packed interpolant that replaced it keeps every
 floating-point operation and its order, so the results must match to the
 last bit; accuracy is tested elsewhere (tests/test_numerov_oracle.py).
+The pins at alpha_beta = 1.83297 and h = 5e-4, Coulomb at 1 and the
+lifted well at solve_a's coupling for nu = 1.2 were recorded from the
+propagation that held v block by block; the one that holds it in grid
+order sums each block's u^2 in another order, which can move lam in its
+last bits, but not on these.
 
 FourTakeCubic is that earlier interpolant, kept as the reference the
 packed one must equal on every input, refusals included.
@@ -16,12 +21,15 @@ import numpy as np
 import pytest
 
 from bicatom import numerov_oracle
+from bicatom.analytic_solver import observables, solve_a
 from bicatom.bic_potential import tabulate
 from bicatom.morse_fit import REFERENCE_MORSE, MorseParams, morse_w
 from bicatom.numerov_oracle import RadialProblem, bic_interpolator, ground_state
 
 # the lifted well of tests/test_cli.py's GOLDEN: W_s >= 0.646, tending to +1.646
 LIFTED = MorseParams(G=-1.0, V0=-2.5, kappa=1.0, b=2.0)
+# solve_a's coupling for nu = 1.2 on that well, 1.445000345850686
+AB_LIFTED = observables(1.2, solve_a(1.2, LIFTED), LIFTED).alpha_beta
 POTENTIALS = {
     "bic": lambda rho_max: bic_interpolator(rho_max),
     "morse": lambda rho_max: lambda r: morse_w(REFERENCE_MORSE, r),
@@ -33,13 +41,16 @@ GROUND_STATES = {
     ("bic", 1.83297, 40.0, 1e-3): ("-0x1.ae0d4bb4c4a7bp+0", 1),
     ("bic", 1.7, 40.0, 1e-3): ("-0x1.853aaaa6b1963p+0", 1),
     ("bic", 2.1, 40.0, 1e-3): ("-0x1.00d4aa7d2d1e3p+1", 1),
+    ("bic", 1.83297, 40.0, 5e-4): ("-0x1.ae0d4bb4c4a7bp+0", 1),
     ("bic", 1.7, 40.0, 5e-4): ("-0x1.853aaaa6b19b0p+0", 1),
     ("bic", 1.7, 38.7371, 5e-4): ("-0x1.853aaaa6b19b0p+0", 1),
     ("morse", 1.823373498, 40.0, 1e-3): ("-0x1.a9554d16cb979p+0", 1),
+    ("coulomb", 1.0, 40.0, 1e-3): ("-0x1.ffffe9a71dd4ap-2", 2),
     ("coulomb", 1.3, 40.0, 1e-3): ("-0x1.b0a3b722ff0e6p-1", 2),
     ("coulomb", 1.8, 40.0, 1e-3): ("-0x1.9eb81751b7fd1p+0", 2),
     ("coulomb", 0.45, 40.0, 1e-3): ("-0x1.9eb84e40a147ap-4", 2),
     ("lifted", 0.7200162872432606, 40.0, 1e-3): ("0x1.e153dffb62cbbp-1", 3),
+    ("lifted", AB_LIFTED, 40.0, 1e-3): ("0x1.a88a748ff19cdp+0", 2),
 }
 
 

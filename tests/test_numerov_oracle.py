@@ -656,6 +656,26 @@ class TestPropagation:
         assert u_prev / u == pytest.approx(ref_prev / ref, rel=1e-15)
         assert s / (u * u) == pytest.approx(ref_s / (ref * ref), rel=1e-15)
 
+    def test_every_block_junction_and_remainder(self):
+        # a harmonic well 17 nodes deep, cut to every length from 2 to 302
+        # points: blocks of 1 to 6 values, so every remainder n mod L occurs,
+        # and nodes fall inside blocks, at junctions and in the padded last
+        # block.  Near a node u_prev/u and s/u^2 are ill-conditioned (the two
+        # loops differ there by 2e-11), so the state compared is (u_prev, u)
+        # / sqrt(s), to the loop's rounding of about eps a step
+        h = 0.02
+        rho = np.arange(302) * h
+        rho[0] = h
+        t = numerov_oracle._t_grid(harmonic(rho), 1.0, h, 40.0)
+        for n in range(2, len(t) + 1):
+            u_prev, u, s, nodes = numerov_oracle._propagate(t[:n], h)
+            ref_prev, ref, ref_s, ref_nodes = scalar_numerov(t[:n], h)
+            assert nodes == ref_nodes
+            state = np.array([u_prev, u]) / math.sqrt(s)
+            ref_state = np.array([ref_prev, ref]) / math.sqrt(ref_s)
+            assert np.abs(state - ref_state).max() <= n * np.finfo(float).eps
+        assert ref_nodes == 17
+
     @pytest.mark.parametrize("lam, end", [(-3.5, "origin"), (-0.1, "edge")])
     def test_matching_at_the_grid_ends(self, lam, end):
         # below the potential floor nothing is allowed (m = 1, a 2-point

@@ -258,6 +258,18 @@ REFUSALS = [
     # and raised SeriesNonConvergence
     (whittaker_m, (1e200, 2.9, 1e-100), ValueError,
      "whittaker_m's prefactor e^(-z/2) z^(nu+1/2) underflows at z = 1e-100, nu = 2.9"),
+    # terms that overflow to inf of both signs: these returned NaN, summed
+    # 5000 terms, and raised "M is not a finite float"
+    (kummer_m, (-8.0, 1.2343133848590748e-307, 1.0), SeriesNonConvergence,
+     '1F1(-8.0, 1.2343133848590748e-307, 1.0): the terms overflow and sum to NaN, '
+     'beyond double precision'),
+    (whittaker_m, (1e200, 2.9, 1.0), SeriesNonConvergence,
+     '1F1(-1e+200, 6.8, 1.0): the terms overflow and sum to NaN, beyond double precision'),
+    (whittaker_m, (1000.0, 2.9, 200.0), SeriesNonConvergence,
+     '1F1(-996.6, 6.8, 200.0): the terms overflow and sum to NaN, beyond double precision'),
+    # an infinite term times a zero ratio: this summed 5000 NaN terms
+    (kummer_m, (-1.0, 1e-310, 1.0), SeriesNonConvergence,
+     '1F1(-1.0, 1e-310, 1.0): the terms overflow and sum to NaN, beyond double precision'),
 ]
 
 
@@ -318,5 +330,8 @@ def test_series_keeps_kummer_bits(alpha, gamma, z):
         return
     alpha, z = float(alpha), float(z)
     want = _outcome(_reference_series, alpha, gamma, z)
+    if want == "nan":  # the reference sums terms that overflowed to NaN
+        want = (f"1F1({alpha}, {gamma}, {z}): the terms overflow and sum to NaN, "
+                f"beyond double precision")
     assert _outcome(bicatom.specfun._kummer_series, alpha, gamma, z) == want
     assert _outcome(kummer_m, alpha, gamma, z) == want
